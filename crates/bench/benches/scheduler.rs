@@ -3,9 +3,11 @@
 //!
 //! The scheduler benches drive the classic *hold model* — pop the
 //! earliest event, schedule a replacement a random increment later —
-//! at steady pending-set sizes from 1k to 1M events, once per backend
-//! (calendar queue vs the reference binary heap). Hold throughput is
-//! what the simulator's hot loop sees, so this is the number behind
+//! at steady pending-set sizes from 1k to 1M events, once per queue:
+//! the engine's calendar [`Scheduler`] and a plain binary heap (the
+//! simulator's [`KeyedQueue`] keyed by push order, which is also the
+//! calendar's correctness oracle). Hold throughput is what the
+//! simulator's hot loop sees, so this is the number behind
 //! EXPERIMENTS.md's "Performance" section.
 //!
 //! The `sweep` group times `SensitivitySweep::run` at tiny scale for
@@ -18,10 +20,11 @@
 //! cargo bench -p epnet-bench --bench scheduler -- smoke
 //! ```
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use epnet::exp::sweep::SensitivitySweep;
 use epnet::exp::{EvalScale, WorkloadKind};
-use epnet_sim::{Backend, Scheduler, SimTime};
+use epnet_sim::sched::KeyedQueue;
+use epnet_sim::{Scheduler, SimTime};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -38,31 +41,72 @@ impl Mix {
     }
 }
 
+/// The queues under comparison, behind the one interface the hold
+/// model needs.
+trait Queue: Default {
+    const NAME: &'static str;
+    fn schedule(&mut self, at: SimTime, item: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+}
+
+impl Queue for Scheduler<u64> {
+    const NAME: &'static str = "calendar";
+    fn schedule(&mut self, at: SimTime, item: u64) {
+        Scheduler::schedule(self, at, item);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        Scheduler::pop(self)
+    }
+}
+
+/// A binary heap with FIFO ties: [`KeyedQueue`] keyed by push order.
+#[derive(Default)]
+struct Heap {
+    q: KeyedQueue<u64>,
+    seq: u64,
+}
+
+impl Queue for Heap {
+    const NAME: &'static str = "heap";
+    fn schedule(&mut self, at: SimTime, item: u64) {
+        self.q.push(at, self.seq, item);
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.q.pop().map(|((at, _), item)| (at, item))
+    }
+}
+
 /// Builds a queue holding `pending` events with exponential-ish gaps
 /// (mean ~2 µs), mimicking the engine's mix of near-future TxDone /
 /// Arrive events.
-fn prefill(backend: Backend, pending: usize) -> (Scheduler<u64>, Mix, SimTime) {
-    let mut q = Scheduler::with_backend(backend);
+fn prefill<Q: Queue>(pending: usize) -> (Q, Mix) {
+    let mut q = Q::default();
     let mut rng = Mix(42);
-    let mut horizon = SimTime::ZERO;
     for i in 0..pending {
-        let at = SimTime::from_ps(rng.next() % 4_000_000);
-        horizon = horizon.max(at);
-        q.schedule(at, i as u64);
+        q.schedule(SimTime::from_ps(rng.next() % 4_000_000), i as u64);
     }
-    (q, rng, horizon)
+    (q, rng)
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Calendar => "calendar",
-        Backend::BinaryHeap => "heap",
-    }
+/// One hold-model benchmark: one pop + one schedule per iteration at a
+/// steady pending-set size of `pending`.
+fn hold<Q: Queue>(g: &mut BenchmarkGroup<'_>, label: String, pending: usize) {
+    let (mut q, mut rng) = prefill::<Q>(pending);
+    g.bench_function(label, |b| {
+        b.iter(|| {
+            let (t, tag) = q.pop().expect("hold model never drains");
+            // Replacement lands 0–4 µs later: monotone, like the
+            // engine's schedules.
+            let at = SimTime::from_ps(t.as_ps() + (rng.next() % 4_000_000));
+            q.schedule(at, tag);
+            black_box(t)
+        })
+    });
 }
 
-/// Hold model: one pop + one schedule per operation at a steady
-/// pending-set size. Reported throughput is hold operations
-/// (event pairs) per second.
+/// Hold model at 1k–1M pending events. Reported throughput is hold
+/// operations (event pairs) per second.
 fn scheduler_hold(c: &mut Criterion) {
     let mut g = c.benchmark_group("sched_hold");
     g.sample_size(10)
@@ -70,27 +114,34 @@ fn scheduler_hold(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     g.throughput(Throughput::Elements(1));
     for pending in [1_000usize, 10_000, 100_000, 1_000_000] {
-        for backend in [Backend::Calendar, Backend::BinaryHeap] {
-            let label = format!("{}/{}k", backend_name(backend), pending / 1_000);
-            let (mut q, mut rng, _) = prefill(backend, pending);
-            g.bench_function(label, |b| {
-                b.iter(|| {
-                    let (t, tag) = q.pop().expect("hold model never drains");
-                    // Replacement lands 0–4 µs later: monotone, like
-                    // the engine's schedules.
-                    let at = SimTime::from_ps(t.as_ps() + (rng.next() % 4_000_000));
-                    q.schedule(at, tag);
-                    black_box(t)
-                })
-            });
-        }
+        let label = |name: &str| format!("{name}/{}k", pending / 1_000);
+        hold::<Scheduler<u64>>(&mut g, label(Scheduler::<u64>::NAME), pending);
+        hold::<Heap>(&mut g, label(Heap::NAME), pending);
     }
     g.finish();
 }
 
 /// Fill-then-drain churn: `n` schedules followed by `n` pops.
-/// Stresses the calendar's resize policy (it grows and shrinks across
-/// three orders of magnitude per iteration).
+fn churn<Q: Queue>(g: &mut BenchmarkGroup<'_>, n: usize) {
+    g.bench_function(format!("{}/{}k", Q::NAME, n / 1_000), |b| {
+        b.iter(|| {
+            let mut q = Q::default();
+            let mut rng = Mix(7);
+            for i in 0..n {
+                q.schedule(SimTime::from_ps(rng.next() % 40_000_000), i as u64);
+            }
+            let mut last = SimTime::ZERO;
+            while let Some((t, _)) = q.pop() {
+                last = t;
+            }
+            black_box(last)
+        })
+    });
+}
+
+/// Churn at 1k and 100k events. Stresses the calendar's resize policy
+/// (it grows and shrinks across three orders of magnitude per
+/// iteration).
 fn scheduler_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("sched_churn");
     g.sample_size(10)
@@ -98,46 +149,23 @@ fn scheduler_churn(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for n in [1_000usize, 100_000] {
         g.throughput(Throughput::Elements(n as u64));
-        for backend in [Backend::Calendar, Backend::BinaryHeap] {
-            let label = format!("{}/{}k", backend_name(backend), n / 1_000);
-            g.bench_function(label, |b| {
-                b.iter(|| {
-                    let mut q = Scheduler::with_backend(backend);
-                    let mut rng = Mix(7);
-                    for i in 0..n {
-                        q.schedule(SimTime::from_ps(rng.next() % 40_000_000), i as u64);
-                    }
-                    let mut last = SimTime::ZERO;
-                    while let Some((t, _)) = q.pop() {
-                        last = t;
-                    }
-                    black_box(last)
-                })
-            });
-        }
+        churn::<Scheduler<u64>>(&mut g, n);
+        churn::<Heap>(&mut g, n);
     }
     g.finish();
 }
 
 /// Seconds-long subset for `scripts/bench_smoke.sh`: one hold-model
-/// point per backend at 100k pending events.
+/// point per queue at 100k pending events.
 fn scheduler_smoke(c: &mut Criterion) {
     let mut g = c.benchmark_group("smoke_sched");
     g.sample_size(5)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     g.throughput(Throughput::Elements(1));
-    for backend in [Backend::Calendar, Backend::BinaryHeap] {
-        let (mut q, mut rng, _) = prefill(backend, 100_000);
-        g.bench_function(format!("hold_100k/{}", backend_name(backend)), |b| {
-            b.iter(|| {
-                let (t, tag) = q.pop().expect("hold model never drains");
-                let at = SimTime::from_ps(t.as_ps() + (rng.next() % 4_000_000));
-                q.schedule(at, tag);
-                black_box(t)
-            })
-        });
-    }
+    let label = |name: &str| format!("hold_100k/{name}");
+    hold::<Scheduler<u64>>(&mut g, label(Scheduler::<u64>::NAME), 100_000);
+    hold::<Heap>(&mut g, label(Heap::NAME), 100_000);
     g.finish();
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Sweeps offered load from 2.5% to saturation on the fabrics in
 //! `epnet_bench::loadbench::sweep`, running each point once per
-//! `EPNET_EPOCH` mode, interleaved, and recording throughput plus the
+//! epoch mode, interleaved, and recording throughput plus the
 //! controller-work counters. The point of the document is the
 //! `decisions_speedup` column: how many times fewer rate decisions the
 //! active-set epoch path evaluates per tick than the full sweep. Every

@@ -107,7 +107,7 @@ fn main() {
         runs.push(run);
     }
 
-    // The threads axis: serial baseline then every `EPNET_PAR` width,
+    // The threads axis: serial baseline then every parallel width,
     // each report asserted byte-identical to serial before its timing
     // counts. The full sweep measures the paper-scale 15-ary 2-flat
     // (the fabric the parallel engine exists for) — the last *packet*
@@ -150,28 +150,6 @@ fn main() {
         );
     }
 
-    // The lookahead probe: pairwise matrix vs the legacy global bound,
-    // byte-identity asserted, window shapes compared. In the full
-    // sweep it runs on the grouped 3-flat, where cross-shard links are
-    // optical and the pairwise bound has real heterogeneity to
-    // exploit.
-    let lookahead = scalebench::measure_lookahead(scalebench::lookahead_point(&points));
-    for m in [&lookahead.pairwise, &lookahead.global] {
-        eprintln!(
-            "{:<14} lookahead={:<8} windows={:<8} {:>8.1} events/window  bound={} ps",
-            lookahead.point,
-            m.mode,
-            m.windows,
-            m.mean_events_per_window(),
-            m.lookahead_ps,
-        );
-    }
-    eprintln!(
-        "{:<14} barrier amortization pairwise/global = {:.2}x",
-        lookahead.point,
-        lookahead.amortization_ratio(),
-    );
-
     // The models axis: every packet point re-run under both models at
     // the reduced horizon, hybrid-vs-packet agreement asserted within
     // the documented tolerance before anything is written.
@@ -187,7 +165,7 @@ fn main() {
         );
     }
 
-    let doc = scalebench::render(&runs, &axis, &hybrid_axis, &lookahead, &models);
+    let doc = scalebench::render(&runs, &axis, &hybrid_axis, &models);
     scalebench::validate(&doc).expect("freshly rendered document validates");
     if to_stdout {
         print!("{doc}");

@@ -13,14 +13,14 @@
 //! (`tests/tests/bench_smoke.rs`) both lean on this to catch schema
 //! drift between the emitters and the validator.
 //!
-//! The same scenario then re-runs under `EPNET_PAR=4` into
+//! The same scenario then re-runs on the parallel engine at width 4 into
 //! `<path>.par4`, and the merged trace stream must be **line-identical**
 //! to the serial trace — the sharded engine's replay step emits every
 //! worker's trace bytes in global event order, so even a one-line
 //! reordering is a coordinator bug. Only the execution-shape categories
 //! are exempt from the comparison: `routes` lines carry wall-clock
 //! rebuild nanoseconds (and per-shard tables rebuild independently),
-//! and `parallel` lines exist only under `EPNET_PAR` (see
+//! and `parallel` lines exist only on the parallel engine (see
 //! `crates/sim/src/par.rs` module docs). The canonical scenario emits
 //! no mid-run routes lines, but the filter keeps the contract precise
 //! rather than incidental.
@@ -29,11 +29,11 @@
 //! serial export must be well-formed JSON whose per-category record
 //! counts match the source `TraceStats` (written to `<path>.chrome.json`
 //! for loading into Perfetto), and the behavior-only streams (shape
-//! categories stripped) of the serial and `EPNET_PAR=4` captures must
+//! categories stripped) of the serial and width-4 captures must
 //! export to byte-identical JSON.
 
 use epnet_bench::enginebench::{canonical_layout, canonical_simulator, HORIZON};
-use epnet_sim::{TraceCategory, Tracer};
+use epnet_sim::{RunOptions, TraceCategory, Tracer};
 use epnet_telemetry::export::{behavior_records, chrome_trace};
 use epnet_telemetry::{parse_jsonl, summary, validate_jsonl, FileSink};
 use std::process::ExitCode;
@@ -60,7 +60,7 @@ fn main() -> ExitCode {
     };
 
     let start = Instant::now();
-    let mut sim = canonical_simulator();
+    let mut sim = canonical_simulator(RunOptions::default());
     sim.set_tracer(Tracer::new(sink, TraceCategory::ALL_MASK));
     let report = sim.run_until(HORIZON);
 
@@ -97,9 +97,9 @@ fn main() -> ExitCode {
         report.events_processed, report.packets_delivered, report.delivered_bytes
     );
 
-    // The parallel cross-check: the identical scenario under
-    // `EPNET_PAR=4` must produce a line-identical merged trace (routes
-    // lines excepted — wall-clock build times).
+    // The parallel cross-check: the identical scenario at width 4 must
+    // produce a line-identical merged trace (routes lines excepted —
+    // wall-clock build times).
     let par_path = format!("{path}.par4");
     let par_sink = match FileSink::create(&par_path) {
         Ok(s) => s,
@@ -108,11 +108,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    std::env::set_var("EPNET_PAR", "4");
-    let mut par_sim = canonical_simulator();
+    let mut par_sim = canonical_simulator(RunOptions {
+        par: Some(4),
+        ..RunOptions::default()
+    });
     par_sim.set_tracer(Tracer::new(par_sink, TraceCategory::ALL_MASK));
     let par_report = par_sim.run_until(HORIZON);
-    std::env::remove_var("EPNET_PAR");
     let par_text = match std::fs::read_to_string(&par_path) {
         Ok(t) => t,
         Err(e) => {
@@ -127,7 +128,7 @@ fn main() -> ExitCode {
     if par_report.events_processed != report.events_processed
         || par_report.delivered_bytes != report.delivered_bytes
     {
-        eprintln!("EPNET_PAR=4 report diverged from serial");
+        eprintln!("width-4 report diverged from serial");
         return ExitCode::FAILURE;
     }
     fn behavior_lines(t: &str) -> Vec<&str> {
@@ -144,7 +145,7 @@ fn main() -> ExitCode {
             .position(|(a, b)| a != b)
             .unwrap_or(serial_lines.len().min(par_lines.len()));
         eprintln!(
-            "EPNET_PAR=4 trace diverged from serial at line {} ({} vs {} lines)",
+            "width-4 trace diverged from serial at line {} ({} vs {} lines)",
             diverge + 1,
             serial_lines.len(),
             par_lines.len()
@@ -152,13 +153,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{par_path}: EPNET_PAR=4 trace line-identical to serial ({} lines)",
+        "{par_path}: width-4 trace line-identical to serial ({} lines)",
         par_lines.len()
     );
     // The parallel run must actually exercise the new category — a
     // silent emitter regression would otherwise pass the filter above.
     if !par_text.contains("\"cat\":\"parallel\"") {
-        eprintln!("EPNET_PAR=4 run emitted no 'parallel' records — emitter regression?");
+        eprintln!("width-4 run emitted no 'parallel' records — emitter regression?");
         return ExitCode::FAILURE;
     }
 
@@ -227,10 +228,10 @@ fn main() -> ExitCode {
     let serial_export = chrome_trace(&behavior_records(&serial_records), Some(layout));
     let par_export = chrome_trace(&behavior_records(&par_records), Some(layout));
     if serial_export.json != par_export.json {
-        eprintln!("EPNET_PAR=4 behavior-only chrome-trace export diverged from serial");
+        eprintln!("width-4 behavior-only chrome-trace export diverged from serial");
         return ExitCode::FAILURE;
     }
-    println!("serial and EPNET_PAR=4 behavior-only exports byte-identical");
+    println!("serial and width-4 behavior-only exports byte-identical");
 
     summary::eprint_summary("tracesmoke", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS

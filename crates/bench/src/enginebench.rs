@@ -4,7 +4,7 @@
 //! under merged uniform-random (30% load) and search-like bursty
 //! traffic for 10 ms of simulated time, default §4.1 configuration —
 //! run once per route mode: precomputed route tables (the default) and
-//! the per-hop reference path (`EPNET_ROUTES=dynamic`). Each run
+//! per-hop routing ([`Routes::Dynamic`]). Each run
 //! reports wall clock, engine events popped, and delivered bytes, from
 //! which the two throughput figures in EXPERIMENTS.md derive:
 //! events/second and delivered bytes/second.
@@ -14,7 +14,7 @@
 //! its in-process twin `tests/tests/bench_smoke.rs`) can afford to run
 //! it on every invocation.
 
-use epnet_sim::{MergedSource, SimConfig, SimTime, Simulator};
+use epnet_sim::{MergedSource, Routes, RunOptions, SimConfig, SimTime, Simulator};
 use epnet_topology::{FlattenedButterfly, RoutingTopology};
 use epnet_workloads::{ServiceTrace, ServiceTraceConfig, UniformRandom};
 use serde_json::Value;
@@ -29,11 +29,11 @@ pub const HORIZON: SimTime = SimTime::from_ms(10);
 /// The canonical scenario's traffic source.
 pub type CanonicalSource = MergedSource<UniformRandom, ServiceTrace>;
 
-/// Builds the canonical FBFLY(2,8,2) scenario (see module docs), ready
-/// to run for [`HORIZON`] of simulated time. Shared by the throughput
-/// benchmark and the `tracesmoke` trace-schema check so both exercise
-/// the exact same configuration.
-pub fn canonical_simulator() -> Simulator<CanonicalSource> {
+/// Builds the canonical FBFLY(2,8,2) scenario (see module docs) under
+/// `options`, ready to run for [`HORIZON`] of simulated time. Shared by
+/// the throughput benchmark and the `tracesmoke` trace-schema check so
+/// both exercise the exact same configuration.
+pub fn canonical_simulator(options: RunOptions) -> Simulator<CanonicalSource> {
     let build_start = Instant::now();
     let fabric = FlattenedButterfly::new(2, 8, 2)
         .expect("fixed canonical shape")
@@ -49,7 +49,7 @@ pub fn canonical_simulator() -> Simulator<CanonicalSource> {
             .horizon(HORIZON)
             .build(),
     );
-    let mut sim = Simulator::new(fabric, SimConfig::default(), source);
+    let mut sim = Simulator::with_options(fabric, SimConfig::default(), source, options);
     sim.record_phase("topology_build", topology_wall);
     sim
 }
@@ -110,10 +110,13 @@ impl EngineRun {
     }
 }
 
-/// Runs the canonical scenario once under the current `EPNET_ROUTES`
-/// setting and measures it.
-pub fn measure(name: &'static str) -> EngineRun {
-    let sim = canonical_simulator();
+/// Runs the canonical scenario once with route mode `routes` and
+/// measures it.
+pub fn measure(name: &'static str, routes: Routes) -> EngineRun {
+    let sim = canonical_simulator(RunOptions {
+        routes,
+        ..RunOptions::default()
+    });
     let start = Instant::now();
     let report = sim.run_until(HORIZON);
     let wall = start.elapsed();
@@ -126,22 +129,13 @@ pub fn measure(name: &'static str) -> EngineRun {
     }
 }
 
-/// Measures both route modes: the precomputed-table default, then the
-/// per-hop reference with `EPNET_ROUTES=dynamic`.
-///
-/// Restores the prior `EPNET_ROUTES` value afterwards, so callers that
-/// pinned a mode (or tests holding an env lock) see it unchanged.
+/// Measures both route modes: the precomputed-table default, then
+/// per-hop routing.
 pub fn measure_both_modes() -> Vec<EngineRun> {
-    let prior = std::env::var("EPNET_ROUTES").ok();
-    std::env::remove_var("EPNET_ROUTES");
-    let table = measure("route_table");
-    std::env::set_var("EPNET_ROUTES", "dynamic");
-    let dynamic = measure("dynamic_routes");
-    match prior {
-        Some(v) => std::env::set_var("EPNET_ROUTES", v),
-        None => std::env::remove_var("EPNET_ROUTES"),
-    }
-    vec![table, dynamic]
+    vec![
+        measure("route_table", Routes::Table),
+        measure("dynamic_routes", Routes::Dynamic),
+    ]
 }
 
 /// Renders runs as the `BENCH_engine.json` document.

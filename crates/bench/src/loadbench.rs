@@ -4,7 +4,7 @@
 //! per tick instead of O(topology); this sweep quantifies the claim.
 //! Each point runs the bursty uniform-random workload (512 KiB
 //! messages, exponential gaps — the paper's §4.2 recipe) at one
-//! offered-load fraction, once per `EPNET_EPOCH` mode, *interleaved*
+//! offered-load fraction, once per [`EpochMode`], *interleaved*
 //! (sweep then active for each point in turn) so slow wall-clock drift
 //! hits both modes equally. Per mode it records wall time, engine
 //! throughput (events/s), the controller-phase wall time from
@@ -17,10 +17,9 @@
 //!
 //! The two runs of a point must also serialize byte-identical reports
 //! — [`measure`] asserts it, making every benchmark run a cross-check
-//! of the `EPNET_EPOCH` contract at scales the test suite never
-//! reaches.
+//! of the epoch-mode contract at scales the test suite never reaches.
 
-use epnet_sim::{SimConfig, SimTime, Simulator};
+use epnet_sim::{EpochMode, RunOptions, SimConfig, SimTime, Simulator};
 use epnet_topology::{FlattenedButterfly, RoutingTopology};
 use epnet_workloads::UniformRandom;
 use serde_json::Value;
@@ -148,7 +147,7 @@ pub struct LoadRun {
     pub channels: u64,
     /// Offered load fraction.
     pub load: f64,
-    /// The `EPNET_EPOCH=sweep` reference run.
+    /// The [`EpochMode::Sweep`] run.
     pub sweep: ModeRun,
     /// The active-set (default) run.
     pub active: ModeRun,
@@ -183,10 +182,7 @@ impl LoadRun {
     }
 }
 
-fn run_mode(point: &LoadPoint, mode: &str) -> (ModeRun, String) {
-    // Selection happens at `Simulator::new`; the benchmark owns the
-    // process, so setting the variable here is race-free.
-    std::env::set_var("EPNET_EPOCH", mode);
+fn run_mode(point: &LoadPoint, epoch: EpochMode) -> (ModeRun, String) {
     let (c, k, n) = point.shape;
     let fabric = FlattenedButterfly::new(c, k, n)
         .expect("sweep shapes are valid")
@@ -196,11 +192,14 @@ fn run_mode(point: &LoadPoint, mode: &str) -> (ModeRun, String) {
         .offered_load(point.load)
         .horizon(point.horizon)
         .build();
-    let sim = Simulator::new(fabric, SimConfig::default(), source);
+    let options = RunOptions {
+        epoch,
+        ..RunOptions::default()
+    };
+    let sim = Simulator::with_options(fabric, SimConfig::default(), source, options);
     let start = Instant::now();
     let report = sim.run_until(point.horizon);
     let wall = start.elapsed();
-    std::env::remove_var("EPNET_EPOCH");
     let controller_wall_ms = report
         .phases
         .iter()
@@ -232,8 +231,8 @@ pub fn measure(point: &LoadPoint) -> LoadRun {
         .build_fabric();
     let (hosts, channels) = (fabric.num_hosts() as u64, fabric.num_channels() as u64);
     drop(fabric);
-    let (swept, swept_report) = run_mode(point, "sweep");
-    let (active, active_report) = run_mode(point, "active");
+    let (swept, swept_report) = run_mode(point, EpochMode::Sweep);
+    let (active, active_report) = run_mode(point, EpochMode::ActiveSet);
     assert_eq!(
         swept_report, active_report,
         "{}: epoch modes must serialize byte-identical reports",
@@ -256,8 +255,7 @@ pub fn render(runs: &[LoadRun]) -> String {
         (
             "scenario".into(),
             Value::Str(
-                "uniform-random 512KiB load sweep, EPNET_EPOCH sweep vs active-set, interleaved"
-                    .into(),
+                "uniform-random 512KiB load sweep, epoch sweep vs active-set, interleaved".into(),
             ),
         ),
         (

@@ -17,17 +17,18 @@
 
 use crate::enginebench::CanonicalSource;
 use epnet_power::LinkPowerProfile;
-use epnet_sim::{MergedSource, Message, SimConfig, SimModel, SimTime, Simulator, TrafficSource};
+use epnet_sim::{
+    MergedSource, Message, RunOptions, SimConfig, SimModel, SimTime, Simulator, TrafficSource,
+};
 use epnet_topology::{FlattenedButterfly, RoutingTopology, TwoTierClos};
 use epnet_workloads::{ServiceTrace, ServiceTraceConfig, UniformRandom};
 use serde_json::Value;
 use std::time::Instant;
 
 /// Schema tag written into `BENCH_scale.json`. `v2` added the
-/// `threads` axis (the `EPNET_PAR` sweep on the canonical point); `v3`
-/// renamed its `hardware_threads` field to `hw_threads` and added the
-/// `lookahead` probe (window-shape diagnostics comparing the pairwise
-/// lookahead matrix against the legacy global bound); `v4` added the
+/// `threads` axis (the parallel-width sweep on the canonical point);
+/// `v3` renamed its `hardware_threads` field to `hw_threads` and added
+/// a `lookahead` probe comparing two window bounds; `v4` added the
 /// hybrid flow/packet model: a `model` field on every bench, hybrid
 /// sweep points at Solnushkin scale (10^5+ hosts), and the `models`
 /// validation axis comparing delivered bytes and relative power
@@ -35,13 +36,14 @@ use std::time::Instant;
 /// the parallel hybrid engine: the [`MILLION_HOSTS`]
 /// `hybrid_fbfly_32x32x4` sweep point (with pinned peak-heap-per-host
 /// and wall-clock budgets) and the `hybrid_threads` axis — the
-/// `EPNET_PAR` sweep on that million-host point, byte-identity
-/// asserted at every width.
-pub const SCHEMA: &str = "epnet-bench-scale/v5";
+/// parallel-width sweep on that million-host point, byte-identity
+/// asserted at every width; `v6` dropped the `lookahead` probe with the
+/// legacy bound it measured against.
+pub const SCHEMA: &str = "epnet-bench-scale/v6";
 
 /// Worker widths measured by the threads axis, matching the
 /// determinism matrix in `tests/tests/par_modes.rs`. Width 0 stands
-/// for the serial engine (`EPNET_PAR` unset) and is always measured
+/// for the serial engine and is always measured
 /// first as the speedup baseline.
 pub const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
@@ -207,9 +209,8 @@ pub fn sweep(reduced: bool) -> Vec<ScalePoint> {
         points.push(point("fbfly_8x8x2", ScaleTopo::Fbfly { c: 8, k: 8, n: 2 }));
         // The grouped 3-flat: two switch dimensions, so dimension-1
         // links are optical while dimension-0 stays electrical — the
-        // link heterogeneity the pairwise lookahead matrix exploits
-        // (contiguous shards cut only the optical dimension). This is
-        // the lookahead probe's point in the full sweep.
+        // link heterogeneity the pairwise lookahead bounds exploit
+        // (contiguous shards cut only the optical dimension).
         points.push(point("fbfly_8x4x3", ScaleTopo::Fbfly { c: 8, k: 4, n: 3 }));
         points.push(point("clos_nb8", ScaleTopo::ClosNonBlocking { c: 8 }));
         points.push(point(
@@ -244,8 +245,8 @@ pub fn sweep(reduced: bool) -> Vec<ScalePoint> {
     points
 }
 
-/// The sweep point the packet-model threads axis and the lookahead
-/// probe run on: the last *packet-model* point. The hybrid tail has
+/// The sweep point the packet-model threads axis runs on: the last
+/// *packet-model* point. The hybrid tail has
 /// its own axis ([`hybrid_axis_point`]) — mixing models here would
 /// make the two speedup columns incomparable across schema versions.
 ///
@@ -275,17 +276,6 @@ pub fn hybrid_axis_point(points: &[ScalePoint]) -> &ScalePoint {
         .expect("sweep always has hybrid points")
 }
 
-/// The sweep point the lookahead probe runs on: the grouped 3-flat in
-/// the full sweep (where cross-shard links are optical and the
-/// pairwise bound is 6× the global floor), the first point under
-/// `--reduced`.
-pub fn lookahead_point(points: &[ScalePoint]) -> &ScalePoint {
-    points
-        .iter()
-        .find(|p| p.name == "fbfly_8x4x3")
-        .unwrap_or(&points[0])
-}
-
 /// A sweep point's traffic source: one variant per [`Recipe`].
 #[derive(Debug)]
 pub enum ScaleSource {
@@ -306,8 +296,9 @@ impl TrafficSource for ScaleSource {
 }
 
 /// Builds a simulator for one sweep point: the point's topology,
-/// recipe (scaled to its host count), and simulation model.
-pub fn simulator_for(point: &ScalePoint) -> Simulator<ScaleSource> {
+/// recipe (scaled to its host count), and simulation model, on the
+/// parallel engine at width `par` (0 is the serial engine).
+pub fn simulator_for(point: &ScalePoint, par: usize) -> Simulator<ScaleSource> {
     let fabric = match point.topo {
         ScaleTopo::Fbfly { c, k, n } => FlattenedButterfly::new(c, k, n)
             .expect("sweep shapes are valid")
@@ -341,7 +332,12 @@ pub fn simulator_for(point: &ScalePoint) -> Simulator<ScaleSource> {
                 .build(),
         ),
     };
-    Simulator::with_model(fabric, SimConfig::default(), source, point.model)
+    let options = RunOptions {
+        model: point.model,
+        par: Some(par),
+        ..RunOptions::default()
+    };
+    Simulator::with_options(fabric, SimConfig::default(), source, options)
 }
 
 /// Heap-allocation counts over a measurement window.
@@ -453,7 +449,7 @@ impl ScaleRun {
 /// One width of the threads axis.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadsRun {
-    /// Worker width (`EPNET_PAR`); 0 is the serial engine.
+    /// Parallel-engine width; 0 is the serial engine.
     pub threads: u64,
     /// Wall-clock duration of the run, in milliseconds.
     pub wall_ms: f64,
@@ -469,7 +465,7 @@ impl ThreadsRun {
     }
 }
 
-/// The threads axis: one sweep point re-run at every `EPNET_PAR`
+/// The threads axis: one sweep point re-run at every parallel-engine
 /// width, against the serial engine as baseline.
 #[derive(Debug, Clone)]
 pub struct ThreadsAxis {
@@ -490,29 +486,26 @@ pub fn measure_threads(point: &ScalePoint) -> ThreadsAxis {
 }
 
 /// Measures a threads axis on `point`: the serial engine first, then
-/// `EPNET_PAR` at each of `widths`, each a fresh full run of the
-/// identical scenario.
+/// the parallel engine at each of `widths`, each a fresh full run of
+/// the identical scenario.
 ///
 /// Every parallel report is asserted **byte-identical** to the serial
 /// one before its timing is recorded — a wrong-but-fast engine never
-/// makes it into `BENCH_scale.json`. The prior `EPNET_PAR` value is
-/// restored on return.
+/// makes it into `BENCH_scale.json`.
 ///
 /// # Panics
 ///
 /// Panics if any width's serialized report differs from serial.
 pub fn measure_threads_over(point: &ScalePoint, widths: &[usize]) -> ThreadsAxis {
-    let prior = std::env::var("EPNET_PAR").ok();
-    std::env::remove_var("EPNET_PAR");
-    let one = |threads: u64| -> (ThreadsRun, String) {
-        let sim = simulator_for(point);
+    let one = |threads: usize| -> (ThreadsRun, String) {
+        let sim = simulator_for(point, threads);
         let start = Instant::now();
         let report = sim.run_until(point.horizon);
         let wall = start.elapsed();
         let doc = serde_json::to_string_pretty(&report).expect("report serializes");
         (
             ThreadsRun {
-                threads,
+                threads: threads as u64,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 sim_events: report.events_processed,
             },
@@ -522,178 +515,18 @@ pub fn measure_threads_over(point: &ScalePoint, widths: &[usize]) -> ThreadsAxis
     let (serial, serial_doc) = one(0);
     let mut runs = vec![serial];
     for &width in widths {
-        std::env::set_var("EPNET_PAR", width.to_string());
-        let (run, doc) = one(width as u64);
+        let (run, doc) = one(width);
         assert_eq!(
             doc, serial_doc,
-            "{}: EPNET_PAR={width} report diverged from serial",
+            "{}: width-{width} report diverged from serial",
             point.name
         );
         runs.push(run);
-    }
-    match prior {
-        Some(v) => std::env::set_var("EPNET_PAR", v),
-        None => std::env::remove_var("EPNET_PAR"),
     }
     ThreadsAxis {
         point: point.name.clone(),
         hw_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
         runs,
-    }
-}
-
-/// Window-shape diagnostics of one parallel run under one lookahead
-/// mode, lifted from [`SimReport::diagnostics`].
-///
-/// [`SimReport::diagnostics`]: epnet_sim::SimReport::diagnostics
-#[derive(Debug, Clone)]
-pub struct LookaheadRun {
-    /// `"pairwise"` or `"global"` (the `EPNET_PAR_LOOKAHEAD` value).
-    pub mode: &'static str,
-    /// Coordinator windows executed.
-    pub windows: u64,
-    /// Events executed inside those windows.
-    pub window_events: u64,
-    /// Exec-log records walked by the barrier replay.
-    pub replay_events: u64,
-    /// Per-(sender, receiver) cross-shard mirror batches applied.
-    pub cross_batches: u64,
-    /// Cross-shard events inside those batches.
-    pub cross_events: u64,
-    /// Tightest window bound in effect, in picoseconds (0 = unbounded).
-    pub lookahead_ps: u64,
-    /// Wall-clock duration of the run, in milliseconds.
-    pub wall_ms: f64,
-}
-
-impl LookaheadRun {
-    /// Mean events executed per window — the barrier-amortization
-    /// figure the pairwise matrix exists to raise.
-    pub fn mean_events_per_window(&self) -> f64 {
-        if self.windows == 0 {
-            return 0.0;
-        }
-        self.window_events as f64 / self.windows as f64
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("mode".into(), Value::Str(self.mode.into())),
-            ("windows".into(), Value::U64(self.windows)),
-            ("window_events".into(), Value::U64(self.window_events)),
-            (
-                "mean_events_per_window".into(),
-                Value::F64(self.mean_events_per_window()),
-            ),
-            ("replay_events".into(), Value::U64(self.replay_events)),
-            ("cross_batches".into(), Value::U64(self.cross_batches)),
-            ("cross_events".into(), Value::U64(self.cross_events)),
-            ("lookahead_ps".into(), Value::U64(self.lookahead_ps)),
-            ("wall_ms".into(), Value::F64(self.wall_ms)),
-        ])
-    }
-}
-
-/// The lookahead probe: the same point run at a fixed width under the
-/// pairwise matrix (the default) and the legacy global bound, reports
-/// asserted byte-identical, window shapes compared.
-#[derive(Debug, Clone)]
-pub struct LookaheadAxis {
-    /// Name of the sweep point the probe ran on.
-    pub point: String,
-    /// Worker width (`EPNET_PAR`) used for both runs.
-    pub width: u64,
-    /// The pairwise-matrix run (default mode).
-    pub pairwise: LookaheadRun,
-    /// The fabric-wide-minimum run (`EPNET_PAR_LOOKAHEAD=global`).
-    pub global: LookaheadRun,
-}
-
-impl LookaheadAxis {
-    /// How many more events each barrier amortizes under the pairwise
-    /// matrix than under the global bound.
-    pub fn amortization_ratio(&self) -> f64 {
-        let g = self.global.mean_events_per_window();
-        if g == 0.0 {
-            return 0.0;
-        }
-        self.pairwise.mean_events_per_window() / g
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("point".into(), Value::Str(self.point.clone())),
-            ("width".into(), Value::U64(self.width)),
-            (
-                "amortization_ratio".into(),
-                Value::F64(self.amortization_ratio()),
-            ),
-            (
-                "modes".into(),
-                Value::Seq(vec![self.pairwise.to_value(), self.global.to_value()]),
-            ),
-        ])
-    }
-}
-
-/// Worker width the lookahead probe runs at.
-pub const LOOKAHEAD_WIDTH: usize = 4;
-
-/// Measures the lookahead probe on `point` at [`LOOKAHEAD_WIDTH`]
-/// shards: pairwise (default) first, then `EPNET_PAR_LOOKAHEAD=global`.
-/// Prior values of both env vars are restored on return.
-///
-/// # Panics
-///
-/// Panics if the two serialized reports differ — the lookahead mode
-/// must only change window shapes, never bytes.
-pub fn measure_lookahead(point: &ScalePoint) -> LookaheadAxis {
-    let prior_par = std::env::var("EPNET_PAR").ok();
-    let prior_mode = std::env::var("EPNET_PAR_LOOKAHEAD").ok();
-    std::env::set_var("EPNET_PAR", LOOKAHEAD_WIDTH.to_string());
-    let one = |mode: &'static str| -> (LookaheadRun, String) {
-        let sim = simulator_for(point);
-        let start = Instant::now();
-        let report = sim.run_until(point.horizon);
-        let wall = start.elapsed();
-        let doc = serde_json::to_string_pretty(&report).expect("report serializes");
-        let d = |k: &str| *report.diagnostics.get(k).unwrap_or(&0);
-        (
-            LookaheadRun {
-                mode,
-                windows: d("par_windows"),
-                window_events: d("par_window_events"),
-                replay_events: d("par_replay_events"),
-                cross_batches: d("par_cross_batches"),
-                cross_events: d("par_cross_events"),
-                lookahead_ps: d("par_lookahead_ps"),
-                wall_ms: wall.as_secs_f64() * 1e3,
-            },
-            doc,
-        )
-    };
-    std::env::remove_var("EPNET_PAR_LOOKAHEAD");
-    let (pairwise, pairwise_doc) = one("pairwise");
-    std::env::set_var("EPNET_PAR_LOOKAHEAD", "global");
-    let (global, global_doc) = one("global");
-    match prior_par {
-        Some(v) => std::env::set_var("EPNET_PAR", v),
-        None => std::env::remove_var("EPNET_PAR"),
-    }
-    match prior_mode {
-        Some(v) => std::env::set_var("EPNET_PAR_LOOKAHEAD", v),
-        None => std::env::remove_var("EPNET_PAR_LOOKAHEAD"),
-    }
-    assert_eq!(
-        pairwise_doc, global_doc,
-        "{}: lookahead mode changed the serialized report",
-        point.name
-    );
-    LookaheadAxis {
-        point: point.name.clone(),
-        width: LOOKAHEAD_WIDTH as u64,
-        pairwise,
-        global,
     }
 }
 
@@ -727,7 +560,7 @@ impl ThreadsAxis {
 /// of the horizon (well past the engine's 50 µs statistical warmup, so
 /// every free-list has reached its high-water mark).
 pub fn measure(point: &ScalePoint, meter: &dyn AllocMeter) -> ScaleRun {
-    let mut sim = simulator_for(point);
+    let mut sim = simulator_for(point, 0);
     let hosts = sim.fabric().num_hosts() as u64;
     let channels = sim.fabric().num_channels() as u64;
     let boundary = SimTime::from_ps(point.horizon.as_ps() / 2);
@@ -887,7 +720,7 @@ pub fn measure_models(points: &[ScalePoint]) -> ModelAxis {
                 model,
                 ..point.clone()
             };
-            let sim = simulator_for(&p);
+            let sim = simulator_for(&p, 0);
             let hosts = sim.fabric().num_hosts() as u64;
             let start = Instant::now();
             let report = sim.run_until(p.horizon);
@@ -928,13 +761,12 @@ pub fn measure_models(points: &[ScalePoint]) -> ModelAxis {
     }
 }
 
-/// Renders runs plus the threads, hybrid-threads, lookahead, and
-/// models axes as the `BENCH_scale.json` document.
+/// Renders runs plus the threads, hybrid-threads, and models axes as
+/// the `BENCH_scale.json` document.
 pub fn render(
     runs: &[ScaleRun],
     threads: &ThreadsAxis,
     hybrid_threads: &ThreadsAxis,
-    lookahead: &LookaheadAxis,
     models: &ModelAxis,
 ) -> String {
     let doc = Value::Map(vec![
@@ -953,7 +785,6 @@ pub fn render(
         ),
         ("threads".into(), threads.to_value()),
         ("hybrid_threads".into(), hybrid_threads.to_value()),
-        ("lookahead".into(), lookahead.to_value()),
         ("models".into(), models.to_value()),
     ]);
     let mut out = serde_json::to_string_pretty(&doc).expect("value tree serializes");
@@ -1083,7 +914,10 @@ pub fn validate(doc: &str) -> Result<Vec<String>, String> {
         }
         if model == "hybrid" {
             let hosts = b.get("hosts").and_then(Value::as_u64).unwrap_or(0).max(1);
-            let peak = b.get("peak_alloc_bytes").and_then(Value::as_u64).unwrap_or(0);
+            let peak = b
+                .get("peak_alloc_bytes")
+                .and_then(Value::as_u64)
+                .unwrap_or(0);
             if peak > hosts.saturating_mul(HYBRID_PEAK_HEAP_PER_HOST) {
                 return Err(format!(
                     "bench '{name}': peak heap {} B/host exceeds the {} B/host bound",
@@ -1110,64 +944,6 @@ pub fn validate(doc: &str) -> Result<Vec<String>, String> {
     }
     check_threads_axis(&v, "threads")?;
     check_threads_axis(&v, "hybrid_threads")?;
-    let lookahead = v.get("lookahead").ok_or("missing 'lookahead' probe")?;
-    lookahead
-        .get("point")
-        .and_then(Value::as_str)
-        .ok_or("lookahead probe missing 'point'")?;
-    match lookahead.get("width").and_then(Value::as_u64) {
-        Some(w) if w >= 1 => {}
-        _ => return Err("lookahead probe needs 'width' >= 1".into()),
-    }
-    let ratio = lookahead
-        .get("amortization_ratio")
-        .and_then(Value::as_f64)
-        .ok_or("lookahead probe missing 'amortization_ratio'")?;
-    if !(ratio.is_finite() && ratio > 0.0) {
-        return Err("lookahead probe has non-positive 'amortization_ratio'".into());
-    }
-    let modes = lookahead
-        .get("modes")
-        .and_then(Value::as_seq)
-        .ok_or("lookahead probe missing 'modes' array")?;
-    let mode_names: Vec<&str> = modes
-        .iter()
-        .map(|m| m.get("mode").and_then(Value::as_str).unwrap_or(""))
-        .collect();
-    if mode_names != ["pairwise", "global"] {
-        return Err(format!(
-            "lookahead probe must record [pairwise, global], got {mode_names:?}"
-        ));
-    }
-    for m in modes {
-        let name = m.get("mode").and_then(Value::as_str).unwrap_or("?");
-        for field in [
-            "windows",
-            "window_events",
-            "replay_events",
-            "cross_batches",
-            "cross_events",
-            "lookahead_ps",
-        ] {
-            if m.get(field).and_then(Value::as_u64).is_none() {
-                return Err(format!("lookahead mode '{name}' missing '{field}'"));
-            }
-        }
-        if m.get("windows").and_then(Value::as_u64) == Some(0) {
-            return Err(format!("lookahead mode '{name}' executed zero windows"));
-        }
-        for field in ["mean_events_per_window", "wall_ms"] {
-            let x = m
-                .get(field)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("lookahead mode '{name}' missing '{field}'"))?;
-            if !(x.is_finite() && x > 0.0) {
-                return Err(format!(
-                    "lookahead mode '{name}' has non-positive '{field}'"
-                ));
-            }
-        }
-    }
     let models = v.get("models").ok_or("missing 'models' axis")?;
     let tolerance = models
         .get("tolerance")
@@ -1301,28 +1077,6 @@ mod tests {
         }
     }
 
-    fn sample_lookahead_run(mode: &'static str, windows: u64) -> LookaheadRun {
-        LookaheadRun {
-            mode,
-            windows,
-            window_events: 1_000,
-            replay_events: 1_100,
-            cross_batches: 40,
-            cross_events: 80,
-            lookahead_ps: 125_000,
-            wall_ms: 5.0,
-        }
-    }
-
-    fn sample_lookahead() -> LookaheadAxis {
-        LookaheadAxis {
-            point: "fbfly_2x8x2".to_string(),
-            width: 4,
-            pairwise: sample_lookahead_run("pairwise", 20),
-            global: sample_lookahead_run("global", 100),
-        }
-    }
-
     fn sample_model_run(point: &str) -> ModelRun {
         ModelRun {
             point: point.to_string(),
@@ -1349,7 +1103,6 @@ mod tests {
             runs,
             &sample_axis(),
             &sample_hybrid_axis(),
-            &sample_lookahead(),
             &sample_models(),
         )
     }
@@ -1363,7 +1116,10 @@ mod tests {
         ];
         let doc = render_sample(&runs);
         let names = validate(&doc).expect("schema holds");
-        assert_eq!(names, vec!["fbfly_2x8x2", "clos_nb4", "hybrid_fbfly_32x32x4"]);
+        assert_eq!(
+            names,
+            vec!["fbfly_2x8x2", "clos_nb4", "hybrid_fbfly_32x32x4"]
+        );
     }
 
     #[test]
@@ -1380,16 +1136,14 @@ mod tests {
             assert!(validate(&stripped).is_err(), "{key} axis is required");
         }
 
+        // A v2-style axis keyed `hardware_threads` must be rejected.
+        let renamed = doc.replace("hw_threads", "hardware_threads");
+        assert!(validate(&renamed).is_err(), "v2 field name must fail");
+
         // And a baseline-less axis must be rejected too.
         let mut axis = sample_axis();
         axis.runs.remove(0);
-        let doc = render(
-            &runs,
-            &axis,
-            &sample_hybrid_axis(),
-            &sample_lookahead(),
-            &sample_models(),
-        );
+        let doc = render(&runs, &axis, &sample_hybrid_axis(), &sample_models());
         assert!(validate(&doc).is_err());
     }
 
@@ -1419,49 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_requires_the_lookahead_probe() {
-        let runs = vec![sample_run("fbfly_2x8x2"), sample_million_run()];
-        let doc = render_sample(&runs);
-        assert!(validate(&doc).is_ok());
-
-        // Strip the probe entirely.
-        let mut v: Value = serde_json::from_str(&doc).unwrap();
-        if let Value::Map(entries) = &mut v {
-            entries.retain(|(k, _)| k != "lookahead");
-        }
-        let stripped = serde_json::to_string_pretty(&v).unwrap();
-        assert!(validate(&stripped).is_err(), "lookahead probe is required");
-
-        // A v2-style axis keyed `hardware_threads` must be rejected.
-        let renamed = doc.replace("hw_threads", "hardware_threads");
-        assert!(validate(&renamed).is_err(), "v2 field name must fail");
-
-        // Zero windows means the probe never actually ran parallel.
-        let mut dead = sample_lookahead();
-        dead.global = sample_lookahead_run("global", 0);
-        let doc = render(
-            &runs,
-            &sample_axis(),
-            &sample_hybrid_axis(),
-            &dead,
-            &sample_models(),
-        );
-        assert!(validate(&doc).is_err());
-
-        // Mode order is part of the schema (pairwise first).
-        let mut swapped = sample_lookahead();
-        std::mem::swap(&mut swapped.pairwise, &mut swapped.global);
-        let doc = render(
-            &runs,
-            &sample_axis(),
-            &sample_hybrid_axis(),
-            &swapped,
-            &sample_models(),
-        );
-        assert!(validate(&doc).is_err());
-    }
-
-    #[test]
     fn validate_requires_the_models_axis() {
         let runs = vec![sample_run("fbfly_2x8x2"), sample_million_run()];
         let doc = render_sample(&runs);
@@ -1480,26 +1191,14 @@ mod tests {
             tolerance: HYBRID_TOLERANCE,
             runs: Vec::new(),
         };
-        let doc_empty = render(
-            &runs,
-            &sample_axis(),
-            &sample_hybrid_axis(),
-            &sample_lookahead(),
-            &empty,
-        );
+        let doc_empty = render(&runs, &sample_axis(), &sample_hybrid_axis(), &empty);
         assert!(validate(&doc_empty).is_err());
 
         // An out-of-tolerance point must be rejected even if the
         // producer forgot to assert.
         let mut drifted = sample_models();
         drifted.runs[0].hybrid_delivered_bytes = 1;
-        let doc_drifted = render(
-            &runs,
-            &sample_axis(),
-            &sample_hybrid_axis(),
-            &sample_lookahead(),
-            &drifted,
-        );
+        let doc_drifted = render(&runs, &sample_axis(), &sample_hybrid_axis(), &drifted);
         assert!(validate(&doc_drifted).is_err());
 
         // Benches without a model tag are pre-v4 documents.
@@ -1600,13 +1299,5 @@ mod tests {
             let points = sweep(reduced);
             assert_eq!(hybrid_axis_point(&points).name, "hybrid_fbfly_32x32x4");
         }
-    }
-
-    #[test]
-    fn lookahead_probe_targets_the_grouped_flat() {
-        let full = sweep(false);
-        assert_eq!(lookahead_point(&full).name, "fbfly_8x4x3");
-        let reduced = sweep(true);
-        assert_eq!(lookahead_point(&reduced).name, "fbfly_2x8x2");
     }
 }

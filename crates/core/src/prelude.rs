@@ -7,9 +7,9 @@ pub use epnet_power::{
     SwitchPowerModel, TopologyPowerComparison, RATE_LADDER,
 };
 pub use epnet_sim::{
-    ControlMode, DynamicTopology, DynamicTopologyConfig, Message, RatePolicy, ReactivationModel,
-    ReactivationStrategy, ReplaySource, RoutingPolicy, SimConfig, SimReport, SimTime, Simulator,
-    TrafficSource,
+    ControlMode, DynamicTopology, DynamicTopologyConfig, EpochMode, Message, RatePolicy,
+    ReactivationModel, ReactivationStrategy, ReplaySource, Routes, RoutingPolicy, RunOptions,
+    SimConfig, SimModel, SimReport, SimTime, Simulator, TrafficSource,
 };
 pub use epnet_topology::{
     BillOfMaterials, FabricGraph, FabricKind, FlattenedButterfly, FoldedClos, HostId, LinkMask,

@@ -35,8 +35,8 @@
 //! retire only at epoch ticks once resting again. The same mutation
 //! sites maintain an incremental count of rate/power-asymmetric links
 //! via the [`Channels::peer`] table, replacing the per-epoch O(links)
-//! asymmetry sweep with a counter read. `EPNET_EPOCH=sweep` keeps the
-//! full-sweep reference alive (see `engine.rs`).
+//! asymmetry sweep with a counter read. `EpochMode::Sweep` keeps the
+//! full sweep alive (see `engine.rs`).
 
 use crate::packet::PacketId;
 use crate::SimTime;
@@ -195,10 +195,10 @@ impl Channels {
         self.flags.len()
     }
 
-    /// The smallest propagation delay of any channel — the parallel
-    /// engine's legacy *global* lookahead bound (`EPNET_PAR_LOOKAHEAD=
-    /// global`): no channel can deliver an event sooner than this after
-    /// its cause. `None` on an empty fabric.
+    /// The smallest propagation delay of any channel: no channel can
+    /// deliver an event sooner than this after its cause, so zero
+    /// leaves the parallel engine no lookahead. `None` on an empty
+    /// fabric.
     pub fn min_propagation(&self) -> Option<SimTime> {
         self.prop.iter().copied().min()
     }

@@ -108,38 +108,6 @@ pub enum RoutingPolicy {
     },
 }
 
-/// Which epoch-tick implementation the engine runs (not part of
-/// [`SimConfig`]: like the scheduler backend and the route mode, it is
-/// an execution detail that must never change simulation output, so it
-/// is selected by environment rather than serialized configuration).
-///
-/// The default visits only the *active set* — channels that
-/// transmitted, queued, blocked, drained, changed power state, or sit
-/// above the floor rate — making epoch ticks O(touched).
-/// `EPNET_EPOCH=sweep` keeps the O(topology) reference sweep alive as
-/// a cross-check; both modes must produce byte-identical reports (the
-/// determinism suite compares them, and debug builds assert the
-/// incremental asymmetric-link counter against the swept count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochMode {
-    /// Visit only channels in the active set (the default).
-    ActiveSet,
-    /// Reference: visit every channel and link, every tick.
-    Sweep,
-}
-
-impl EpochMode {
-    /// Reads `EPNET_EPOCH` (`sweep` for the reference sweep, anything
-    /// else — or unset — for the active-set path), mirroring
-    /// `EPNET_SCHED` / `EPNET_ROUTES`.
-    pub fn from_env() -> Self {
-        match std::env::var("EPNET_EPOCH") {
-            Ok(v) if v.eq_ignore_ascii_case("sweep") => Self::Sweep,
-            _ => Self::ActiveSet,
-        }
-    }
-}
-
 /// The per-epoch rate decision policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RatePolicy {
@@ -346,9 +314,9 @@ impl SimConfigBuilder {
     }
 
     /// Sets the per-medium propagation delays explicitly (defaults:
-    /// 25 ns electrical, 50 ns optical). Zero is legal — and collapses
-    /// the parallel engine's lookahead in global mode, which falls back
-    /// to the serial loop.
+    /// 25 ns electrical, 50 ns optical). Zero is legal — and leaves the
+    /// parallel engine no lookahead, so it falls back to the serial
+    /// loop.
     pub fn propagation(&mut self, electrical: SimTime, optical: SimTime) -> &mut Self {
         self.config.electrical_propagation = electrical;
         self.config.optical_propagation = optical;

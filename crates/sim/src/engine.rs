@@ -34,10 +34,10 @@
 //! allocation (see DESIGN.md "Memory layout").
 
 use crate::channels::{Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE};
-use crate::config::{ControlMode, EpochMode, RoutingPolicy, SimConfig};
+use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
-use crate::env::SimModel;
+use crate::env::{EpochMode, Routes, RunOptions, SimModel};
 use crate::event::{Event, EventQueue};
 use crate::flows::FlowTable;
 use crate::instrument::Instruments;
@@ -79,10 +79,9 @@ enum RateOutcome {
 /// How `route()` obtains its candidate-port sets.
 ///
 /// The default is a precomputed [`RouteTable`] indexed per hop and
-/// rebuilt lazily when the link mask's generation moves. Setting
-/// `EPNET_ROUTES=dynamic` at simulator construction falls back to the
-/// reference on-the-fly coordinate computation — mirroring
-/// `EPNET_SCHED=heap` — and must produce byte-identical reports.
+/// rebuilt lazily when the link mask's generation moves.
+/// [`Routes::Dynamic`] selects the on-the-fly coordinate computation
+/// instead, which must produce byte-identical reports.
 #[derive(Debug)]
 pub(crate) enum RouteMode {
     /// Indexed lookups in a precomputed table.
@@ -121,11 +120,14 @@ pub(crate) enum RouteMode {
 #[derive(Debug)]
 pub struct Simulator<S> {
     /// The non-generic engine core: all simulation state except the
-    /// traffic source. The parallel engine (`EPNET_PAR`) instantiates
+    /// traffic source. The parallel engine ([`RunOptions::par`]) instantiates
     /// one core per shard — see [`crate::par`].
     pub(crate) core: Core,
     pub(crate) source: S,
     pub(crate) pending: Option<Message>,
+    /// Parallel width from [`RunOptions::par`]; `None` reads `EPNET_PAR`
+    /// when [`Simulator::run_until`] starts.
+    par: Option<usize>,
     /// Whether [`Simulator::prime`] has run.
     primed: bool,
     /// The pop loop is still inside the warmup window (wall-clock
@@ -181,7 +183,7 @@ pub(crate) struct Core {
     pub(crate) mask: Option<LinkMask>,
     pub(crate) dyntopo: Option<DynamicTopology>,
     pub(crate) routes: RouteMode,
-    /// Which epoch-tick implementation runs (`EPNET_EPOCH`; see
+    /// Which epoch-tick implementation runs ([`RunOptions::epoch`]; see
     /// [`Core::on_epoch`]).
     pub(crate) epoch_mode: EpochMode,
     /// Link of each channel, precomputed for the paired-link active
@@ -198,7 +200,7 @@ pub(crate) struct Core {
     /// bounds transmission trains at the epoch so no rate or mask
     /// change can land mid-train.
     pub(crate) controller_active: bool,
-    /// Which simulation regime this core runs (`EPNET_MODEL`).
+    /// Which simulation regime this core runs ([`RunOptions::model`]).
     pub(crate) model: SimModel,
     /// Fluid per-flow state (hybrid model; empty in packet mode).
     pub(crate) flows: FlowTable,
@@ -213,22 +215,39 @@ pub(crate) struct Core {
 }
 
 impl<S: TrafficSource> Simulator<S> {
-    /// Creates a simulator over `fabric` driven by `source`, with the
-    /// simulation model taken from `EPNET_MODEL` (packet by default).
+    /// Creates a simulator over `fabric` driven by `source`, with its
+    /// run options taken from the environment
+    /// ([`RunOptions::from_env`]).
     pub fn new(fabric: FabricGraph, config: SimConfig, source: S) -> Self {
-        Self::with_model(fabric, config, source, crate::env::env_model())
+        Self::with_options(fabric, config, source, RunOptions::from_env())
     }
 
-    /// Creates a simulator with an explicit simulation model, ignoring
-    /// `EPNET_MODEL` — the programmatic twin of the environment switch,
-    /// used by benches and validation tests comparing regimes within
-    /// one process (environment twiddling would race across threads).
+    /// Creates a simulator with an explicit simulation model and every
+    /// other run option taken from the environment.
     pub fn with_model(fabric: FabricGraph, config: SimConfig, source: S, model: SimModel) -> Self {
-        let inst = Instruments::from_env();
+        let options = RunOptions {
+            model,
+            ..RunOptions::from_env()
+        };
+        Self::with_options(fabric, config, source, options)
+    }
+
+    /// Creates a simulator with explicit run options, which always win
+    /// over the environment; only `options.par == None` consults
+    /// `EPNET_PAR`, when [`Simulator::run_until`] starts. Benches and
+    /// tests comparing configurations within one process use this.
+    pub fn with_options(
+        fabric: FabricGraph,
+        config: SimConfig,
+        source: S,
+        options: RunOptions,
+    ) -> Self {
+        let inst = Instruments::with_tracer(options.trace.as_ref().and_then(|t| t.open()));
         Self {
-            core: Core::build(fabric, config, inst, model),
+            core: Core::build(fabric, config, inst, &options),
             source,
             pending: None,
+            par: options.par,
             primed: false,
             in_warmup: false,
             phase_start: Instant::now(),
@@ -244,9 +263,10 @@ impl Core {
         fabric: FabricGraph,
         config: SimConfig,
         mut inst: Instruments,
-        model: SimModel,
+        options: &RunOptions,
     ) -> Self {
         config.validate();
+        let model = options.model;
         let n = fabric.num_channels();
         let mut channels = Channels::with_capacity(n);
         let mut targets = Vec::with_capacity(n);
@@ -304,37 +324,29 @@ impl Core {
         } else {
             (Vec::new(), Vec::new())
         };
-        let routes = if model == SimModel::Hybrid {
-            // A precomputed route table is O(switch-pairs) memory —
-            // prohibitive at the hybrid model's 10^5-host targets —
-            // and hybrid routes only the demoted packet residue, so
-            // the reference per-hop computation is forced regardless
-            // of `EPNET_ROUTES`. Route mode never changes output.
+        // A precomputed route table is O(switch-pairs) memory —
+        // prohibitive at the hybrid model's 10^5-host targets — and
+        // hybrid routes only the demoted packet residue, so it always
+        // uses the per-hop computation. Route mode never changes output.
+        let routes = if model == SimModel::Hybrid || options.routes == Routes::Dynamic {
             RouteMode::Dynamic {
                 scratch: Vec::new(),
             }
         } else {
-            match std::env::var("EPNET_ROUTES") {
-                Ok(v) if v.eq_ignore_ascii_case("dynamic") => RouteMode::Dynamic {
-                    scratch: Vec::new(),
-                },
-                _ => {
-                    let start = Instant::now();
-                    let table = RouteTable::build(&fabric, None);
-                    let wall = start.elapsed();
-                    inst.profiler.record("route_table_build", wall);
-                    if inst.on(TraceCategory::Routes) {
-                        let build_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-                        inst.tracer().routes(
-                            0,
-                            table.generation(),
-                            build_ns,
-                            table.num_port_entries() as u64,
-                        );
-                    }
-                    RouteMode::Table(table)
-                }
+            let start = Instant::now();
+            let table = RouteTable::build(&fabric, None);
+            let wall = start.elapsed();
+            inst.profiler.record("route_table_build", wall);
+            if inst.on(TraceCategory::Routes) {
+                let build_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+                inst.tracer().routes(
+                    0,
+                    table.generation(),
+                    build_ns,
+                    table.num_port_entries() as u64,
+                );
             }
+            RouteMode::Table(table)
         };
         // The queue hint reflects expected *pending events*, not fabric
         // size: a packet run keeps one or two events in flight per busy
@@ -364,7 +376,7 @@ impl Core {
             mask: None,
             dyntopo: None,
             routes,
-            epoch_mode: EpochMode::from_env(),
+            epoch_mode: options.epoch,
             link_of,
             active_links: Vec::with_capacity(num_links),
             last_offered_at: SimTime::ZERO,
@@ -480,11 +492,11 @@ impl Core {
 
 impl<S: TrafficSource> Simulator<S> {
     /// Replaces the trace destination for this run (programmatic
-    /// alternative to `EPNET_TRACE`; see
+    /// alternative to [`RunOptions::trace`]; see
     /// [`epnet_telemetry::MemorySink`]). Events emitted during
     /// construction — the initial route-table build — are only
-    /// captured when tracing was already configured via the
-    /// environment.
+    /// captured when tracing was already configured through the run
+    /// options.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.core.inst.set_tracer(tracer);
     }
@@ -519,14 +531,18 @@ impl<S: TrafficSource> Simulator<S> {
 
     /// Runs the simulation until simulated time `end` and reports.
     ///
-    /// When `EPNET_PAR` selects a worker width, the run executes on the
+    /// When [`RunOptions::par`] (or, if that is `None`, `EPNET_PAR`
+    /// read now) selects a worker width, the run executes on the
     /// sharded parallel engine instead of the serial pop loop; its
     /// report is byte-identical to the serial engine's at every width
     /// (see `crate::par`). The phased API ([`Simulator::prime`] /
     /// [`Simulator::advance_until`] / [`Simulator::finalize`]) always
     /// runs serially.
     pub fn run_until(mut self, end: SimTime) -> SimReport {
-        if let Some(width) = crate::env::env_threads("EPNET_PAR") {
+        let width = self
+            .par
+            .unwrap_or_else(|| crate::env::env_threads("EPNET_PAR").unwrap_or(0));
+        if width > 0 {
             self.prime(end);
             return crate::par::run(self, end, width);
         }
@@ -1072,7 +1088,7 @@ impl Core {
     ///
     /// Candidate sets come from the precomputed [`RouteTable`] (rebuilt
     /// lazily when the link mask's generation moves) or, under
-    /// `EPNET_ROUTES=dynamic`, from the reference per-hop coordinate
+    /// [`Routes::Dynamic`], from the per-hop coordinate
     /// computation; both paths enumerate candidates in the identical
     /// order, so the choice never changes simulation output.
     fn route(&mut self, at: SwitchId, pkt: PacketId) {
@@ -1257,8 +1273,8 @@ impl Core {
     /// floor with an empty queue — and provably decides "hold" under
     /// every policy (`idle_at_floor_always_holds`), contributes zero to
     /// every sample, and recharges zero overhang, so skipping it is
-    /// exact, not approximate. `EPNET_EPOCH=sweep` keeps the
-    /// O(topology) reference. Controller tracing forces the sweep:
+    /// exact, not approximate. [`EpochMode::Sweep`] visits every
+    /// channel instead. Controller tracing forces the sweep:
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
     pub(crate) fn on_epoch(&mut self) {
@@ -1760,10 +1776,12 @@ mod tests {
             .control(ControlMode::IndependentChannel)
             .build();
         let epoch = config.epoch;
-        let mut sim = Simulator::new(fabric, config, ReplaySource::new(Vec::new()));
-        if sim.core.epoch_mode != EpochMode::ActiveSet {
-            return; // sweep mode intentionally decides O(channels) per tick
-        }
+        let mut sim = Simulator::with_options(
+            fabric,
+            config,
+            ReplaySource::new(Vec::new()),
+            RunOptions::default(),
+        );
         sim.prime(SimTime::from_ms(1));
         // Every channel starts active and takes a handful of ticks to
         // descend R40 → R2.5; give them ten epochs to settle.

@@ -1,35 +1,35 @@
-//! Shared parsing for runtime environment switches.
+//! Per-run options, and the one place they are read from the
+//! environment.
 //!
-//! Two runtime switches accept a worker count: `EPNET_THREADS` (the
-//! sweep/campaign job pool from `epnet::exp`) and `EPNET_PAR` (the
-//! sharded parallel engine in this crate). Both use the same grammar,
-//! parsed here exactly once: a positive integer enables the feature at
-//! that width; `off`, `0`, an empty value, or anything unparseable
-//! means "not set".
+//! [`RunOptions`] carries every execution choice of one run: the
+//! simulation model, the parallel width, the route and epoch-tick
+//! implementations, and the trace destination. The library takes it
+//! explicitly ([`Simulator::with_options`](crate::Simulator::with_options)),
+//! so two configurations can be compared inside one process without
+//! touching process-global state. [`RunOptions::from_env`] parses the
+//! `EPNET_*` switches, and this module is the only reader of
+//! `std::env` in the crate.
 //!
-//! `EPNET_MODEL` selects the simulation regime (`packet` or `hybrid`)
-//! and is parsed here too, with the same reject-unknown-value contract
-//! as `EPNET_TRACE_FILTER`: a value outside the documented vocabulary
-//! prints an error to stderr and falls back to the default rather than
-//! silently simulating something the user did not ask for.
+//! Every switch follows one rule for bad input: a value outside its
+//! vocabulary prints an error naming the valid forms to stderr and
+//! falls back to the default. It never panics, and it never silently
+//! simulates something the user did not ask for.
+//!
+//! | Variable | Values | Default |
+//! |---|---|---|
+//! | `EPNET_MODEL` | `packet`, `hybrid` | `packet` |
+//! | `EPNET_PAR` | a positive integer, `off`, `0` | serial |
+//! | `EPNET_THREADS` | a positive integer, `off`, `0` | machine parallelism |
+//! | `EPNET_TRACE` | a file path | no trace |
+//! | `EPNET_TRACE_FILTER` | comma-separated trace categories | all |
+//!
+//! `EPNET_THREADS` sizes the sweep/campaign job pool of `epnet::exp`
+//! and is read through [`env_threads`]; the rest fill [`RunOptions`].
 
-/// Parses a thread-width environment variable.
-///
-/// Returns `Some(n)` for a positive integer value `n`, and `None` when
-/// the variable is unset, empty, `off`, `0`, or not a number. Callers
-/// that need a machine-derived default (like the sweep worker pool)
-/// layer it on top of the `None` case.
-pub fn env_threads(var: &str) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    let v = raw.trim();
-    if v.is_empty() || v.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
+use std::path::PathBuf;
+
+use epnet_telemetry::trace::parse_filter;
+use epnet_telemetry::TraceCategory;
 
 /// Which simulation regime the engine runs.
 ///
@@ -44,6 +44,130 @@ pub enum SimModel {
     Packet,
     /// Flow-level aggregation for steady traffic, packets elsewhere.
     Hybrid,
+}
+
+/// How the engine finds each hop's candidate ports. Both produce
+/// byte-identical reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Routes {
+    /// A precomputed [`RouteTable`](epnet_topology::RouteTable),
+    /// rebuilt lazily when the link mask changes (the default).
+    #[default]
+    Table,
+    /// Per-hop coordinate computation. The hybrid model always routes
+    /// this way: a table is O(switch pairs) memory at its scale.
+    Dynamic,
+}
+
+/// Which epoch-tick implementation the engine runs. Both produce
+/// byte-identical reports.
+///
+/// The default visits only the *active set* — channels that
+/// transmitted, queued, blocked, drained, changed power state, or sit
+/// above the floor rate — making epoch ticks O(touched). The sweep
+/// visits every channel and link every tick; the parallel engine's
+/// master core always sweeps its gathered state, and controller
+/// tracing forces it so traced holds still emit a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EpochMode {
+    /// Visit only channels in the active set (the default).
+    #[default]
+    ActiveSet,
+    /// Visit every channel and link, every tick.
+    Sweep,
+}
+
+/// A trace destination: a JSONL file and the categories written to it
+/// (a [`TraceCategory`] bit mask).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceOptions {
+    /// The file to create (truncating).
+    pub path: PathBuf,
+    /// Categories to emit.
+    pub mask: u32,
+}
+
+/// Every execution choice of one run.
+///
+/// [`RunOptions::default`] is the library default and ignores the
+/// environment: packet model, serial engine, route tables, active-set
+/// epochs, no trace. Explicit options always win over the environment;
+/// the one deferral is `par: None`, which reads `EPNET_PAR` when
+/// [`Simulator::run_until`](crate::Simulator::run_until) starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Simulation regime.
+    pub model: SimModel,
+    /// Parallel-engine width: `Some(0)` is the serial engine, `Some(n)`
+    /// runs `n` shards, `None` defers to `EPNET_PAR` at run start.
+    pub par: Option<usize>,
+    /// Route lookup (the hybrid model forces [`Routes::Dynamic`]).
+    pub routes: Routes,
+    /// Epoch-tick implementation.
+    pub epoch: EpochMode,
+    /// Where to write a JSONL trace, if anywhere.
+    pub trace: Option<TraceOptions>,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        Self {
+            model: SimModel::Packet,
+            par: Some(0),
+            routes: Routes::Table,
+            epoch: EpochMode::ActiveSet,
+            trace: None,
+        }
+    }
+}
+
+impl RunOptions {
+    /// Parses `EPNET_MODEL`, `EPNET_PAR`, `EPNET_TRACE` and
+    /// `EPNET_TRACE_FILTER` from the process environment.
+    ///
+    /// An unset `EPNET_PAR` leaves `par` as `None`, so the width is read
+    /// again when the run starts. Bad values follow the module's rule:
+    /// a stderr message naming the valid forms, then the default (a
+    /// bad trace filter disables tracing rather than narrowing it).
+    pub fn from_env() -> Self {
+        Self::from_vars(|var| std::env::var(var).ok())
+    }
+
+    /// [`RunOptions::from_env`] over an arbitrary variable lookup, so
+    /// the parser can be exercised without touching process state.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let model = var("EPNET_MODEL").map_or(SimModel::Packet, |raw| {
+            parse_model(&raw).unwrap_or_else(|msg| {
+                eprintln!("epnet: {msg}");
+                SimModel::Packet
+            })
+        });
+        let par = var("EPNET_PAR").map(|raw| width_or_warn("EPNET_PAR", &raw).unwrap_or(0));
+        let trace = var("EPNET_TRACE")
+            .filter(|path| !path.is_empty())
+            .and_then(|path| {
+                let mask = match var("EPNET_TRACE_FILTER") {
+                    None => TraceCategory::ALL_MASK,
+                    Some(filter) => match parse_filter(&filter) {
+                        Ok(mask) => mask,
+                        Err(msg) => {
+                            eprintln!("epnet: {msg}");
+                            return None;
+                        }
+                    },
+                };
+                Some(TraceOptions {
+                    path: path.into(),
+                    mask,
+                })
+            });
+        Self {
+            model,
+            par,
+            trace,
+            ..Self::default()
+        }
+    }
 }
 
 /// Parses an `EPNET_MODEL` value.
@@ -64,37 +188,59 @@ pub fn parse_model(raw: &str) -> Result<SimModel, String> {
     }
 }
 
-/// Reads the simulation model from `EPNET_MODEL`.
+/// Parses a worker-width value of the switch `var` (`EPNET_PAR` or
+/// `EPNET_THREADS`).
 ///
-/// Unset or empty means [`SimModel::Packet`]. An unknown value prints
-/// the [`parse_model`] error to stderr and falls back to the packet
-/// model — mirroring the `EPNET_TRACE_FILTER` contract of rejecting,
-/// not guessing.
-pub fn env_model() -> SimModel {
-    match std::env::var("EPNET_MODEL") {
-        Ok(raw) => match parse_model(&raw) {
-            Ok(model) => model,
-            Err(msg) => {
-                eprintln!("epnet: {msg}");
-                SimModel::Packet
-            }
-        },
-        Err(_) => SimModel::Packet,
+/// A positive integer `n` is `Some(n)`; `off`, `0` and an empty value
+/// are `None` (feature off). Anything else is an error naming the
+/// offending value and the valid forms.
+fn parse_width(var: &str, raw: &str) -> Result<Option<usize>, String> {
+    let v = raw.trim();
+    if v.is_empty() || v.eq_ignore_ascii_case("off") {
+        return Ok(None);
     }
+    match v.parse::<usize>() {
+        Ok(0) => Ok(None),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!(
+            "invalid width '{v}' in {var}; valid values: a positive integer, off, 0"
+        )),
+    }
+}
+
+fn width_or_warn(var: &str, raw: &str) -> Option<usize> {
+    parse_width(var, raw).unwrap_or_else(|msg| {
+        eprintln!("epnet: {msg}");
+        None
+    })
+}
+
+/// Reads a worker-width switch from the process environment.
+///
+/// A positive integer `n` is `Some(n)`. Unset, empty, `off` and `0` are
+/// `None`; a malformed value prints an error naming the valid forms to
+/// stderr and is also `None`. Callers that need a machine-derived
+/// default (like the sweep worker pool) layer it on top of the `None`
+/// case.
+pub fn env_threads(var: &str) -> Option<usize> {
+    width_or_warn(var, &std::env::var(var).ok()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    /// `std::env` is process-global; serialize the twiddling.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    fn vars<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |var| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        }
+    }
 
     #[test]
     fn parses_positive_widths_and_rejects_everything_else() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let var = "EPNET_ENV_THREADS_TEST";
         for (value, expect) in [
             ("4", Some(4)),
             ("1", Some(1)),
@@ -103,19 +249,39 @@ mod tests {
             ("OFF", None),
             ("0", None),
             ("", None),
-            ("many", None),
-            ("-2", None),
         ] {
-            std::env::set_var(var, value);
-            assert_eq!(env_threads(var), expect, "value {value:?}");
+            assert_eq!(
+                parse_width("EPNET_PAR", value),
+                Ok(expect),
+                "value {value:?}"
+            );
         }
-        std::env::remove_var(var);
-        assert_eq!(env_threads(var), None, "unset");
+        for (var, value) in [("EPNET_PAR", "many"), ("EPNET_THREADS", "-2")] {
+            assert_eq!(
+                parse_width(var, value),
+                Err(format!(
+                    "invalid width '{value}' in {var}; valid values: a positive integer, off, 0"
+                )),
+            );
+        }
+        // A malformed width falls back to serial, never to "unset".
+        assert_eq!(
+            RunOptions::from_vars(vars(&[("EPNET_PAR", "many")])).par,
+            Some(0)
+        );
+        assert_eq!(
+            RunOptions::from_vars(vars(&[("EPNET_PAR", "3")])).par,
+            Some(3)
+        );
+        assert_eq!(
+            RunOptions::from_vars(vars(&[("EPNET_PAR", "off")])).par,
+            Some(0)
+        );
+        assert_eq!(RunOptions::from_vars(vars(&[])).par, None);
     }
 
     #[test]
     fn parses_models_and_pins_the_unknown_value_message() {
-        let _guard = ENV_LOCK.lock().unwrap();
         for (value, expect) in [
             ("packet", Ok(SimModel::Packet)),
             ("PACKET", Ok(SimModel::Packet)),
@@ -131,13 +297,54 @@ mod tests {
         ] {
             assert_eq!(parse_model(value), expect, "value {value:?}");
         }
-        // The env reader rejects unknown values by falling back to the
-        // packet default (after printing the error above to stderr).
-        std::env::set_var("EPNET_MODEL", "fluid");
-        assert_eq!(env_model(), SimModel::Packet);
-        std::env::set_var("EPNET_MODEL", "hybrid");
-        assert_eq!(env_model(), SimModel::Hybrid);
-        std::env::remove_var("EPNET_MODEL");
-        assert_eq!(env_model(), SimModel::Packet);
+        // The options parser rejects unknown values by falling back to
+        // the packet default (after printing the error above).
+        let model = |v| RunOptions::from_vars(vars(&[("EPNET_MODEL", v)])).model;
+        assert_eq!(model("fluid"), SimModel::Packet);
+        assert_eq!(model("hybrid"), SimModel::Hybrid);
+        assert_eq!(RunOptions::from_vars(vars(&[])).model, SimModel::Packet);
+    }
+
+    #[test]
+    fn trace_options_follow_path_and_filter() {
+        assert_eq!(RunOptions::from_vars(vars(&[])).trace, None);
+        assert_eq!(
+            RunOptions::from_vars(vars(&[("EPNET_TRACE", "")])).trace,
+            None
+        );
+        let traced = RunOptions::from_vars(vars(&[
+            ("EPNET_TRACE", "t.jsonl"),
+            ("EPNET_TRACE_FILTER", "controller"),
+        ]));
+        assert_eq!(
+            traced.trace,
+            Some(TraceOptions {
+                path: "t.jsonl".into(),
+                mask: TraceCategory::Controller.bit(),
+            })
+        );
+        let all = RunOptions::from_vars(vars(&[("EPNET_TRACE", "t.jsonl")]));
+        assert_eq!(all.trace.map(|t| t.mask), Some(TraceCategory::ALL_MASK));
+        // A typo disables tracing instead of narrowing it.
+        let typo = RunOptions::from_vars(vars(&[
+            ("EPNET_TRACE", "t.jsonl"),
+            ("EPNET_TRACE_FILTER", "controller,bogus"),
+        ]));
+        assert_eq!(typo.trace, None);
+    }
+
+    #[test]
+    fn defaults_are_the_serial_packet_engine() {
+        let d = RunOptions::default();
+        assert_eq!(
+            (d.model, d.par, d.routes, d.epoch, d.trace),
+            (
+                SimModel::Packet,
+                Some(0),
+                Routes::Table,
+                EpochMode::ActiveSet,
+                None
+            )
+        );
     }
 }

@@ -1,14 +1,9 @@
 //! The engine's event queue: a thin, event-typed wrapper over the
-//! generic [`crate::sched::Scheduler`].
-//!
-//! The backend defaults to the calendar queue; setting the environment
-//! variable `EPNET_SCHED=heap` at simulator construction falls back to
-//! the reference binary heap. Both pop in identical order (ascending
-//! time, FIFO among simultaneous events), so the choice never changes
-//! simulation output — only its speed.
+//! calendar-queue [`crate::sched::Scheduler`] (ascending time, FIFO
+//! among simultaneous events).
 
 use crate::packet::PacketId;
-use crate::sched::{Backend, Scheduler};
+use crate::sched::Scheduler;
 use crate::SimTime;
 use epnet_topology::ChannelId;
 
@@ -50,24 +45,17 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue on the backend selected by `EPNET_SCHED`
-    /// (`heap` for the reference binary heap, anything else — or
-    /// unset — for the calendar queue).
+    /// An empty queue.
     pub fn new() -> Self {
         Self::with_hint(0)
     }
 
     /// An empty queue pre-sized for a topology of `num_channels`
-    /// channels (each busy channel keeps one or two events in flight),
-    /// on the `EPNET_SCHED`-selected backend. Sizing never changes pop
-    /// order — see [`Scheduler::with_backend_and_hint`].
+    /// channels (each busy channel keeps one or two events in flight).
+    /// Sizing never changes pop order — see [`Scheduler::with_hint`].
     pub fn with_hint(num_channels: usize) -> Self {
-        let backend = match std::env::var("EPNET_SCHED") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => Backend::BinaryHeap,
-            _ => Backend::Calendar,
-        };
         Self {
-            sched: Scheduler::with_backend_and_hint(backend, num_channels),
+            sched: Scheduler::with_hint(num_channels),
         }
     }
 
@@ -81,8 +69,8 @@ impl EventQueue {
         self.sched.pop()
     }
 
-    /// Earliest scheduled time, if any (`&mut`: the calendar backend
-    /// may advance its day cursor while peeking).
+    /// Earliest scheduled time, if any (`&mut`: the calendar may
+    /// advance its day cursor while peeking).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.sched.peek_time()
     }

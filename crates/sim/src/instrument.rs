@@ -1,7 +1,7 @@
 //! The engine's telemetry bundle: tracer, metrics, and phase profiler.
 //!
 //! Everything the hot path needs is condensed into one cached bitmask
-//! check ([`Instruments::on`]) so a run without `EPNET_TRACE` pays a
+//! check ([`Instruments::on`]) so an untraced run pays a
 //! single predictable branch per potential trace point — including the
 //! parallel engine's per-window `parallel` records, whose emitter is
 //! guarded by the same mask. The metrics registry is always on — its
@@ -9,15 +9,17 @@
 //! unconditionally — while trace emission and the wall-clock profiler
 //! only spend effort when enabled or at run granularity.
 
-use epnet_telemetry::{CounterId, MetricsRegistry, Profiler, TraceCategory, Tracer};
+use epnet_telemetry::{CounterId, FileSink, MetricsRegistry, Profiler, TraceCategory, Tracer};
+
+use crate::env::TraceOptions;
 
 /// Dense ids of every metric the engine maintains.
 ///
 /// Registered once at simulator construction; all values are derived
 /// purely from simulated behavior, so the snapshot is byte-identical
-/// across scheduler backends (`EPNET_SCHED`), route modes
-/// (`EPNET_ROUTES`), and tracing on/off — the determinism tests compare
-/// full serialized reports, metrics included.
+/// across route modes, epoch modes, parallel widths, and tracing
+/// on/off — the determinism tests compare full serialized reports,
+/// metrics included.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MetricIds {
     /// `Workload` events popped.
@@ -57,8 +59,8 @@ pub(crate) struct MetricIds {
     pub residency_off_ps: CounterId,
     // ---- parallel-engine diagnostics ----
     // Registered as *diagnostic* metrics: they describe how the run
-    // executed (window shapes vary with `EPNET_PAR` width and lookahead
-    // mode), so they live in `SimReport::diagnostics`, never in the
+    // executed (window shapes vary with the parallel width), so they
+    // live in `SimReport::diagnostics`, never in the
     // byte-identical serialized metrics snapshot.
     /// Lookahead windows executed by the parallel engine.
     pub par_windows: CounterId,
@@ -73,11 +75,11 @@ pub(crate) struct MetricIds {
     pub par_cross_batches: CounterId,
     /// Cross-shard arrivals carried by those batches.
     pub par_cross_events: CounterId,
-    /// Effective window-lookahead floor, picoseconds (pairwise: the
-    /// minimum cross-shard arrival bound; global mode: the minimum
-    /// propagation delay; 0 when a single shard runs unbounded).
+    /// Effective window-lookahead floor, picoseconds: the minimum
+    /// cross-shard arrival bound (0 when a single shard runs
+    /// unbounded).
     pub par_lookahead_ps: CounterId,
-    /// 1 when `EPNET_PAR` was requested but the run fell back to the
+    /// 1 when the parallel engine was requested but the run fell back to the
     /// serial loop (zero lookahead or zero reactivation latency).
     pub par_fallback_serial: CounterId,
     // ---- hybrid-model diagnostics ----
@@ -153,12 +155,25 @@ pub(crate) struct Instruments {
     pub profiler: Profiler,
 }
 
-impl Instruments {
-    /// Builds from the `EPNET_TRACE` / `EPNET_TRACE_FILTER` environment.
-    pub fn from_env() -> Self {
-        Self::with_tracer(Tracer::from_env())
+impl TraceOptions {
+    /// Opens the trace file. An unwritable path is reported on stderr
+    /// and yields no tracer, so a bad trace destination never aborts a
+    /// run.
+    pub(crate) fn open(&self) -> Option<Tracer> {
+        match FileSink::create(&self.path) {
+            Ok(sink) => Some(Tracer::new(sink, self.mask)),
+            Err(e) => {
+                eprintln!(
+                    "epnet: cannot create EPNET_TRACE file '{}': {e}",
+                    self.path.display()
+                );
+                None
+            }
+        }
     }
+}
 
+impl Instruments {
     pub fn with_tracer(tracer: Option<Tracer>) -> Self {
         let mut metrics = MetricsRegistry::new();
         let ids = MetricIds::register(&mut metrics);

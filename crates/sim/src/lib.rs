@@ -20,27 +20,17 @@
 //!   [`LinkPowerProfile`](epnet_power::LinkPowerProfile) (Figure 8).
 //! * [`DynamicTopology`] — the §5.2 extension: powering whole links off
 //!   to morph the butterfly into a torus or mesh, and back.
-//! * [`Scheduler`] — the pending-event set: a calendar queue by
-//!   default, with the reference binary heap selectable via
-//!   `EPNET_SCHED=heap` for cross-checking (both pop the identical
-//!   deterministic `(time, seq)` order).
-//!
-//! Routing candidates come from a precomputed
-//! [`RouteTable`](epnet_topology::RouteTable) by default, invalidated
-//! lazily via the link mask's generation counter; setting
-//! `EPNET_ROUTES=dynamic` at simulator construction selects the
-//! reference per-hop computation instead. Like the scheduler knob, the
-//! choice never changes simulation output — reports are byte-identical
-//! either way.
-//!
-//! `EPNET_PAR=N` runs the simulation itself on the sharded parallel
-//! engine: the fabric is partitioned across `N` worker shards by
-//! switch group and executed in conservatively-synchronized windows
-//! bounded by the minimum channel propagation delay (see the module
-//! docs of `par.rs`). Like every other switch it is an execution
-//! detail — [`SimReport`]s and merged trace streams are byte-identical
-//! to the serial engine at every width, enforced by
-//! `tests/tests/par_modes.rs`.
+//! * [`Scheduler`] — the pending-event set: a calendar queue popping
+//!   in deterministic `(time, seq)` order.
+//! * [`RunOptions`] — the per-run execution choices, passed explicitly
+//!   to [`Simulator::with_options`] or parsed from the `EPNET_*`
+//!   environment switches by [`RunOptions::from_env`] (the only
+//!   environment reader in this crate). None of them changes a
+//!   report except the model: route tables vs per-hop routing,
+//!   active-set vs sweep epoch ticks, and the serial vs the sharded
+//!   parallel engine (`par`, see the module docs of `par.rs`) are all
+//!   byte-identical, enforced by `tests/tests/par_modes.rs` and
+//!   `tests/tests/epoch_modes.rs`.
 //!
 //! # Example
 //!
@@ -82,14 +72,14 @@ mod time;
 mod traffic;
 
 pub use config::{
-    ControlMode, EpochMode, RatePolicy, ReactivationModel, ReactivationStrategy, RoutingPolicy,
-    SimConfig, SimConfigBuilder,
+    ControlMode, RatePolicy, ReactivationModel, ReactivationStrategy, RoutingPolicy, SimConfig,
+    SimConfigBuilder,
 };
 pub use dyntopo::{DynamicTopology, DynamicTopologyConfig};
 pub use engine::Simulator;
-pub use env::{env_model, env_threads, parse_model, SimModel};
+pub use env::{env_threads, parse_model, EpochMode, Routes, RunOptions, SimModel, TraceOptions};
 pub use packet::MessageId;
-pub use sched::{Backend, Scheduler};
+pub use sched::Scheduler;
 pub use stats::{LatencyHistogram, RateResidency, SimReport, TimelineEvent};
 pub use time::SimTime;
 pub use traffic::{MergedSource, Message, ReplaySource, TrafficSource};

@@ -1,6 +1,7 @@
-//! The deterministic sharded parallel engine (`EPNET_PAR`).
+//! The deterministic sharded parallel engine ([`RunOptions::par`], or
+//! `EPNET_PAR`).
 //!
-//! `EPNET_PAR=N` partitions the fabric across `N` shards — contiguous
+//! A width of `N` partitions the fabric across `N` shards — contiguous
 //! switch-group ranges, each owning its switches' output channels and
 //! the hosts hanging off them (see [`epnet_topology::ShardMap`]) — and
 //! executes shard-local events on worker threads. The hard contract:
@@ -31,8 +32,8 @@
 //!   where `t_s` is the first popped time touching `s` and `B[s]` is
 //!   the smallest cross-shard *arrival bound* (propagation delay plus
 //!   the router pipeline) over the cross channels `s` owns — computed
-//!   once from [`ShardMap::for_each_cross_channel`]'s census as an
-//!   `nsh × nsh` matrix reduced per sending shard. Tightening during
+//!   once from [`ShardMap::for_each_cross_channel`]'s census, reduced
+//!   per sending shard. Tightening during
 //!   the pop loop is sound because pops ascend: a new constraint
 //!   `t + B[s]` always exceeds every already-popped time. A shard with
 //!   no cross channels contributes no bound at all, so a single-shard
@@ -41,9 +42,7 @@
 //!   generated inside the window (including `Arrive`s on intra-shard
 //!   channels, which the longer pairwise bound now allows) execute
 //!   locally in the same window; cross-shard `Arrive`s provably land
-//!   at or past the window end. `EPNET_PAR_LOOKAHEAD=global` restores
-//!   the legacy bound — the fabric-wide minimum propagation delay,
-//!   applied identically to every shard — as a benchmark baseline.
+//!   at or past the window end.
 //!
 //! Shards execute their slices concurrently; a barrier **merge** then
 //! reproduces the window's serial order on the coordinator — without
@@ -81,7 +80,7 @@
 //!   coordinator window, emitted at the barrier with the window's span
 //!   and event/replay/cross-batch counts — describe *how* the run
 //!   executed, not what the network did: serial runs emit none and the
-//!   records vary with width and lookahead mode, so the category
+//!   records vary with width, so the category
 //!   shares the `routes` exemption.
 //! * A configuration with a zero minimum propagation delay (no
 //!   lookahead) or a zero reactivation latency (a zero-latency retune
@@ -93,7 +92,7 @@
 //!
 //! # Hybrid model composition
 //!
-//! `EPNET_MODEL=hybrid` composes with `EPNET_PAR`: the flow table
+//! The hybrid model composes with the parallel engine: the flow table
 //! lives on the coordinator's master core, and every regime decision
 //! happens at a coordinator phase — where, all prior events having
 //! merged, shard channel state *is* the serial state. Absorption runs
@@ -121,7 +120,7 @@
 //! windows, merge records walked, cross-shard batches and the arrivals
 //! they carried, the effective lookahead floor — are registered as
 //! *diagnostic* metrics: they land in [`SimReport::diagnostics`] (and
-//! vary with width and lookahead mode) but never in the serialized,
+//! vary with width) but never in the serialized,
 //! byte-identical report.
 
 use std::sync::{mpsc, Arc};
@@ -129,8 +128,9 @@ use std::sync::{mpsc, Arc};
 use epnet_telemetry::{MemorySink, Tracer};
 use epnet_topology::{ChannelId, HostId, RoutingTopology, ShardMap};
 
-use crate::config::{EpochMode, ReactivationModel, RoutingPolicy};
-use crate::engine::{Core, CoreQueue, MessageRec, Simulator};
+use crate::config::{ReactivationModel, RoutingPolicy};
+use crate::engine::{Core, CoreQueue, MessageRec, RouteMode, Simulator};
+use crate::env::{EpochMode, Routes, RunOptions};
 use crate::event::Event;
 use crate::instrument::Instruments;
 use crate::packet::{MessageId, Packet, PacketId};
@@ -403,30 +403,6 @@ struct CrossRec {
     rcv: usize,
 }
 
-/// Which per-window lookahead bound the engine uses
-/// (`EPNET_PAR_LOOKAHEAD`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LookaheadMode {
-    /// Per-shard-pair arrival bounds from the cross-channel census
-    /// (the default).
-    Pairwise,
-    /// The fabric-wide minimum propagation delay applied to every
-    /// shard — the legacy bound, kept as a benchmark baseline.
-    Global,
-}
-
-impl LookaheadMode {
-    /// `EPNET_PAR_LOOKAHEAD=global` selects the legacy bound; anything
-    /// else (including unset) selects pairwise — mirroring
-    /// `EPNET_ROUTES`' lenient parse.
-    fn from_env() -> Self {
-        match std::env::var("EPNET_PAR_LOOKAHEAD") {
-            Ok(v) if v.eq_ignore_ascii_case("global") => Self::Global,
-            _ => Self::Pairwise,
-        }
-    }
-}
-
 /// Per-shard merge cursors: how far into the shard's window logs the
 /// barrier merge has advanced.
 #[derive(Debug, Default, Clone, Copy)]
@@ -527,34 +503,17 @@ pub(crate) fn run<S: TrafficSource>(
     let nsh = map.num_shards();
     let num_channels = sim.core.channels.len();
 
-    // Per-shard window bounds. Pairwise (default): reduce the census's
-    // nsh × nsh matrix of minimum cross-shard *arrival* bounds
-    // (propagation plus the router pipeline — every cross channel
+    // Per-shard window bounds: the minimum cross-shard *arrival*
+    // bound (propagation plus the router pipeline — every cross channel
     // targets a switch, so its Arrives land at least `arrive_extra`
-    // past their cause) to a per-sending-shard row minimum; a shard
-    // with no cross channels (always at width 1) bounds nothing.
-    // Global mode: the fabric-wide minimum propagation delay for every
-    // shard, reproducing the legacy window shape exactly.
-    let row_bound: Vec<Option<SimTime>> = match LookaheadMode::from_env() {
-        LookaheadMode::Global => vec![Some(min_prop); nsh],
-        LookaheadMode::Pairwise => {
-            let mut matrix = vec![None::<SimTime>; nsh * nsh];
-            map.for_each_cross_channel(|ch, snd, rcv| {
-                let bound = sim.core.arrive_extra[ch.index()];
-                let cell = &mut matrix[snd * nsh + rcv];
-                *cell = Some(cell.map_or(bound, |b| b.min(bound)));
-            });
-            (0..nsh)
-                .map(|s| {
-                    matrix[s * nsh..(s + 1) * nsh]
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .min()
-                })
-                .collect()
-        }
-    };
+    // past their cause) over the cross channels each shard sends on; a
+    // shard with no cross channels (always at width 1) bounds nothing.
+    let mut row_bound = vec![None::<SimTime>; nsh];
+    map.for_each_cross_channel(|ch, snd, _| {
+        let bound = sim.core.arrive_extra[ch.index()];
+        let cell = &mut row_bound[snd];
+        *cell = Some(cell.map_or(bound, |b| b.min(bound)));
+    });
     // Effective lookahead floor across shards (0 = unbounded windows).
     let floor_ps = row_bound
         .iter()
@@ -603,6 +562,18 @@ pub(crate) fn run<S: TrafficSource>(
         None
     };
 
+    // Shards inherit the model and route mode: hybrid shards route
+    // dynamically and keep the pod rollup (demoted packets deliver on
+    // shards), exactly like the serial core. Shards never run epoch
+    // ticks, so their epoch mode is moot.
+    let shard_options = RunOptions {
+        model: sim.core.model,
+        routes: match sim.core.routes {
+            RouteMode::Table(_) => Routes::Table,
+            RouteMode::Dynamic { .. } => Routes::Dynamic,
+        },
+        ..RunOptions::default()
+    };
     let mut shards: Vec<Option<Box<Shard>>> = (0..nsh)
         .map(|id| {
             // Tracer-less construction suppresses the per-shard
@@ -611,10 +582,7 @@ pub(crate) fn run<S: TrafficSource>(
                 sim.core.fabric.clone(),
                 sim.core.config.clone(),
                 Instruments::with_tracer(None),
-                // Shards inherit the model: hybrid shards route
-                // dynamically and keep the pod rollup (demoted packets
-                // deliver on shards), exactly like the serial core.
-                sim.core.model,
+                &shard_options,
             );
             // The flow table itself lives only on the master — flows
             // absorb and advance at coordinator phases — so drop the

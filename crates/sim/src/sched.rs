@@ -1,28 +1,23 @@
-//! Generic discrete-event schedulers with deterministic FIFO
+//! The discrete-event scheduler, with deterministic FIFO
 //! tie-breaking.
 //!
 //! The engine's hot loop is schedule/pop churn on a priority queue
-//! keyed by `(SimTime, insertion seq)`. This module provides two
-//! interchangeable backends behind [`Scheduler`]:
+//! keyed by `(SimTime, insertion seq)`. [`Scheduler`] is a calendar
+//! queue after R. Brown, *Calendar queues: a fast O(1) priority queue
+//! implementation for the simulation event set problem* (CACM 1988).
+//! Events hash by time into an array of power-of-two-width day
+//! buckets; a cursor walks the current "year" day by day, so pops of
+//! near-future events are O(1) amortized instead of a binary heap's
+//! O(log n). The bucket count doubles/halves with occupancy and the
+//! bucket width is recomputed from the mean inter-event gap at each
+//! resize, keeping roughly one event per day under load.
 //!
-//! * [`Backend::Calendar`] (the default) — a calendar queue after
-//!   R. Brown, *Calendar queues: a fast O(1) priority queue
-//!   implementation for the simulation event set problem* (CACM 1988).
-//!   Events hash by time into an array of power-of-two-width day
-//!   buckets; a cursor walks the current "year" day by day, so pops of
-//!   near-future events are O(1) amortized instead of the binary
-//!   heap's O(log n). The bucket count doubles/halves with occupancy
-//!   and the bucket width is recomputed from the mean inter-event gap
-//!   at each resize, keeping roughly one event per day under load.
-//! * [`Backend::BinaryHeap`] — the original `std::collections`
-//!   max-heap with reversed ordering, kept as the reference
-//!   implementation for cross-checking and benchmarking.
-//!
-//! Both backends pop in exactly the same total order: ascending time,
-//! and FIFO (insertion order) among events scheduled for the same
-//! time. Any sequence of interleaved [`Scheduler::schedule`] /
-//! [`Scheduler::pop`] calls therefore produces bit-identical results
-//! on either backend — a property test in this module asserts it.
+//! Pop order is ascending time, and FIFO (insertion order) among
+//! events scheduled for the same time. [`KeyedQueue`] — a plain
+//! `std` binary heap over explicit keys, used by the parallel engine —
+//! is the reference: property tests in this module (and the hold-model
+//! test and scheduler benchmark of `epnet-bench`) check that the
+//! calendar pops exactly what the heap pops.
 
 use crate::SimTime;
 use std::cmp::Ordering;
@@ -44,15 +39,6 @@ const STEADY_SPREAD_PS: u64 = 1 << 20;
 const MIN_SHIFT: u32 = 4;
 const MAX_SHIFT: u32 = 44;
 
-/// Which priority-queue implementation backs a [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Bucketed calendar queue, O(1) amortized schedule/pop.
-    Calendar,
-    /// `std::collections::BinaryHeap`, O(log n) — the reference.
-    BinaryHeap,
-}
-
 /// One scheduled item: absolute time plus the insertion sequence that
 /// breaks ties deterministically.
 #[derive(Debug, Clone)]
@@ -68,25 +54,17 @@ impl<T> Entry<T> {
     }
 }
 
-/// A deterministic time-ordered queue over either backend.
+/// A deterministic time-ordered queue.
 ///
-/// Items pop in ascending `(time, insertion order)`; two schedulers
-/// fed the same schedule/pop interleaving return the same items in the
-/// same order regardless of backend.
+/// Items pop in ascending `(time, insertion order)`.
 pub struct Scheduler<T> {
     seq: u64,
-    inner: Inner<T>,
-}
-
-enum Inner<T> {
-    Calendar(CalendarQueue<T>),
-    Heap(BinaryHeap<HeapEntry<T>>),
+    calendar: CalendarQueue<T>,
 }
 
 impl<T> std::fmt::Debug for Scheduler<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("backend", &self.backend())
             .field("len", &self.len())
             .field("next_seq", &self.seq)
             .finish()
@@ -100,18 +78,13 @@ impl<T> Default for Scheduler<T> {
 }
 
 impl<T> Scheduler<T> {
-    /// An empty scheduler on the default (calendar) backend.
+    /// An empty scheduler.
     pub fn new() -> Self {
-        Self::with_backend(Backend::Calendar)
+        Self::with_hint(0)
     }
 
-    /// An empty scheduler on an explicit backend.
-    pub fn with_backend(backend: Backend) -> Self {
-        Self::with_backend_and_hint(backend, 0)
-    }
-
-    /// An empty scheduler on an explicit backend, pre-sized for a
-    /// steady-state population of roughly `expected` pending items.
+    /// An empty scheduler pre-sized for a steady-state population of
+    /// roughly `expected` pending items.
     ///
     /// The engine passes the channel count here: each busy channel
     /// contributes one or two in-flight events, so a paper-scale fabric
@@ -120,90 +93,48 @@ impl<T> Scheduler<T> {
     /// start with thousands-long bucket chains in the meantime. Sizing
     /// is pure layout: pop order is bucket-independent, so the hint can
     /// never change simulation output.
-    pub fn with_backend_and_hint(backend: Backend, expected: usize) -> Self {
-        let inner = match backend {
-            Backend::Calendar => Inner::Calendar(CalendarQueue::with_hint(expected)),
-            Backend::BinaryHeap => Inner::Heap(BinaryHeap::with_capacity(expected)),
-        };
-        Self { seq: 0, inner }
-    }
-
-    /// Which backend this scheduler runs on.
-    pub fn backend(&self) -> Backend {
-        match self.inner {
-            Inner::Calendar(_) => Backend::Calendar,
-            Inner::Heap(_) => Backend::BinaryHeap,
+    pub fn with_hint(expected: usize) -> Self {
+        Self {
+            seq: 0,
+            calendar: CalendarQueue::with_hint(expected),
         }
     }
 
     /// Schedules `item` at absolute time `at`. Items scheduled for the
     /// same time pop in insertion order.
+    // Kept out of line (as is `pop`): inlining the wrapper into every
+    // engine handler ran the reference benchmark's packet workload
+    // slower end to end in 8 of 8 alternating pairs (median 13%).
+    #[inline(never)]
     pub fn schedule(&mut self, at: SimTime, item: T) {
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { at, seq, item };
-        match &mut self.inner {
-            Inner::Calendar(q) => q.insert(entry),
-            Inner::Heap(h) => h.push(HeapEntry(entry)),
-        }
+        self.calendar.insert(Entry { at, seq, item });
     }
 
     /// Removes and returns the earliest item.
+    #[inline(never)]
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.pop_min().map(|e| (e.at, e.item)),
-            Inner::Heap(h) => h.pop().map(|HeapEntry(e)| (e.at, e.item)),
-        }
+        self.calendar.pop_min().map(|e| (e.at, e.item))
     }
 
     /// The earliest scheduled time, if any.
     ///
-    /// Takes `&mut self`: on the calendar backend a peek may advance
-    /// the day cursor past empty buckets (pure bookkeeping — the
-    /// observable queue contents and pop order are unchanged).
+    /// Takes `&mut self`: a peek may advance the day cursor past empty
+    /// buckets (pure bookkeeping — the observable queue contents and
+    /// pop order are unchanged).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            Inner::Calendar(q) => q.peek_min().map(|e| e.at),
-            Inner::Heap(h) => h.peek().map(|HeapEntry(e)| e.at),
-        }
+        self.calendar.peek_min().map(|e| e.at)
     }
 
     /// Number of pending items.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Calendar(q) => q.len,
-            Inner::Heap(h) => h.len(),
-        }
+        self.calendar.len
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Heap wrapper ordered by `(at, seq)` only, reversed so the std
-/// max-heap yields the earliest entry first. The payload never takes
-/// part in comparisons, so `T` needs no bounds.
-struct HeapEntry<T>(Entry<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-
-impl<T> Eq for HeapEntry<T> {}
-
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -613,41 +544,68 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn both() -> [Scheduler<u32>; 2] {
+    /// The reference: a [`KeyedQueue`] keyed by push order — the plain
+    /// binary heap the calendar must pop identically to.
+    #[derive(Default)]
+    struct Heap {
+        q: KeyedQueue<u32>,
+        seq: u64,
+    }
+
+    impl Heap {
+        fn schedule(&mut self, at: SimTime, item: u32) {
+            self.q.push(at, self.seq, item);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            self.q.pop().map(|((at, _), item)| (at, item))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.q.peek_key().map(|(at, _)| at)
+        }
+
+        fn len(&self) -> usize {
+            self.q.len()
+        }
+    }
+
+    /// Schedules `(time, tag)` pairs into both queues and drains both.
+    fn drain_both(items: &[(SimTime, u32)]) -> [Vec<(SimTime, u32)>; 2] {
+        let mut cal = Scheduler::new();
+        let mut heap = Heap::default();
+        for &(at, tag) in items {
+            cal.schedule(at, tag);
+            heap.schedule(at, tag);
+        }
         [
-            Scheduler::with_backend(Backend::Calendar),
-            Scheduler::with_backend(Backend::BinaryHeap),
+            std::iter::from_fn(|| cal.pop()).collect(),
+            std::iter::from_fn(|| heap.pop()).collect(),
         ]
     }
 
     #[test]
     fn pops_in_time_order_on_both_backends() {
-        for mut q in both() {
-            q.schedule(SimTime::from_ns(30), 0);
-            q.schedule(SimTime::from_ns(10), 1);
-            q.schedule(SimTime::from_ns(20), 2);
-            let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(t, _)| t.as_ns())
-                .collect();
+        let ns = SimTime::from_ns;
+        for order in drain_both(&[(ns(30), 0), (ns(10), 1), (ns(20), 2)]) {
+            let times: Vec<u64> = order.iter().map(|(t, _)| t.as_ns()).collect();
             assert_eq!(times, vec![10, 20, 30]);
         }
     }
 
     #[test]
     fn same_time_pops_fifo_on_both_backends() {
-        for mut q in both() {
-            let t = SimTime::from_ns(5);
-            for tag in 0..100 {
-                q.schedule(t, tag);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, tag)| tag).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let items: Vec<_> = (0..100).map(|tag| (SimTime::from_ns(5), tag)).collect();
+        for order in drain_both(&items) {
+            let tags: Vec<u32> = order.iter().map(|&(_, tag)| tag).collect();
+            assert_eq!(tags, (0..100).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn calendar_survives_resize_cycles() {
-        let mut q = Scheduler::with_backend(Backend::Calendar);
+        let mut q = Scheduler::new();
         // Push far past the grow threshold, then drain past shrink.
         for i in 0..10_000u32 {
             q.schedule(SimTime::from_ns(u64::from(i % 977)), i);
@@ -670,7 +628,7 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_year_boundaries() {
-        let mut q = Scheduler::with_backend(Backend::Calendar);
+        let mut q = Scheduler::new();
         // Events far beyond one calendar year (32 buckets × 4 ns).
         q.schedule(SimTime::from_ms(500), 1);
         q.schedule(SimTime::from_ns(1), 2);
@@ -683,7 +641,7 @@ mod tests {
 
     #[test]
     fn schedule_into_cursor_past_is_seen() {
-        let mut q = Scheduler::with_backend(Backend::Calendar);
+        let mut q = Scheduler::new();
         q.schedule(SimTime::from_us(100), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_us(100)));
         // The cursor has advanced toward 100 µs; an insert before it
@@ -706,8 +664,8 @@ mod tests {
             ops in 50usize..600,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut cal = Scheduler::with_backend(Backend::Calendar);
-            let mut heap = Scheduler::with_backend(Backend::BinaryHeap);
+            let mut cal = Scheduler::new();
+            let mut heap = Heap::default();
             let mut tag = 0u32;
             let mut popped = 0u64;
 
@@ -758,8 +716,8 @@ mod tests {
             ops in 50usize..400,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut cal = Scheduler::with_backend(Backend::Calendar);
-            let mut heap = Scheduler::with_backend(Backend::BinaryHeap);
+            let mut cal = Scheduler::new();
+            let mut heap = Heap::default();
             let mut tag = 0u32;
             for _ in 0..ops {
                 if rng.gen_bool(0.5) || cal.is_empty() {

@@ -327,7 +327,7 @@ pub struct SimReport {
     /// purely behavioral).
     pub epoch_ticks: u64,
     /// Rate decisions the controller evaluated across the run. Under
-    /// the active-set epoch path (`EPNET_EPOCH` unset) only channels
+    /// the active-set epoch path (the default `EpochMode`) only channels
     /// that did something since their last decision are visited, so
     /// this counter is *mode-dependent* by design and — exactly like
     /// [`phases`](Self::phases) — is never serialized. It is the
@@ -337,7 +337,7 @@ pub struct SimReport {
     /// Execution-strategy diagnostics, keyed by metric name — the
     /// parallel engine's window counters (`par_windows`,
     /// `par_window_events`, `par_replay_events`, `par_cross_batches`,
-    /// …). These vary with `EPNET_PAR` width and lookahead mode, so —
+    /// …). These vary with the parallel width, so —
     /// like [`phases`](Self::phases) — they are never serialized; the
     /// serialized report stays byte-identical across engines.
     pub diagnostics: BTreeMap<String, u64>,

@@ -8,7 +8,8 @@
 //!   block/unblock, route-table rebuilds, adaptive-routing detours)
 //!   written as JSONL through a pluggable [`trace::TraceSink`].
 //!   Enabled per run by `EPNET_TRACE=<path>` and narrowed with
-//!   `EPNET_TRACE_FILTER=<cat>,<cat>,...`.
+//!   `EPNET_TRACE_FILTER=<cat>,<cat>,...` (parsed by the simulator's
+//!   run options, through [`trace::parse_filter`]).
 //! - [`metrics`] — a registry of monotonic counters and gauges,
 //!   registered once at simulator construction and snapshotted into
 //!   the final report as a sorted name→value map.

@@ -246,37 +246,6 @@ impl Tracer {
         }
     }
 
-    /// Builds a tracer from `EPNET_TRACE` (file path) and
-    /// `EPNET_TRACE_FILTER` (category list; absent means all).
-    ///
-    /// Returns `None` when tracing is not requested; an unwritable
-    /// path or an unknown filter name is reported on stderr and also
-    /// yields `None` so a bad trace configuration never aborts a run —
-    /// but a bad filter disables tracing entirely instead of silently
-    /// producing a trace missing the asked-for categories.
-    pub fn from_env() -> Option<Tracer> {
-        let path = std::env::var("EPNET_TRACE")
-            .ok()
-            .filter(|p| !p.is_empty())?;
-        let mask = match std::env::var("EPNET_TRACE_FILTER") {
-            Ok(filter) => match parse_filter(&filter) {
-                Ok(mask) => mask,
-                Err(e) => {
-                    eprintln!("epnet-telemetry: {e}");
-                    return None;
-                }
-            },
-            Err(_) => TraceCategory::ALL_MASK,
-        };
-        match FileSink::create(&path) {
-            Ok(sink) => Some(Tracer::new(sink, mask)),
-            Err(e) => {
-                eprintln!("epnet-telemetry: cannot create EPNET_TRACE file '{path}': {e}");
-                None
-            }
-        }
-    }
-
     /// The category filter mask.
     #[inline]
     pub fn mask(&self) -> u32 {

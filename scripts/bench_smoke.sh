@@ -4,11 +4,11 @@
 # sensitivity sweep at 1 and 4 worker threads, the canonical engine
 # throughput scenario (rewrites BENCH_engine.json at the repo root),
 # one traced run validated against the documented trace schema plus a
-# line-identical EPNET_PAR=4 re-run of it, a Perfetto export and
+# line-identical width-4 parallel re-run of it, a Perfetto export and
 # trace-analysis smoke over that capture (CSV headers pinned), the
-# scaling sweep with its EPNET_PAR threads, hybrid-threads, and
-# lookahead axes (the hybrid-threads axis runs the 2^20-host flat),
-# and a rustdoc build with warnings denied.
+# scaling sweep with its threads and hybrid-threads axes (the
+# hybrid-threads axis runs the 2^20-host flat), and a rustdoc build
+# with warnings denied.
 #
 # Runs only the benchmarks whose names contain "smoke" — the full
 # grids live in `cargo bench -p epnet-bench --bench scheduler` and
@@ -23,7 +23,7 @@ cargo bench --offline -p epnet-bench --bench engine -- smoke
 
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events
-# present. The bin then re-runs the scenario under EPNET_PAR=4 and
+# present. The bin then re-runs the scenario at parallel width 4 and
 # exits non-zero unless the merged parallel trace is line-identical to
 # the serial one (the reduced parallel-determinism check; the full
 # width × mode matrix lives in tests/tests/par_modes.rs), and finishes
@@ -71,20 +71,20 @@ for cmd, header in headers.items():
 EOF
 
 # Reduced topology-scaling sweep under the counting allocator (rewrites
-# BENCH_scale.json at the repo root), plus the EPNET_PAR threads axis
+# BENCH_scale.json at the repo root), plus the parallel threads axis
 # on the canonical point — every width's report is asserted
 # byte-identical to serial before its timing is recorded — the v4
 # hybrid-model additions (bulk-flow points, the models axis asserting
 # hybrid-vs-packet delivered-bytes and relative-power agreement), and
 # the v5 additions: a true 2^20-host hybrid point and its own
-# hybrid_threads axis running that million-host flat under EPNET_PAR.
+# hybrid_threads axis running that million-host flat in parallel.
 # The binary schema-validates its own output; the steady-state
 # allocation bound, the hybrid memory bound, the million-host budgets,
 # and all the axes are re-checked below.
 cargo run --offline --release -p epnet-bench --bin scalebench -- --reduced
 
 # Reduced offered-load sweep (rewrites BENCH_load.json at the repo
-# root): both EPNET_EPOCH modes per point, byte-identity cross-checked
+# root): both epoch modes per point, byte-identity cross-checked
 # by the binary itself; the epoch-work bound is re-checked below.
 cargo run --offline --release -p epnet-bench --bin loadbench -- --reduced
 
@@ -114,7 +114,7 @@ test -s BENCH_scale.json || { echo "BENCH_scale.json missing" >&2; exit 1; }
 python3 - <<'EOF'
 import json
 doc = json.load(open("BENCH_scale.json"))
-assert doc["schema"] == "epnet-bench-scale/v5", doc["schema"]
+assert doc["schema"] == "epnet-bench-scale/v6", doc["schema"]
 assert doc["benches"], "no benches recorded"
 for b in doc["benches"]:
     for field in ("model", "hosts", "channels", "events_per_sec",
@@ -161,7 +161,7 @@ for r in models["runs"]:
             f'{models["tolerance"]}')
     print(f'{r["point"]} models: bytes_err={r["bytes_rel_err"]:.4f} '
           f'power_err={r["power_abs_err"]:.4f}')
-# The EPNET_PAR threads axis: serial baseline plus every width, with
+# The parallel threads axis: serial baseline plus every width, with
 # honest speedups (no scaling claim is asserted — the container may be
 # single-core, where the axis measures determinism overhead instead).
 axis = doc["threads"]
@@ -175,8 +175,8 @@ for r in runs:
           f'{r["events_per_sec"]:.3e} events/s, '
           f'{r["speedup_vs_serial"]:.2f}x '
           f'(host has {axis["hw_threads"]} hw threads)')
-# The v5 hybrid-threads axis: the million-host flat re-run under
-# EPNET_PAR, byte-identity asserted by the binary before timing.
+# The v5 hybrid-threads axis: the million-host flat re-run in parallel,
+# byte-identity asserted by the binary before timing.
 haxis = doc["hybrid_threads"]
 hruns = haxis["runs"]
 assert hruns and hruns[0]["threads"] == 0, "hybrid serial baseline first"
@@ -185,28 +185,6 @@ for r in hruns:
     assert r["wall_ms"] > 0 and r["speedup_vs_serial"] > 0, r
     print(f'{haxis["point"]} hybrid threads={r["threads"]}: '
           f'{r["wall_ms"]:.0f} ms, {r["speedup_vs_serial"]:.2f}x')
-# The v3 lookahead probe: pairwise matrix vs the legacy global bound,
-# window-shape diagnostics recorded per mode. The pairwise matrix must
-# amortize each barrier over at least as many events as the global
-# bound (the >= 5x claim is asserted on the full paper-scale sweep in
-# EXPERIMENTS.md; the reduced smoke only checks shape and direction).
-la = doc["lookahead"]
-assert la["width"] >= 1, la
-modes = {m["mode"]: m for m in la["modes"]}
-assert set(modes) == {"pairwise", "global"}, sorted(modes)
-for name, m in modes.items():
-    for field in ("windows", "window_events", "mean_events_per_window",
-                  "replay_events", "cross_batches", "cross_events",
-                  "lookahead_ps"):
-        assert field in m, f'lookahead/{name}: missing {field}'
-    assert m["windows"] > 0, f'lookahead/{name}: zero windows'
-    print(f'{la["point"]} lookahead={name}: '
-          f'{m["mean_events_per_window"]:.1f} events/window, '
-          f'bound {m["lookahead_ps"]} ps')
-assert la["amortization_ratio"] >= 1.0, (
-    f'pairwise lookahead amortizes worse than the global bound: '
-    f'{la["amortization_ratio"]:.2f}x')
-print(f'{la["point"]} barrier amortization: {la["amortization_ratio"]:.2f}x')
 EOF
 
 # And the load sweep artifact: schema, plus the activity-proportional

@@ -1,5 +1,6 @@
 //! In-process twin of `scripts/bench_smoke.sh`: exercises the
-//! scheduler hold model on both backends, one small parallel sweep,
+//! scheduler hold model against the binary-heap oracle, one small
+//! parallel sweep,
 //! and the canonical `BENCH_engine.json` scenario, asserting
 //! correctness (identical pop streams, well-formed cells, schema
 //! validity) rather than speed — wall-clock assertions would flake on
@@ -8,7 +9,8 @@
 
 use epnet::exp::sweep::SensitivitySweep;
 use epnet::exp::{EvalScale, WorkloadKind};
-use epnet::sim::{Backend, MemorySink, Scheduler, SimModel, SimTime, TraceCategory, Tracer};
+use epnet::sim::sched::KeyedQueue;
+use epnet::sim::{MemorySink, RunOptions, Scheduler, SimModel, SimTime, TraceCategory, Tracer};
 use epnet_bench::{csv, enginebench, loadbench, scalebench};
 use epnet_report::analysis;
 use epnet_telemetry::export::chrome_trace;
@@ -27,30 +29,37 @@ impl Mix {
     }
 }
 
+/// The hold model on the calendar [`Scheduler`] and on its oracle, a
+/// [`KeyedQueue`] binary heap keyed by push order: both must pop the
+/// identical `(time, item)` stream.
 #[test]
 fn hold_model_streams_match_across_backends() {
-    let pending = 50_000usize;
-    let holds = 200_000usize;
-    let mut streams: Vec<Vec<(SimTime, u64)>> = Vec::new();
-    for backend in [Backend::Calendar, Backend::BinaryHeap] {
-        let mut q = Scheduler::with_backend(backend);
-        let mut rng = Mix(42);
-        for i in 0..pending {
-            q.schedule(SimTime::from_ps(rng.next() % 4_000_000), i as u64);
-        }
-        let mut stream = Vec::with_capacity(holds);
-        for _ in 0..holds {
-            let (t, tag) = q.pop().expect("hold model never drains");
-            stream.push((t, tag));
-            let at = SimTime::from_ps(t.as_ps() + (rng.next() % 4_000_000));
-            q.schedule(at, tag);
-        }
-        assert_eq!(q.len(), pending, "hold model keeps the set size steady");
-        streams.push(stream);
+    let pending = 50_000u64;
+    let holds = 200_000;
+    let mut cal = Scheduler::new();
+    let mut heap = KeyedQueue::new();
+    let mut seq = 0u64;
+    let mut rng = Mix(42);
+    for i in 0..pending {
+        let at = SimTime::from_ps(rng.next() % 4_000_000);
+        cal.schedule(at, i);
+        heap.push(at, seq, i);
+        seq += 1;
+    }
+    for _ in 0..holds {
+        let popped = cal.pop().expect("hold model never drains");
+        let oracle = heap.pop().map(|((t, _), tag)| (t, tag));
+        assert_eq!(Some(popped), oracle, "calendar and heap streams diverged");
+        let (t, tag) = popped;
+        let at = SimTime::from_ps(t.as_ps() + (rng.next() % 4_000_000));
+        cal.schedule(at, tag);
+        heap.push(at, seq, tag);
+        seq += 1;
     }
     assert_eq!(
-        streams[0], streams[1],
-        "calendar and heap must pop identical (time, item) streams"
+        cal.len() as u64,
+        pending,
+        "hold model keeps the set size steady"
     );
 }
 
@@ -73,8 +82,6 @@ fn small_sweep_produces_well_formed_cells() {
 
 #[test]
 fn engine_bench_document_is_well_formed() {
-    // The only test in this binary touching `EPNET_ROUTES`, so no env
-    // lock is needed; `measure_both_modes` restores the prior value.
     let runs = enginebench::measure_both_modes();
     assert_eq!(runs.len(), 2);
     assert_eq!(runs[0].name, "route_table");
@@ -97,13 +104,9 @@ fn engine_bench_document_is_well_formed() {
 
 /// In-process twin of the loadbench smoke: the reduced sweep's
 /// low-load point must cross-check byte-identical reports between the
-/// two `EPNET_EPOCH` modes (`measure` panics otherwise), do strictly
-/// less controller work per tick than the channel count — the
+/// two epoch modes (`measure` panics otherwise), do strictly less
+/// controller work per tick than the channel count — the
 /// activity-proportional bound — and render a schema-valid document.
-/// `measure` briefly sets `EPNET_EPOCH`, which is safe here: the
-/// variable selects an execution detail whose output is asserted
-/// identical, so a concurrently constructed simulator in another test
-/// cannot observe a difference.
 #[test]
 fn load_bench_document_is_well_formed_and_activity_bounded() {
     let points = loadbench::sweep(true);
@@ -129,14 +132,15 @@ fn load_bench_document_is_well_formed_and_activity_bounded() {
     assert_eq!(names.len(), 1);
 }
 
-/// In-process twin of the scalebench v5 hybrid additions: the reduced
+/// In-process twin of the scalebench hybrid additions: the reduced
 /// sweep must carry the 10^5- and 2^20-host hybrid points, the cheap
 /// 960-host hybrid point must complete its horizon fluid-only (no
-/// packets, all bytes via flows) and byte-identically under
-/// `EPNET_PAR=2` (the reduced twin of the `hybrid_threads` axis), the
-/// models axis measured on the smallest packet point must sit inside
-/// the documented tolerance, the committed `BENCH_scale.json` must
-/// pass the v5 schema, and a freshly rendered document must too. The
+/// packets, all bytes via flows) and byte-identically on the parallel
+/// engine at width 2 (the reduced twin of the `hybrid_threads` axis),
+/// the models axis measured on the smallest packet point must sit
+/// inside the documented tolerance, the committed `BENCH_scale.json`
+/// must pass the current schema, and a freshly rendered document must
+/// too. The
 /// big points themselves run in `scripts/bench_smoke.sh` and the
 /// release binary, not here — the million-host point is seconds-long
 /// in release and unaffordable under the test profile.
@@ -162,27 +166,19 @@ fn hybrid_scale_twin_completes_and_models_agree() {
     assert!(run.sim_delivered_bytes > 0, "fluid flows delivered nothing");
     assert!(run.sim_events > 0);
 
-    // The parallel hybrid engine on the same point: `EPNET_PAR=2` must
-    // reproduce the serial report byte for byte. Safe without an env
-    // lock for the same reason the variable exists: it selects an
-    // execution detail whose output is asserted identical.
-    std::env::remove_var("EPNET_PAR");
-    let serial = serde_json::to_string_pretty(
-        &scalebench::simulator_for(cheap).run_until(cheap.horizon),
-    )
-    .expect("report serializes");
-    std::env::set_var("EPNET_PAR", "2");
-    let parallel = serde_json::to_string_pretty(
-        &scalebench::simulator_for(cheap).run_until(cheap.horizon),
-    )
-    .expect("report serializes");
-    std::env::remove_var("EPNET_PAR");
+    // The parallel hybrid engine on the same point: width 2 must
+    // reproduce the serial report byte for byte.
+    let report = |par| {
+        let sim = scalebench::simulator_for(cheap, par);
+        serde_json::to_string_pretty(&sim.run_until(cheap.horizon)).expect("report serializes")
+    };
     assert_eq!(
-        serial, parallel,
-        "EPNET_PAR=2 diverged from serial on the hybrid bench point"
+        report(0),
+        report(2),
+        "width 2 diverged from serial on the hybrid bench point"
     );
 
-    // The committed document must already be schema v5 — million-host
+    // The committed document must already match the schema — million-host
     // point present, per-host heap and wall budgets inside bounds.
     let committed = std::fs::read_to_string(scalebench::output_path())
         .expect("BENCH_scale.json present at the repository root");
@@ -199,8 +195,8 @@ fn hybrid_scale_twin_completes_and_models_agree() {
     let models = scalebench::measure_models(&small);
     assert_eq!(models.runs.len(), 1);
 
-    // Render a full v5 document around the measured pieces (synthetic
-    // threads/lookahead axes and million-host bench — the real ones
+    // Render a full document around the measured pieces (synthetic
+    // threads axes and million-host bench — the real ones
     // are measured by the release binary and validated above via the
     // committed document) and hold it to the schema.
     let threads = scalebench::ThreadsAxis {
@@ -235,12 +231,6 @@ fn hybrid_scale_twin_completes_and_models_agree() {
             },
         ],
     };
-    let lookahead = scalebench::LookaheadAxis {
-        point: small[0].name.clone(),
-        width: 4,
-        pairwise: synthetic_lookahead_run("pairwise"),
-        global: synthetic_lookahead_run("global"),
-    };
     let million_run = scalebench::ScaleRun {
         name: million.name.clone(),
         model: SimModel::Hybrid,
@@ -254,28 +244,9 @@ fn hybrid_scale_twin_completes_and_models_agree() {
         measured_allocs: 0,
         peak_alloc_bytes: 0,
     };
-    let doc = scalebench::render(
-        &[run, million_run],
-        &threads,
-        &hybrid_threads,
-        &lookahead,
-        &models,
-    );
-    let names = scalebench::validate(&doc).expect("v5 document validates");
+    let doc = scalebench::render(&[run, million_run], &threads, &hybrid_threads, &models);
+    let names = scalebench::validate(&doc).expect("rendered document validates");
     assert_eq!(names, vec!["hybrid_fbfly_15x8x3", "hybrid_fbfly_32x32x4"]);
-}
-
-fn synthetic_lookahead_run(mode: &'static str) -> scalebench::LookaheadRun {
-    scalebench::LookaheadRun {
-        mode,
-        windows: 10,
-        window_events: 100,
-        replay_events: 110,
-        cross_batches: 4,
-        cross_events: 8,
-        lookahead_ps: 125_000,
-        wall_ms: 1.0,
-    }
 }
 
 /// The canonical scenario, traced: every emitted JSONL line must pass
@@ -289,7 +260,7 @@ fn synthetic_lookahead_run(mode: &'static str) -> scalebench::LookaheadRun {
 /// analysis CSV must reproduce its pinned header over the real capture.
 #[test]
 fn traced_canonical_run_matches_documented_schema() {
-    let mut sim = enginebench::canonical_simulator();
+    let mut sim = enginebench::canonical_simulator(RunOptions::default());
     let sink = MemorySink::new();
     sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::ALL_MASK));
     let report = sim.run_until(enginebench::HORIZON);

@@ -1,8 +1,7 @@
-//! `EPNET_EPOCH` cross-check: the active-set epoch path is an
-//! execution detail, never a behavior. Every configuration must
-//! serialize a byte-identical `SimReport` whether epoch ticks sweep
-//! all channels (`EPNET_EPOCH=sweep`, the reference) or visit only the
-//! active set (the default).
+//! Epoch-mode cross-check: the active-set epoch path is an execution
+//! detail, never a behavior. Every configuration must serialize a
+//! byte-identical `SimReport` whether epoch ticks sweep all channels
+//! (`EpochMode::Sweep`) or visit only the active set (the default).
 //!
 //! The workload is deliberately bursty at low offered load — long idle
 //! gaps are exactly where the active-set path skips work, so any
@@ -12,11 +11,6 @@
 
 use epnet::prelude::*;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes the env-twiddling tests in this binary — `EPNET_EPOCH`
-/// is process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const POLICIES: [RatePolicy; 4] = [
     RatePolicy::HalveDouble,
@@ -48,6 +42,7 @@ fn run_serialized(
     strategy: ReactivationStrategy,
     load: f64,
     seed: u64,
+    epoch: EpochMode,
 ) -> String {
     let fabric = FlattenedButterfly::new(2, 8, 2)
         .expect("valid shape")
@@ -63,7 +58,11 @@ fn run_serialized(
         .seed(seed)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
+    let options = RunOptions {
+        epoch,
+        ..RunOptions::default()
+    };
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, options);
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -72,15 +71,11 @@ fn run_serialized(
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
-/// Runs `f` once per `EPNET_EPOCH` mode and asserts byte identity.
-fn assert_modes_agree(label: &str, f: impl Fn() -> String) {
-    std::env::set_var("EPNET_EPOCH", "sweep");
-    let swept = f();
-    std::env::set_var("EPNET_EPOCH", "active");
-    let active = f();
-    std::env::remove_var("EPNET_EPOCH");
+/// Runs `f` once per epoch mode and asserts byte identity.
+fn assert_modes_agree(label: &str, f: impl Fn(EpochMode) -> String) {
     assert_eq!(
-        swept, active,
+        f(EpochMode::Sweep),
+        f(EpochMode::ActiveSet),
         "serialized report differs between epoch modes for {label}"
     );
 }
@@ -89,13 +84,12 @@ fn assert_modes_agree(label: &str, f: impl Fn() -> String) {
 /// reactivation strategy, low bursty load, dynamic topology enabled.
 #[test]
 fn sweep_and_active_set_reports_are_byte_identical_across_the_matrix() {
-    let _guard = ENV_LOCK.lock().unwrap();
     for control in CONTROLS {
         for policy in POLICIES {
             for strategy in STRATEGIES {
                 let label = format!("{control:?}/{policy:?}/{strategy:?}");
-                assert_modes_agree(&label, || {
-                    run_serialized(control, policy, strategy, 0.08, 11)
+                assert_modes_agree(&label, |epoch| {
+                    run_serialized(control, policy, strategy, 0.08, 11, epoch)
                 });
             }
         }
@@ -116,15 +110,12 @@ proptest! {
         policy_pick in 0usize..4,
         strategy_pick in 0usize..2,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap();
         let control = CONTROLS[control_pick];
         let policy = POLICIES[policy_pick];
         let strategy = STRATEGIES[strategy_pick];
-        std::env::set_var("EPNET_EPOCH", "sweep");
-        let swept = run_serialized(control, policy, strategy, load, seed);
-        std::env::set_var("EPNET_EPOCH", "active");
-        let active = run_serialized(control, policy, strategy, load, seed);
-        std::env::remove_var("EPNET_EPOCH");
+        let run = |epoch| run_serialized(control, policy, strategy, load, seed, epoch);
+        let swept = run(EpochMode::Sweep);
+        let active = run(EpochMode::ActiveSet);
         prop_assert_eq!(
             swept, active,
             "epoch modes diverged for {:?}/{:?}/{:?} load={} seed={}",

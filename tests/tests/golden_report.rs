@@ -18,6 +18,7 @@
 //! cargo test -p epnet-integration --test golden_report -- --ignored regenerate
 //! ```
 
+use epnet::sim::RunOptions;
 use epnet_bench::enginebench::{canonical_simulator, HORIZON};
 use std::path::PathBuf;
 
@@ -26,7 +27,7 @@ fn golden_path() -> PathBuf {
 }
 
 fn canonical_report_json() -> String {
-    let report = canonical_simulator().run_until(HORIZON);
+    let report = canonical_simulator(RunOptions::default()).run_until(HORIZON);
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 

@@ -2,11 +2,11 @@
 //!
 //! Two promises hold simultaneously:
 //!
-//! * **Packet mode is untouched.** `EPNET_MODEL` unset (or `packet`)
-//!   serializes a byte-identical `SimReport` to a pre-hybrid build —
-//!   asserted here by comparing `Simulator::new` against the explicit
-//!   `with_model(Packet)` constructor, and transitively by the golden
-//!   fixture in `golden_report.rs`.
+//! * **Packet mode is untouched.** The default run options serialize a
+//!   byte-identical `SimReport` to a pre-hybrid build — asserted here
+//!   by comparing `RunOptions::default()` against an explicit
+//!   `SimModel::Packet`, and transitively by the golden fixture in
+//!   `golden_report.rs`.
 //! * **Hybrid mode agrees with packet ground truth.** On small
 //!   validation fabrics the fluid abstraction must reproduce the
 //!   packet model's delivered bytes and relative network power within
@@ -14,15 +14,10 @@
 //!   `BENCH_scale.json` models axis is held to.
 
 use epnet::power::LinkPowerProfile;
-use epnet::sim::{MergedSource, SimConfig, SimModel, SimTime, Simulator};
+use epnet::sim::{MergedSource, RunOptions, SimConfig, SimModel, SimTime, Simulator};
 use epnet::topology::{FlattenedButterfly, TwoTierClos};
 use epnet::workloads::{ServiceTrace, ServiceTraceConfig, UniformRandom};
 use epnet_bench::scalebench;
-use std::sync::Mutex;
-
-/// Serializes the env-twiddling test in this binary — `EPNET_MODEL` is
-/// process-global and `Simulator::new` reads it at construction.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const HORIZON: SimTime = SimTime::from_ms(2);
 
@@ -43,22 +38,25 @@ fn canonical_source(hosts: u32) -> MergedSource<UniformRandom, ServiceTrace> {
 
 #[test]
 fn packet_mode_report_is_byte_identical_to_the_default_constructor() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("EPNET_MODEL");
     let fabric = || {
         FlattenedButterfly::new(2, 8, 2)
             .expect("toy fbfly")
             .build_fabric()
     };
-    let default_report =
-        Simulator::new(fabric(), SimConfig::default(), canonical_source(16)).run_until(HORIZON);
-    let explicit_report = Simulator::with_model(
-        fabric(),
-        SimConfig::default(),
-        canonical_source(16),
-        SimModel::Packet,
-    )
-    .run_until(HORIZON);
+    let run = |options| {
+        Simulator::with_options(
+            fabric(),
+            SimConfig::default(),
+            canonical_source(16),
+            options,
+        )
+        .run_until(HORIZON)
+    };
+    let default_report = run(RunOptions::default());
+    let explicit_report = run(RunOptions {
+        model: SimModel::Packet,
+        ..RunOptions::default()
+    });
     assert_eq!(
         serde_json::to_string_pretty(&default_report).unwrap(),
         serde_json::to_string_pretty(&explicit_report).unwrap(),
@@ -70,14 +68,17 @@ fn packet_mode_report_is_byte_identical_to_the_default_constructor() {
 
 #[test]
 fn hybrid_agrees_with_packet_within_the_documented_tolerance() {
-    let run = |model: SimModel| {
-        Simulator::with_model(
+    let run = |model| {
+        Simulator::with_options(
             TwoTierClos::non_blocking(4)
                 .expect("toy clos")
                 .build_fabric(),
             SimConfig::default(),
             canonical_source(32),
-            model,
+            RunOptions {
+                model,
+                ..RunOptions::default()
+            },
         )
         .run_until(HORIZON)
     };
@@ -112,9 +113,10 @@ fn hybrid_agrees_with_packet_within_the_documented_tolerance() {
     assert!(hybrid.pod_delivered_bytes.iter().sum::<u64>() > 0);
 }
 
+/// `EPNET_MODEL=hybrid`, through the run-options parser, reaches the
+/// flow table; unset stays on the packet model.
 #[test]
 fn env_model_selects_the_hybrid_engine() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let bulk = || {
         UniformRandom::builder(16)
             .message_bytes(512 * 1024)
@@ -127,12 +129,14 @@ fn env_model_selects_the_hybrid_engine() {
             .expect("toy fbfly")
             .build_fabric()
     };
-    std::env::set_var("EPNET_MODEL", "hybrid");
-    let hybrid =
-        Simulator::new(fabric(), SimConfig::default(), bulk()).run_until(SimTime::from_us(500));
-    std::env::remove_var("EPNET_MODEL");
-    let packet =
-        Simulator::new(fabric(), SimConfig::default(), bulk()).run_until(SimTime::from_us(500));
+    let run = |model: Option<&str>| {
+        let options =
+            RunOptions::from_vars(|var| model.filter(|_| var == "EPNET_MODEL").map(str::to_string));
+        Simulator::with_options(fabric(), SimConfig::default(), bulk(), options)
+            .run_until(SimTime::from_us(500))
+    };
+    let hybrid = run(Some("hybrid"));
+    let packet = run(None);
     assert!(
         hybrid.diagnostics["flows_absorbed"] > 0,
         "EPNET_MODEL=hybrid must reach the flow table"

@@ -1,52 +1,62 @@
-//! `EPNET_PAR` cross-check: the sharded parallel engine is an
-//! execution detail, never a behavior. Every configuration must
-//! serialize a byte-identical `SimReport` whether the run executes on
-//! the serial event loop (`EPNET_PAR` unset / `off`) or on 1, 2, 4, or
-//! 8 coordinator-ordered worker shards — and that identity must hold
-//! composed with every other mode switch (`EPNET_SCHED=heap`,
-//! `EPNET_ROUTES=dynamic`, `EPNET_EPOCH=sweep`), since the parallel
-//! coordinator replays those same code paths per shard.
+//! Parallel-engine cross-check: the sharded engine is an execution
+//! detail, never a behavior. Every configuration must serialize a
+//! byte-identical `SimReport` whether the run executes on the serial
+//! event loop (`par: Some(0)`) or on 1, 2, 4, or 8 coordinator-ordered
+//! worker shards — and that identity must hold composed with every
+//! other execution option (per-hop routing, the full epoch sweep),
+//! since the parallel coordinator replays those same code paths per
+//! shard. All options are passed as `RunOptions` values; the one test
+//! that touches the process environment pins how `EPNET_MODEL` and
+//! `EPNET_PAR` interact with them.
 //!
 //! The workload is bursty at low offered load with the dynamic-topology
 //! extension on: epoch rate transitions, power-off, and reactivation
 //! all cross the coordinator's window barriers, which is exactly where
 //! a lookahead or replay-ordering bug would diverge the reports.
 //!
-//! The simulation model is its own axis (`EPNET_MODEL=hybrid` composed
-//! with every mode and width): the coordinator makes all flow regime
-//! decisions at phase barriers over gathered shard state, so the
-//! hybrid engine owes the same byte-identity the packet engine does.
+//! The simulation model is its own axis (hybrid composed with every
+//! mode and width): the coordinator makes all flow regime decisions at
+//! phase barriers over gathered shard state, so the hybrid engine owes
+//! the same byte-identity the packet engine does.
 
 use epnet::prelude::*;
 use epnet::sim::{MemorySink, TraceCategory, Tracer};
 use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes the env-twiddling tests in this binary — `EPNET_PAR` and
-/// the mode switches are process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Worker widths the matrix proves byte-identical to serial.
-const WIDTHS: [&str; 4] = ["1", "2", "4", "8"];
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Reference-mode switches composed with the parallel axis. Each entry
-/// is (label, env var, reference value); `None` runs the defaults.
-/// `EPNET_PAR_LOOKAHEAD=global` selects the legacy fabric-wide window
-/// bound instead of the pairwise matrix — different window shapes,
-/// same bytes.
-const MODES: [Option<(&str, &str)>; 5] = [
-    None,
-    Some(("EPNET_SCHED", "heap")),
-    Some(("EPNET_ROUTES", "dynamic")),
-    Some(("EPNET_EPOCH", "sweep")),
-    Some(("EPNET_PAR_LOOKAHEAD", "global")),
+/// Execution options composed with the parallel axis: the defaults,
+/// per-hop routing, and the full epoch sweep.
+const MODES: [(&str, Routes, EpochMode); 3] = [
+    ("defaults", Routes::Table, EpochMode::ActiveSet),
+    ("routes=dynamic", Routes::Dynamic, EpochMode::ActiveSet),
+    ("epoch=sweep", Routes::Table, EpochMode::Sweep),
 ];
+
+/// The run options for `model` under `mode` at parallel width `par`
+/// (0 is the serial engine).
+fn options(model: SimModel, mode: (&str, Routes, EpochMode), par: usize) -> RunOptions {
+    let (_, routes, epoch) = mode;
+    RunOptions {
+        model,
+        par: Some(par),
+        routes,
+        epoch,
+        trace: None,
+    }
+}
+
+/// Packet-model defaults at width `par`.
+fn at_width(par: usize) -> RunOptions {
+    options(SimModel::Packet, MODES[0], par)
+}
 
 /// One run on an FBFLY(c, k, n) with the dynamic-topology extension
 /// on, serialized. Mirrors `epoch_modes.rs` so the two determinism
 /// suites exercise the same reference workload.
-fn run_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> String {
+fn run_case(c: u16, k: u16, n: usize, load: f64, seed: u64, options: RunOptions) -> String {
     let fabric = FlattenedButterfly::new(c, k, n)
         .expect("valid shape")
         .build_fabric();
@@ -57,7 +67,7 @@ fn run_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> String {
         .seed(seed)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, options);
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -66,56 +76,45 @@ fn run_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> String {
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
-/// Runs `f` serially, then once per worker width, asserting byte
-/// identity against the serial report each time.
-fn assert_widths_agree(label: &str, f: impl Fn() -> String) {
-    std::env::remove_var("EPNET_PAR");
-    let serial = f();
-    for width in WIDTHS {
-        std::env::set_var("EPNET_PAR", width);
-        let parallel = f();
-        std::env::remove_var("EPNET_PAR");
-        assert_eq!(
-            serial, parallel,
-            "serialized report differs between serial and EPNET_PAR={width} for {label}"
-        );
-    }
-}
-
-/// The headline matrix: widths {1, 2, 4, 8} × reference modes
-/// {defaults, sched, routes, epoch, global lookahead} on the canonical
-/// FBFLY(2, 8, 2) bursty run with dynamic topology.
+/// The headline matrix: widths {1, 2, 4, 8} × modes {defaults,
+/// dynamic routes, epoch sweep} on the canonical FBFLY(2, 8, 2) bursty
+/// run with dynamic topology.
 #[test]
 fn parallel_reports_are_byte_identical_across_widths_and_modes() {
-    let _guard = ENV_LOCK.lock().unwrap();
     for mode in MODES {
-        let label = match mode {
-            Some((var, val)) => {
-                std::env::set_var(var, val);
-                format!("{var}={val}")
-            }
-            None => "defaults".to_string(),
-        };
-        assert_widths_agree(&label, || run_case(2, 8, 2, 0.08, 11));
-        if let Some((var, _)) = mode {
-            std::env::remove_var(var);
+        let run = |par| run_case(2, 8, 2, 0.08, 11, options(SimModel::Packet, mode, par));
+        let serial = run(0);
+        for width in WIDTHS {
+            assert_eq!(
+                serial,
+                run(width),
+                "serialized report differs between serial and width {width} for {}",
+                mode.0
+            );
         }
     }
 }
 
-/// Simulation models composed with the parallel axis. `hybrid` makes
+/// Simulation models composed with the parallel axis. `Hybrid` makes
 /// the coordinator absorb large messages into fluid flows at workload
 /// phases and advance/demote them at epoch barriers — the regime
 /// decisions all read gathered shard state, so the reports must stay
 /// byte-identical to the serial hybrid engine.
-const MODELS: [&str; 2] = ["packet", "hybrid"];
+const MODELS: [SimModel; 2] = [SimModel::Packet, SimModel::Hybrid];
 
 /// Flow-heavy variant of the canonical run: 256 KiB messages (4× the
 /// hybrid absorption threshold) on the same FBFLY dynamic topology, so
-/// `EPNET_MODEL=hybrid` absorbs flows at coordinator workload phases,
+/// the hybrid model absorbs flows at coordinator workload phases,
 /// advances them at epoch ticks, and demotes them back into the packet
 /// path when dynamic-topology drains puncture their steadiness gate.
-fn run_flow_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> (String, SimReport) {
+fn run_flow_case(
+    c: u16,
+    k: u16,
+    n: usize,
+    load: f64,
+    seed: u64,
+    options: RunOptions,
+) -> (String, SimReport) {
     let fabric = FlattenedButterfly::new(c, k, n)
         .expect("valid shape")
         .build_fabric();
@@ -127,7 +126,7 @@ fn run_flow_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> (String, Sim
         .seed(seed)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, options);
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -143,20 +142,12 @@ fn run_flow_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> (String, Sim
 /// demotions both nonzero) or the axis would vacuously pass.
 #[test]
 fn model_axis_reports_are_byte_identical_across_widths_and_modes() {
-    let _guard = ENV_LOCK.lock().unwrap();
     for model in MODELS {
-        std::env::set_var("EPNET_MODEL", model);
         for mode in MODES {
-            let label = match mode {
-                Some((var, val)) => {
-                    std::env::set_var(var, val);
-                    format!("EPNET_MODEL={model} {var}={val}")
-                }
-                None => format!("EPNET_MODEL={model}"),
-            };
-            std::env::remove_var("EPNET_PAR");
-            let (serial, serial_report) = run_flow_case(2, 8, 2, 0.3, 17);
-            if model == "hybrid" {
+            let label = format!("{model:?} {}", mode.0);
+            let run = |par| run_flow_case(2, 8, 2, 0.3, 17, options(model, mode, par));
+            let (serial, serial_report) = run(0);
+            if model == SimModel::Hybrid {
                 let absorbed = serial_report.diagnostics.get("flows_absorbed");
                 assert!(
                     absorbed.is_some_and(|&a| a > 0),
@@ -169,36 +160,30 @@ fn model_axis_reports_are_byte_identical_across_widths_and_modes() {
                 );
             }
             for width in WIDTHS {
-                std::env::set_var("EPNET_PAR", width);
-                let (parallel, parallel_report) = run_flow_case(2, 8, 2, 0.3, 17);
-                std::env::remove_var("EPNET_PAR");
+                let (parallel, parallel_report) = run(width);
                 assert_eq!(
                     serial, parallel,
-                    "serialized report differs between serial and EPNET_PAR={width} for {label}"
+                    "serialized report differs between serial and width {width} for {label}"
                 );
                 assert_eq!(
                     serial_report.diagnostics.get("flows_absorbed"),
                     parallel_report.diagnostics.get("flows_absorbed"),
-                    "flow absorption diverged at EPNET_PAR={width} for {label}"
+                    "flow absorption diverged at width {width} for {label}"
                 );
                 assert_eq!(
                     serial_report.diagnostics.get("flows_demoted"),
                     parallel_report.diagnostics.get("flows_demoted"),
-                    "flow demotion diverged at EPNET_PAR={width} for {label}"
+                    "flow demotion diverged at width {width} for {label}"
                 );
-            }
-            if let Some((var, _)) = mode {
-                std::env::remove_var(var);
             }
         }
     }
-    std::env::remove_var("EPNET_MODEL");
 }
 
 /// The canonical bursty run with a tracer installed under `mask`;
 /// returns the serialized report, the trace text, and the in-memory
 /// report (for its `diagnostics`).
-fn run_traced(mask: u32) -> (String, String, SimReport) {
+fn run_traced(mask: u32, par: usize) -> (String, String, SimReport) {
     let fabric = FlattenedButterfly::new(2, 8, 2)
         .expect("valid shape")
         .build_fabric();
@@ -208,7 +193,8 @@ fn run_traced(mask: u32) -> (String, String, SimReport) {
         .seed(11)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), SimConfig::builder().build(), src);
+    let config = SimConfig::builder().build();
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, at_width(par));
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -221,7 +207,7 @@ fn run_traced(mask: u32) -> (String, String, SimReport) {
 }
 
 /// Strips the execution-shape categories (`routes`: wall-clock build
-/// times; `parallel`: exists only under `EPNET_PAR`) — the lines the
+/// times; `parallel`: exists only on the parallel engine) — the lines the
 /// serial↔parallel byte-identity contract covers.
 fn behavior_lines(trace: &str) -> Vec<&str> {
     trace
@@ -236,19 +222,15 @@ fn behavior_lines(trace: &str) -> Vec<&str> {
 /// and the per-window counters sum to the engine's own diagnostics.
 #[test]
 fn traced_parallel_runs_gate_window_records_behind_the_mask() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("EPNET_PAR");
-    let (serial_json, serial_trace, _) = run_traced(TraceCategory::ALL_MASK);
+    let (serial_json, serial_trace, _) = run_traced(TraceCategory::ALL_MASK, 0);
     assert!(
         !serial_trace.contains("\"cat\":\"parallel\""),
         "the serial engine must not emit parallel records"
     );
 
-    std::env::set_var("EPNET_PAR", "4");
-    let (par_json, par_trace, par_report) = run_traced(TraceCategory::ALL_MASK);
+    let (par_json, par_trace, par_report) = run_traced(TraceCategory::ALL_MASK, 4);
     let masked = TraceCategory::ALL_MASK & !TraceCategory::Parallel.bit();
-    let (par_masked_json, par_masked_trace, _) = run_traced(masked);
-    std::env::remove_var("EPNET_PAR");
+    let (par_masked_json, par_masked_trace, _) = run_traced(masked, 4);
 
     // The report contract is untouched by the new category, masked in
     // or out.
@@ -315,22 +297,71 @@ fn traced_parallel_runs_gate_window_records_behind_the_mask() {
     );
 }
 
-/// `EPNET_PAR=off` must behave exactly like unset.
+/// `EPNET_PAR=off` parses to the serial engine, and runs exactly like
+/// the library default.
 #[test]
 fn par_off_is_the_serial_engine() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    let off = RunOptions::from_vars(|var| (var == "EPNET_PAR").then(|| "off".to_string()));
+    assert_eq!(off, RunOptions::default());
+    let serial = run_case(2, 4, 2, 0.1, 7, RunOptions::default());
+    assert_eq!(serial, run_case(2, 4, 2, 0.1, 7, off));
+}
+
+/// The two environment contracts, in one test because they set
+/// process-global variables (no other test in this binary reads the
+/// environment): `EPNET_PAR` set *after* construction still selects the
+/// parallel engine when `run_until` starts — the reference benchmark
+/// relies on this — and explicit `RunOptions` beat a conflicting
+/// `EPNET_MODEL`/`EPNET_PAR`.
+#[test]
+fn env_par_is_read_at_run_start_and_explicit_options_win() {
+    let fabric = FlattenedButterfly::new(2, 4, 2)
+        .expect("valid shape")
+        .build_fabric();
+    let horizon = SimTime::from_us(300);
+    let bulk = || {
+        UniformRandom::builder(fabric.num_hosts() as u32)
+            .offered_load(0.3)
+            .message_bytes(256 * 1024)
+            .seed(5)
+            .horizon(horizon)
+            .build()
+    };
+    let config = SimConfig::builder().build();
+
+    let sim = Simulator::with_model(fabric.clone(), config.clone(), bulk(), SimModel::Packet);
+    std::env::set_var("EPNET_PAR", "2");
+    let late = sim.run_until(horizon);
+    assert!(
+        late.diagnostics["par_windows"] > 0,
+        "EPNET_PAR set before run_until must select the parallel engine"
+    );
+
+    std::env::set_var("EPNET_MODEL", "hybrid");
+    let env_driven = Simulator::new(fabric.clone(), config.clone(), bulk()).run_until(horizon);
+    let explicit = Simulator::with_options(fabric.clone(), config, bulk(), RunOptions::default())
+        .run_until(horizon);
+    std::env::remove_var("EPNET_MODEL");
     std::env::remove_var("EPNET_PAR");
-    let serial = run_case(2, 4, 2, 0.1, 7);
-    std::env::set_var("EPNET_PAR", "off");
-    let off = run_case(2, 4, 2, 0.1, 7);
-    std::env::remove_var("EPNET_PAR");
-    assert_eq!(serial, off, "EPNET_PAR=off diverged from unset");
+    // A fully absorbed bulk load leaves the shards no packet events, so
+    // the engine in use shows in its lookahead floor, set only by a
+    // parallel run.
+    assert!(env_driven.diagnostics["flows_absorbed"] > 0);
+    assert!(env_driven.diagnostics["par_lookahead_ps"] > 0);
+    assert_eq!(
+        explicit.diagnostics["flows_absorbed"], 0,
+        "explicit packet model"
+    );
+    assert_eq!(
+        explicit.diagnostics["par_lookahead_ps"], 0,
+        "explicit serial engine"
+    );
 }
 
 /// A run with an explicit `SimConfig`, returning the serialized report
 /// plus the in-memory report — whose non-serialized `diagnostics` map
 /// records which engine actually executed the run.
-fn run_fallback_case(config: SimConfig, seed: u64) -> (String, SimReport) {
+fn run_fallback_case(config: SimConfig, seed: u64, par: usize) -> (String, SimReport) {
     let fabric = FlattenedButterfly::new(2, 4, 2)
         .expect("valid shape")
         .build_fabric();
@@ -340,7 +371,7 @@ fn run_fallback_case(config: SimConfig, seed: u64) -> (String, SimReport) {
         .seed(seed)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, at_width(par));
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -354,25 +385,22 @@ fn run_fallback_case(config: SimConfig, seed: u64) -> (String, SimReport) {
 /// serial loop: report bytes equal at every width, and the run is
 /// flagged `par_fallback_serial = 1` in the diagnostics.
 fn assert_falls_back(label: &str, config: &SimConfig) {
-    std::env::remove_var("EPNET_PAR");
-    let (serial, serial_report) = run_fallback_case(config.clone(), 13);
+    let (serial, serial_report) = run_fallback_case(config.clone(), 13, 0);
     assert_eq!(
         serial_report.diagnostics.get("par_fallback_serial"),
         Some(&0),
         "serial run must not set the fallback flag for {label}"
     );
     for width in WIDTHS {
-        std::env::set_var("EPNET_PAR", width);
-        let (parallel, parallel_report) = run_fallback_case(config.clone(), 13);
-        std::env::remove_var("EPNET_PAR");
+        let (parallel, parallel_report) = run_fallback_case(config.clone(), 13, width);
         assert_eq!(
             serial, parallel,
-            "fallback report differs from serial at EPNET_PAR={width} for {label}"
+            "fallback report differs from serial at width {width} for {label}"
         );
         assert_eq!(
             parallel_report.diagnostics.get("par_fallback_serial"),
             Some(&1),
-            "EPNET_PAR={width} must report the serial fallback for {label}"
+            "width {width} must report the serial fallback for {label}"
         );
         assert_eq!(
             parallel_report.diagnostics.get("par_windows"),
@@ -387,7 +415,6 @@ fn assert_falls_back(label: &str, config: &SimConfig) {
 /// the serial loop and say so.
 #[test]
 fn zero_lookahead_falls_back_to_serial() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let config = SimConfig::builder()
         .propagation(SimTime::ZERO, SimTime::ZERO)
         .build();
@@ -401,7 +428,6 @@ fn zero_lookahead_falls_back_to_serial() {
 /// `t`.
 #[test]
 fn zero_reactivation_floor_falls_back_to_serial() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let config = SimConfig::builder()
         .reactivation(SimTime::ZERO)
         .epoch(SimTime::from_us(10))
@@ -424,13 +450,9 @@ proptest! {
         n in 2usize..=3,
         width_pick in 0usize..4,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("EPNET_PAR");
-        let serial = run_case(c, k, n, load, seed);
+        let serial = run_case(c, k, n, load, seed, at_width(0));
         let width = WIDTHS[width_pick];
-        std::env::set_var("EPNET_PAR", width);
-        let parallel = run_case(c, k, n, load, seed);
-        std::env::remove_var("EPNET_PAR");
+        let parallel = run_case(c, k, n, load, seed, at_width(width));
         prop_assert_eq!(
             serial, parallel,
             "reports diverged for fbfly({},{},{}) load={} seed={} width={}",
@@ -451,15 +473,10 @@ proptest! {
         n in 2usize..=3,
         width_pick in 0usize..4,
     ) {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("EPNET_MODEL", "hybrid");
-        std::env::remove_var("EPNET_PAR");
-        let (serial, _) = run_flow_case(c, k, n, load, seed);
+        let hybrid = |par| options(SimModel::Hybrid, MODES[0], par);
+        let (serial, _) = run_flow_case(c, k, n, load, seed, hybrid(0));
         let width = WIDTHS[width_pick];
-        std::env::set_var("EPNET_PAR", width);
-        let (parallel, _) = run_flow_case(c, k, n, load, seed);
-        std::env::remove_var("EPNET_PAR");
-        std::env::remove_var("EPNET_MODEL");
+        let (parallel, _) = run_flow_case(c, k, n, load, seed, hybrid(width));
         prop_assert_eq!(
             serial, parallel,
             "hybrid reports diverged for fbfly({},{},{}) load={} seed={} width={}",

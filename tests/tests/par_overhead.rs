@@ -1,5 +1,5 @@
 //! Width-1 overhead guard for the sharded parallel engine: running
-//! `EPNET_PAR=1` on the canonical FBFLY(2, 8, 2) bursty workload must
+//! it at width 1 on the canonical FBFLY(2, 8, 2) bursty workload must
 //! cost about what the serial engine costs. With pairwise lookahead a
 //! single shard owns no cross-shard channels, so nothing bounds its
 //! windows and the coordinator drains long stretches between barriers —
@@ -43,9 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The canonical determinism-suite scenario (same shape and seed as
-/// `par_modes.rs`), returning the report and the allocation count the
-/// run charged.
-fn run_canonical() -> (SimReport, u64) {
+/// `par_modes.rs`) at parallel width `par` (0 is serial), returning the
+/// report and the allocation count the run charged.
+fn run_canonical(par: usize) -> (SimReport, u64) {
     let fabric = FlattenedButterfly::new(2, 8, 2)
         .expect("valid shape")
         .build_fabric();
@@ -56,7 +56,11 @@ fn run_canonical() -> (SimReport, u64) {
         .seed(11)
         .horizon(horizon)
         .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
+    let options = RunOptions {
+        par: Some(par),
+        ..RunOptions::default()
+    };
+    let mut sim = Simulator::with_options(fabric.clone(), config, src, options);
     sim.enable_dynamic_topology(DynamicTopology::new(
         &fabric,
         DynamicTopologyConfig::default(),
@@ -73,17 +77,14 @@ fn run_canonical() -> (SimReport, u64) {
 /// and window scratch; steady state recycles all of it).
 #[test]
 fn width_one_overhead_is_bounded() {
-    std::env::remove_var("EPNET_PAR");
-    let (serial_report, serial_allocs) = run_canonical();
-    std::env::set_var("EPNET_PAR", "1");
-    let (par_report, par_allocs) = run_canonical();
-    std::env::remove_var("EPNET_PAR");
+    let (serial_report, serial_allocs) = run_canonical(0);
+    let (par_report, par_allocs) = run_canonical(1);
 
     // The contract first: identical serialized reports (this also pins
     // events_processed — the parallel engine executes the same events).
     let serial_json = serde_json::to_string_pretty(&serial_report).expect("serializes");
     let par_json = serde_json::to_string_pretty(&par_report).expect("serializes");
-    assert_eq!(serial_json, par_json, "EPNET_PAR=1 diverged from serial");
+    assert_eq!(serial_json, par_json, "width 1 diverged from serial");
 
     // Window diagnostics must be internally consistent: every window
     // event is replayed at the barrier, and a cross-window event's two
@@ -110,7 +111,7 @@ fn width_one_overhead_is_bounded() {
     let bound = 3 * serial_allocs + 50_000;
     assert!(
         par_allocs <= bound,
-        "EPNET_PAR=1 allocated {par_allocs} times vs {serial_allocs} serial \
+        "width 1 allocated {par_allocs} times vs {serial_allocs} serial \
          (bound {bound})"
     );
 }

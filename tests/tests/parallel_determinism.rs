@@ -1,16 +1,10 @@
 //! Determinism guarantees of the execution machinery: worker-pool
-//! width and scheduler backend must never change results, only wall
-//! clock.
+//! width and route mode must never change results, only wall clock.
 
 use epnet::exp::campaign::Campaign;
 use epnet::exp::sweep::SensitivitySweep;
 use epnet::exp::{EvalScale, Experiment, WorkloadKind};
 use epnet::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes the env-twiddling tests in this binary — `EPNET_THREADS`
-/// and `EPNET_SCHED` are process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny() -> EvalScale {
     let mut s = EvalScale::tiny();
@@ -25,9 +19,34 @@ fn small_sweep() -> SensitivitySweep {
     sweep
 }
 
+/// The tiny Search run under `routes`, optionally with the dynamic
+/// topology extension on, serialized.
+fn run_routes(routes: Routes, dyntopo: bool) -> String {
+    let scale = tiny();
+    let fabric = scale.fabric();
+    let options = RunOptions {
+        routes,
+        ..RunOptions::default()
+    };
+    let mut sim = Simulator::with_options(
+        fabric.clone(),
+        SimConfig::default(),
+        WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
+        options,
+    );
+    if dyntopo {
+        sim.enable_dynamic_topology(DynamicTopology::new(
+            &fabric,
+            DynamicTopologyConfig::default(),
+        ));
+    }
+    serde_json::to_string_pretty(&sim.run_until(scale.duration)).expect("report serializes")
+}
+
+/// `EPNET_THREADS` is the only variable this binary sets, and no other
+/// test here reads the environment.
 #[test]
 fn sweep_and_campaign_are_byte_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let sweep = small_sweep();
 
     let mut campaign = Campaign::new();
@@ -57,66 +76,22 @@ fn sweep_and_campaign_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn scheduler_backend_does_not_change_simulation_output() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let experiment = Experiment::new(tiny(), WorkloadKind::Search);
-
-    std::env::set_var("EPNET_SCHED", "heap");
-    let heap = serde_json::to_string_pretty(&experiment.run()).expect("outcome serializes");
-    std::env::remove_var("EPNET_SCHED");
-    let calendar = serde_json::to_string_pretty(&experiment.run()).expect("outcome serializes");
-
-    assert_eq!(
-        heap, calendar,
-        "calendar queue and binary heap must produce bit-identical runs"
-    );
-}
-
-#[test]
 fn route_mode_does_not_change_simulation_output() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let experiment = Experiment::new(tiny(), WorkloadKind::Search);
-
-    std::env::set_var("EPNET_ROUTES", "dynamic");
-    let dynamic = serde_json::to_string_pretty(&experiment.run()).expect("outcome serializes");
-    std::env::remove_var("EPNET_ROUTES");
-    let table = serde_json::to_string_pretty(&experiment.run()).expect("outcome serializes");
-
     assert_eq!(
-        dynamic, table,
+        run_routes(Routes::Dynamic, false),
+        run_routes(Routes::Table, false),
         "precomputed route tables and per-hop routing must produce bit-identical runs"
     );
 }
 
+/// Dynamic topology mutates the link mask at epoch ticks, exercising
+/// the lazy route-table rebuild path; the rebuilt tables must still
+/// match per-hop routing byte for byte.
 #[test]
 fn route_mode_is_identical_under_dynamic_topology() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    // Dynamic topology mutates the link mask at epoch ticks, exercising
-    // the lazy route-table rebuild path; the rebuilt tables must still
-    // match per-hop routing byte for byte.
-    let scale = tiny();
-    let fabric = scale.fabric();
-
-    let run = || {
-        let mut sim = Simulator::new(
-            fabric.clone(),
-            SimConfig::default(),
-            WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-        );
-        sim.enable_dynamic_topology(DynamicTopology::new(
-            &fabric,
-            DynamicTopologyConfig::default(),
-        ));
-        serde_json::to_string_pretty(&sim.run_until(scale.duration)).expect("report serializes")
-    };
-
-    std::env::set_var("EPNET_ROUTES", "dynamic");
-    let dynamic = run();
-    std::env::remove_var("EPNET_ROUTES");
-    let table = run();
-
     assert_eq!(
-        dynamic, table,
+        run_routes(Routes::Dynamic, true),
+        run_routes(Routes::Table, true),
         "route tables must stay bit-identical across mask reconfigurations"
     );
 }

@@ -2,20 +2,14 @@
 //! simulation without perturbing it.
 //!
 //! The load-bearing guarantee is byte-identical serialized reports —
-//! metrics map included — across every combination of scheduler
-//! backend (`EPNET_SCHED`), route mode (`EPNET_ROUTES`), and tracing
-//! on/off. Wall-clock phase timings are exempt by construction: the
-//! report serializer excludes them.
+//! metrics map included — across every combination of route mode,
+//! epoch mode, and tracing on/off. Wall-clock phase timings are exempt
+//! by construction: the report serializer excludes them.
 
 use epnet::exp::{EvalScale, WorkloadKind};
 use epnet::prelude::*;
 use epnet::sim::{MemorySink, TraceCategory, Tracer};
 use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
-use std::sync::Mutex;
-
-/// Serializes the env-twiddling tests in this binary — `EPNET_SCHED`,
-/// `EPNET_ROUTES`, `EPNET_EPOCH`, and `EPNET_TRACE` are process-global.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny() -> EvalScale {
     let mut s = EvalScale::tiny();
@@ -23,21 +17,36 @@ fn tiny() -> EvalScale {
     s
 }
 
-/// Runs the tiny Search scenario, optionally traced; returns the
-/// serialized report and the trace text.
-fn run_traced(traced: bool) -> (String, String) {
+/// The tiny Search scenario under `options`.
+fn tiny_sim(options: RunOptions) -> Simulator<impl TrafficSource> {
     let scale = tiny();
-    let fabric = scale.fabric();
-    let mut sim = Simulator::new(
-        fabric,
+    Simulator::with_options(
+        scale.fabric(),
         SimConfig::default(),
         WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-    );
+        options,
+    )
+}
+
+/// Run options parsed from the given environment-variable pairs.
+fn parsed(pairs: &[(&str, &str)]) -> RunOptions {
+    RunOptions::from_vars(|var| {
+        pairs
+            .iter()
+            .find(|(k, _)| *k == var)
+            .map(|(_, v)| v.to_string())
+    })
+}
+
+/// Runs the tiny Search scenario under `options`, optionally traced;
+/// returns the serialized report and the trace text.
+fn run_traced(options: RunOptions, traced: bool) -> (String, String) {
+    let mut sim = tiny_sim(options);
     let sink = MemorySink::new();
     if traced {
         sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::ALL_MASK));
     }
-    let report = sim.run_until(scale.duration);
+    let report = sim.run_until(tiny().duration);
     (
         serde_json::to_string_pretty(&report).expect("report serializes"),
         sink.contents(),
@@ -46,25 +55,21 @@ fn run_traced(traced: bool) -> (String, String) {
 
 #[test]
 fn reports_are_byte_identical_across_modes_and_tracing() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let mut reports = Vec::new();
-    for sched in ["calendar", "heap"] {
-        std::env::set_var("EPNET_SCHED", sched);
-        for routes in ["table", "dynamic"] {
-            std::env::set_var("EPNET_ROUTES", routes);
-            for epoch in ["active", "sweep"] {
-                std::env::set_var("EPNET_EPOCH", epoch);
-                for traced in [false, true] {
-                    let (report, trace) = run_traced(traced);
-                    assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
-                    reports.push((format!("{sched}/{routes}/{epoch}/traced={traced}"), report));
-                }
+    for routes in [Routes::Table, Routes::Dynamic] {
+        for epoch in [EpochMode::ActiveSet, EpochMode::Sweep] {
+            for traced in [false, true] {
+                let options = RunOptions {
+                    routes,
+                    epoch,
+                    ..RunOptions::default()
+                };
+                let (report, trace) = run_traced(options, traced);
+                assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
+                reports.push((format!("{routes:?}/{epoch:?}/traced={traced}"), report));
             }
         }
     }
-    std::env::remove_var("EPNET_SCHED");
-    std::env::remove_var("EPNET_ROUTES");
-    std::env::remove_var("EPNET_EPOCH");
     let (base_label, base) = &reports[0];
     for (label, report) in &reports[1..] {
         assert_eq!(
@@ -77,50 +82,40 @@ fn reports_are_byte_identical_across_modes_and_tracing() {
 /// The same guarantee beyond the toy fabric: an FBFLY(4,16,2) — 64
 /// hosts, 16 switches, large enough to exercise multi-candidate
 /// adaptive routing, credit backpressure, and calendar-queue resizes —
-/// must also serialize byte-identically across scheduler backend,
-/// route mode, and tracing. Guards the struct-of-arrays hot-state
-/// layout and the free-list recycling at a scale where their bugs
-/// would actually surface.
+/// must also serialize byte-identically across route modes. Guards the
+/// struct-of-arrays hot-state layout and the free-list recycling at a
+/// scale where their bugs would actually surface.
 #[test]
 fn reports_are_byte_identical_across_modes_at_scale() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let horizon = SimTime::from_ms(2);
-    let run = || {
+    let run = |routes| {
         let fabric = epnet::topology::FlattenedButterfly::new(4, 16, 2)
             .expect("valid shape")
             .build_fabric();
         let hosts = fabric.num_hosts() as u32;
-        let sim = Simulator::new(
+        let options = RunOptions {
+            routes,
+            ..RunOptions::default()
+        };
+        let sim = Simulator::with_options(
             fabric,
             SimConfig::default(),
             WorkloadKind::Search.source(hosts, 7, horizon),
+            options,
         );
         let report = sim.run_until(horizon);
         serde_json::to_string_pretty(&report).expect("report serializes")
     };
-    let mut reports = Vec::new();
-    for sched in ["calendar", "heap"] {
-        std::env::set_var("EPNET_SCHED", sched);
-        for routes in ["table", "dynamic"] {
-            std::env::set_var("EPNET_ROUTES", routes);
-            reports.push((format!("{sched}/{routes}"), run()));
-        }
-    }
-    std::env::remove_var("EPNET_SCHED");
-    std::env::remove_var("EPNET_ROUTES");
-    let (base_label, base) = &reports[0];
-    for (label, report) in &reports[1..] {
-        assert_eq!(
-            base, report,
-            "serialized report differs between {base_label} and {label}"
-        );
-    }
+    assert_eq!(
+        run(Routes::Table),
+        run(Routes::Dynamic),
+        "serialized report differs between route modes"
+    );
 }
 
 #[test]
 fn trace_is_schema_valid_and_covers_the_controller() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let (report, trace) = run_traced(true);
+    let (report, trace) = run_traced(RunOptions::default(), true);
     let stats = validate_jsonl(&trace).expect("every emitted line passes the schema");
     assert!(stats.lines > 0);
     assert!(stats.count(TraceCategory::Controller) > 0, "epochs fired");
@@ -152,17 +147,10 @@ fn trace_is_schema_valid_and_covers_the_controller() {
 
 #[test]
 fn category_filter_narrows_emission() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let scale = tiny();
-    let fabric = scale.fabric();
-    let mut sim = Simulator::new(
-        fabric,
-        SimConfig::default(),
-        WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-    );
+    let mut sim = tiny_sim(RunOptions::default());
     let sink = MemorySink::new();
     sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::Controller.bit()));
-    sim.run_until(scale.duration);
+    sim.run_until(tiny().duration);
     let records = parse_jsonl(&sink.contents()).expect("parses");
     assert!(!records.is_empty());
     assert!(
@@ -181,51 +169,39 @@ fn category_filter_narrows_emission() {
 /// whichever implementation ran.
 #[test]
 fn epoch_queue_samples_count_every_channel_in_both_epoch_modes() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let mut snapshots = Vec::new();
-    for epoch in ["active", "sweep"] {
-        std::env::set_var("EPNET_EPOCH", epoch);
-        let scale = tiny();
-        let fabric = scale.fabric();
-        let sim = Simulator::new(
-            fabric,
-            SimConfig::default(),
-            WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-        );
-        let report = sim.run_until(scale.duration);
+    for epoch in [EpochMode::ActiveSet, EpochMode::Sweep] {
+        let options = RunOptions {
+            epoch,
+            ..RunOptions::default()
+        };
+        let report = tiny_sim(options).run_until(tiny().duration);
         let ticks = report.metrics["events_epoch_tick"];
         let samples = report.metrics["epoch_queue_samples"];
-        assert!(ticks > 0, "epochs fired under {epoch}");
+        assert!(ticks > 0, "epochs fired under {epoch:?}");
         assert_eq!(
             samples,
             ticks * report.num_channels as u64,
-            "every channel must be sampled every tick under {epoch}"
+            "every channel must be sampled every tick under {epoch:?}"
         );
         snapshots.push((samples, report.metrics["epoch_queue_bytes_sum"]));
     }
-    std::env::remove_var("EPNET_EPOCH");
     assert_eq!(
         snapshots[0], snapshots[1],
         "queue metrics are mode-independent"
     );
 }
 
+/// `EPNET_TRACE` plus a filter, through the run-options parser, writes
+/// a schema-valid file holding only the selected categories.
 #[test]
 fn epnet_trace_env_var_writes_a_valid_file() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let path = std::env::temp_dir().join(format!("epnet_trace_test_{}.jsonl", std::process::id()));
-    std::env::set_var("EPNET_TRACE", &path);
-    std::env::set_var("EPNET_TRACE_FILTER", "controller,reactivation");
-    let scale = tiny();
-    let fabric = scale.fabric();
-    let sim = Simulator::new(
-        fabric,
-        SimConfig::default(),
-        WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-    );
-    sim.run_until(scale.duration);
-    std::env::remove_var("EPNET_TRACE");
-    std::env::remove_var("EPNET_TRACE_FILTER");
+    let options = parsed(&[
+        ("EPNET_TRACE", path.to_str().expect("temp path is UTF-8")),
+        ("EPNET_TRACE_FILTER", "controller,reactivation"),
+    ]);
+    tiny_sim(options).run_until(tiny().duration);
 
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
@@ -240,24 +216,16 @@ fn epnet_trace_env_var_writes_a_valid_file() {
 /// trace file is never created, and the run itself proceeds.
 #[test]
 fn unknown_trace_filter_name_disables_tracing() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let path = std::env::temp_dir().join(format!(
         "epnet_trace_badfilter_{}.jsonl",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    std::env::set_var("EPNET_TRACE", &path);
-    std::env::set_var("EPNET_TRACE_FILTER", "controller,bogus");
-    let scale = tiny();
-    let fabric = scale.fabric();
-    let sim = Simulator::new(
-        fabric,
-        SimConfig::default(),
-        WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
-    );
-    let report = sim.run_until(scale.duration);
-    std::env::remove_var("EPNET_TRACE");
-    std::env::remove_var("EPNET_TRACE_FILTER");
+    let options = parsed(&[
+        ("EPNET_TRACE", path.to_str().expect("temp path is UTF-8")),
+        ("EPNET_TRACE_FILTER", "controller,bogus"),
+    ]);
+    let report = tiny_sim(options).run_until(tiny().duration);
     assert!(report.events_processed > 0, "the run itself proceeds");
     assert!(
         !path.exists(),
