@@ -1,14 +1,10 @@
 //! Microbenches of the simulator's building blocks: topology
 //! elaboration, routing, workload generation, and raw event throughput.
-//!
-//! The `smoke_engine` group is the seconds-long subset behind
-//! `scripts/bench_smoke.sh`: it runs the canonical
-//! [`epnet_bench::enginebench`] scenario under both route modes and
-//! writes `BENCH_engine.json` at the repository root.
+//! The canonical engine scenario is measured by the `engine` axis of
+//! the `benchrun` binary instead.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use epnet::prelude::*;
-use epnet_bench::enginebench;
 use epnet_workloads::UniformRandom;
 use std::hint::black_box;
 use std::time::Duration;
@@ -91,47 +87,11 @@ fn event_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Smoke subset: measures the canonical engine scenario once per route
-/// mode, emits `BENCH_engine.json`, then spins on schema validation so
-/// criterion has a timed body.
-fn engine_json_smoke(c: &mut Criterion) {
-    let mut g = c.benchmark_group("smoke_engine");
-    g.sample_size(2)
-        .warm_up_time(Duration::from_millis(10))
-        .measurement_time(Duration::from_millis(50));
-    g.bench_function("json_report", |b| {
-        let runs = enginebench::measure_both_modes();
-        for r in &runs {
-            println!(
-                "{:>14}: {:>7.2} M events/s, {:>7.2} M delivered B/s ({} events, {:.1} ms wall)",
-                r.name,
-                r.events_per_sec() / 1e6,
-                r.delivered_bytes_per_sec() / 1e6,
-                r.sim_events,
-                r.wall_ms
-            );
-        }
-        let doc = enginebench::render(&runs);
-        std::fs::write(enginebench::output_path(), &doc).expect("write BENCH_engine.json");
-        let wall_secs = runs.iter().map(|r| r.wall_ms).sum::<f64>() / 1e3;
-        epnet_telemetry::summary::eprint_summary("smoke_engine", wall_secs);
-        b.iter(|| {
-            black_box(
-                enginebench::validate(&doc)
-                    .expect("rendered schema holds")
-                    .len(),
-            )
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     engine,
     fabric_construction,
     route_candidates,
     workload_generation,
-    event_throughput,
-    engine_json_smoke
+    event_throughput
 );
 criterion_main!(engine);

@@ -1,8 +1,10 @@
-//! Shared helpers for the `repro` harness and the Criterion benches.
+//! Shared helpers for the `repro` harness, the benchmark axes behind
+//! `benchrun`/`benchcheck`, and the Criterion benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod axis;
 pub mod csv;
 pub mod enginebench;
 pub mod loadbench;

@@ -18,7 +18,7 @@
 //! reuses it. After warmup the pool holds the high-water number of
 //! concurrently busy queues and steady-state operation performs no
 //! heap allocation (verified by the counting allocator in
-//! `epnet-bench::scalebench` and the regression tests).
+//! the benchmark's `scale` axis and the regression tests).
 //!
 //! # The active set
 //!

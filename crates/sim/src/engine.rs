@@ -328,7 +328,7 @@ impl Core {
         // prohibitive at the hybrid model's 10^5-host targets — and
         // hybrid routes only the demoted packet residue, so it always
         // uses the per-hop computation. Route mode never changes output.
-        let routes = if model == SimModel::Hybrid || options.routes == Routes::Dynamic {
+        let routes = if options.routes_used() == Routes::Dynamic {
             RouteMode::Dynamic {
                 scratch: Vec::new(),
             }

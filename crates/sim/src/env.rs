@@ -77,6 +77,63 @@ pub enum EpochMode {
     Sweep,
 }
 
+/// Gives a run-option enum its one vocabulary: `name`, the parser
+/// `from_name`, and serde as that name (benchmark records store options
+/// by name, so the parser and the records cannot drift apart).
+macro_rules! named {
+    ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $ty {
+            /// Every value, in vocabulary order.
+            const ALL: &'static [$ty] = &[$($ty::$variant),+];
+
+            /// The value's stable lowercase name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name),+
+                }
+            }
+
+            /// The value called `name` (case-insensitive, surrounding
+            /// whitespace ignored).
+            fn from_name(name: &str) -> Option<Self> {
+                let name = name.trim();
+                Self::ALL
+                    .iter()
+                    .copied()
+                    .find(|v| v.name().eq_ignore_ascii_case(name))
+            }
+
+            /// The vocabulary as `a, b`, for error messages.
+            fn names() -> String {
+                Self::ALL.iter().map(|v| v.name()).collect::<Vec<_>>().join(", ")
+            }
+        }
+
+        impl serde::Serialize for $ty {
+            fn to_value(&self) -> serde::Value {
+                serde::Value::Str(self.name().to_string())
+            }
+        }
+
+        impl serde::Deserialize for $ty {
+            fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+                let raw = v.as_str().unwrap_or_default();
+                Self::from_name(raw).ok_or_else(|| {
+                    serde::DeError::msg(format!(
+                        "unknown {} '{raw}'; valid: {}",
+                        stringify!($ty),
+                        Self::names()
+                    ))
+                })
+            }
+        }
+    };
+}
+
+named!(SimModel { Packet => "packet", Hybrid => "hybrid" });
+named!(Routes { Table => "table", Dynamic => "dynamic" });
+named!(EpochMode { ActiveSet => "active", Sweep => "sweep" });
+
 /// A trace destination: a JSONL file and the categories written to it
 /// (a [`TraceCategory`] bit mask).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,6 +225,15 @@ impl RunOptions {
             ..Self::default()
         }
     }
+
+    /// The route lookup the run actually uses: [`Routes::Dynamic`]
+    /// under the hybrid model, `routes` otherwise.
+    pub fn routes_used(&self) -> Routes {
+        match self.model {
+            SimModel::Hybrid => Routes::Dynamic,
+            SimModel::Packet => self.routes,
+        }
+    }
 }
 
 /// Parses an `EPNET_MODEL` value.
@@ -177,15 +243,15 @@ impl RunOptions {
 /// else is an error naming the offending value and the vocabulary.
 pub fn parse_model(raw: &str) -> Result<SimModel, String> {
     let v = raw.trim();
-    if v.is_empty() || v.eq_ignore_ascii_case("packet") {
-        Ok(SimModel::Packet)
-    } else if v.eq_ignore_ascii_case("hybrid") {
-        Ok(SimModel::Hybrid)
-    } else {
-        Err(format!(
-            "unknown simulation model '{v}' in EPNET_MODEL; valid models: packet, hybrid"
-        ))
+    if v.is_empty() {
+        return Ok(SimModel::default());
     }
+    SimModel::from_name(v).ok_or_else(|| {
+        format!(
+            "unknown simulation model '{v}' in EPNET_MODEL; valid models: {}",
+            SimModel::names()
+        )
+    })
 }
 
 /// Parses a worker-width value of the switch `var` (`EPNET_PAR` or
@@ -331,6 +397,32 @@ mod tests {
             ("EPNET_TRACE_FILTER", "controller,bogus"),
         ]));
         assert_eq!(typo.trace, None);
+    }
+
+    #[test]
+    fn option_names_round_trip_and_hybrid_routes_dynamically() {
+        use serde::{Deserialize, Serialize, Value};
+        for (name, route) in [("table", Routes::Table), ("dynamic", Routes::Dynamic)] {
+            assert_eq!((route.name(), Routes::from_name(name)), (name, Some(route)));
+        }
+        assert_eq!(EpochMode::from_name(" Active "), Some(EpochMode::ActiveSet));
+        assert_eq!(EpochMode::Sweep.name(), "sweep");
+        assert_eq!(Routes::from_name("hash"), None);
+        let json = SimModel::Hybrid.to_value();
+        assert_eq!(json, Value::Str("hybrid".into()));
+        assert_eq!(SimModel::from_value(&json).ok(), Some(SimModel::Hybrid));
+        let err = Routes::from_value(&Value::Str("hash".into())).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown Routes 'hash'; valid: table, dynamic"
+        );
+
+        let hybrid = RunOptions {
+            model: SimModel::Hybrid,
+            ..RunOptions::default()
+        };
+        assert_eq!(hybrid.routes_used(), Routes::Dynamic);
+        assert_eq!(RunOptions::default().routes_used(), Routes::Table);
     }
 
     #[test]

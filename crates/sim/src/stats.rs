@@ -293,7 +293,7 @@ pub struct SimReport {
     pub reconfigurations: u64,
     /// Discrete events processed by the engine over the run — the
     /// denominator-free measure of simulation effort behind the
-    /// events/sec benchmark (`BENCH_engine.json`).
+    /// events/sec numbers in `BENCH.json`.
     pub events_processed: u64,
     /// High-water mark of packets in flight.
     pub peak_live_packets: usize,
@@ -331,8 +331,8 @@ pub struct SimReport {
     /// that did something since their last decision are visited, so
     /// this counter is *mode-dependent* by design and — exactly like
     /// [`phases`](Self::phases) — is never serialized. It is the
-    /// controller-work numerator behind `BENCH_load.json`'s
-    /// decisions-per-tick column.
+    /// controller-work numerator behind the decisions-per-tick bound of
+    /// the benchmark's `load` axis.
     pub controller_decisions: u64,
     /// Execution-strategy diagnostics, keyed by metric name — the
     /// parallel engine's window counters (`par_windows`,

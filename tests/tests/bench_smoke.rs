@@ -1,16 +1,17 @@
 //! In-process twin of `scripts/bench_smoke.sh`: exercises the
 //! scheduler hold model against the binary-heap oracle, one small
-//! parallel sweep,
-//! and the canonical `BENCH_engine.json` scenario, asserting
-//! correctness (identical pop streams, well-formed cells, schema
-//! validity) rather than speed — wall-clock assertions would flake on
-//! loaded machines, so the perf claims live in the benchmarks and
-//! EXPERIMENTS.md.
+//! parallel sweep, reduced benchmark axes held to the same validator
+//! the `benchrun`/`benchcheck` binaries use, and the traced canonical
+//! run, asserting correctness (identical pop streams, well-formed
+//! cells, schema validity) rather than speed — wall-clock assertions
+//! would flake on loaded machines, so the perf claims live in
+//! `BENCH.json` and EXPERIMENTS.md.
 
 use epnet::exp::sweep::SensitivitySweep;
 use epnet::exp::{EvalScale, WorkloadKind};
 use epnet::sim::sched::KeyedQueue;
 use epnet::sim::{MemorySink, RunOptions, Scheduler, SimModel, SimTime, TraceCategory, Tracer};
+use epnet_bench::axis::{self, Axis, Document, NoopMeter, Record};
 use epnet_bench::{csv, enginebench, loadbench, scalebench};
 use epnet_report::analysis;
 use epnet_telemetry::export::chrome_trace;
@@ -80,173 +81,104 @@ fn small_sweep_produces_well_formed_cells() {
     }
 }
 
-#[test]
-fn engine_bench_document_is_well_formed() {
-    let runs = enginebench::measure_both_modes();
-    assert_eq!(runs.len(), 2);
-    assert_eq!(runs[0].name, "route_table");
-    assert_eq!(runs[1].name, "dynamic_routes");
-    for r in &runs {
-        assert!(r.sim_events > 0, "{}: engine popped no events", r.name);
-        assert!(r.sim_packets > 0, "{}: nothing delivered", r.name);
-        assert!(r.wall_ms > 0.0);
-    }
-    // Both route modes simulate the identical run, so their simulation
-    // counters — not just the final report — must agree exactly.
-    assert_eq!(runs[0].sim_events, runs[1].sim_events);
-    assert_eq!(runs[0].sim_packets, runs[1].sim_packets);
-    assert_eq!(runs[0].sim_delivered_bytes, runs[1].sim_delivered_bytes);
-
-    let doc = enginebench::render(&runs);
-    let names = enginebench::validate(&doc).expect("rendered document validates");
-    assert_eq!(names, vec!["route_table", "dynamic_routes"]);
+/// Runs `axes` once each in-process (no allocation meter) and holds the
+/// document to the one validator.
+fn measure(axes: &[Axis]) -> Document {
+    let records: Vec<Record> = axes
+        .iter()
+        .flat_map(|a| axis::run(a, 1, &NoopMeter))
+        .collect();
+    let names: Vec<&str> = axes.iter().map(|a| a.name).collect();
+    axis::validate(&axis::render(&names, 1, &records)).expect("measured document validates")
 }
 
-/// In-process twin of the loadbench smoke: the reduced sweep's
-/// low-load point must cross-check byte-identical reports between the
-/// two epoch modes (`measure` panics otherwise), do strictly less
-/// controller work per tick than the channel count — the
-/// activity-proportional bound — and render a schema-valid document.
+#[test]
+fn engine_bench_document_is_well_formed() {
+    let doc = measure(&[enginebench::axis()]);
+    let variants: Vec<&str> = doc.records.iter().map(|r| r.variant.as_str()).collect();
+    assert_eq!(variants, vec!["route_table", "dynamic_routes"]);
+    for r in &doc.records {
+        assert!(
+            r.events > 0 && r.packets > 0,
+            "{}: nothing simulated",
+            r.variant
+        );
+        assert!(r.alloc.is_none(), "no counting allocator in this process");
+    }
+    // Both route modes simulate the identical run.
+    assert_eq!(doc.records[0].report_digest, doc.records[1].report_digest);
+    assert_eq!(doc.records[0].events, doc.records[1].events);
+}
+
+/// The reduced load sweep's low-load point: both epoch modes serialize
+/// one report, and the active set does strictly less controller work
+/// per tick than the channel count — the activity-proportional bound
+/// the validator enforces.
 #[test]
 fn load_bench_document_is_well_formed_and_activity_bounded() {
-    let points = loadbench::sweep(true);
-    let low = points.first().expect("reduced sweep is non-empty");
-    assert!(low.load <= 0.1, "first reduced point is the low-load one");
-    let run = loadbench::measure(low);
-    assert_eq!(run.sweep.epoch_ticks, run.active.epoch_ticks);
+    let mut load = loadbench::axis(true);
+    load.cases.truncate(1);
+    assert!(load.cases[0].0.recipe.offered_load() <= axis::LOW_LOAD);
+    let doc = measure(&[load]);
+    let [sweep, active] = &doc.records[..] else {
+        panic!("one point, two epoch modes")
+    };
+    assert_eq!(sweep.epoch_ticks, active.epoch_ticks);
     assert!(
-        run.sweep.decisions_per_tick() >= run.channels as f64 - 1e-9,
+        sweep.decisions_per_tick() >= sweep.channels as f64 - 1e-9,
         "the sweep reference visits every tunable channel every tick"
     );
     assert!(
-        run.active.decisions_per_tick() < run.channels as f64,
+        active.decisions_per_tick() < active.channels as f64,
         "active-set work must be bounded by activity, not topology"
     );
-    assert!(
-        run.decisions_speedup() >= 2.0,
-        "low-load speedup collapsed to {:.2}x",
-        run.decisions_speedup()
-    );
-    let doc = loadbench::render(&[run]);
-    let names = loadbench::validate(&doc).expect("rendered document validates");
-    assert_eq!(names.len(), 1);
+    assert!(loadbench::decisions_speedup(sweep, active) >= axis::LOW_LOAD_DECISIONS_SPEEDUP);
 }
 
-/// In-process twin of the scalebench hybrid additions: the reduced
-/// sweep must carry the 10^5- and 2^20-host hybrid points, the cheap
-/// 960-host hybrid point must complete its horizon fluid-only (no
-/// packets, all bytes via flows) and byte-identically on the parallel
-/// engine at width 2 (the reduced twin of the `hybrid_threads` axis),
-/// the models axis measured on the smallest packet point must sit
-/// inside the documented tolerance, the committed `BENCH_scale.json`
-/// must pass the current schema, and a freshly rendered document must
-/// too. The
-/// big points themselves run in `scripts/bench_smoke.sh` and the
-/// release binary, not here — the million-host point is seconds-long
-/// in release and unaffordable under the test profile.
+/// The hybrid side of the sweep, reduced to what the test profile can
+/// afford: the 960-host hybrid point completes fluid-only and
+/// byte-identically at parallel width 2, the models axis on the
+/// smallest packet point sits inside the tolerance, and the committed
+/// `BENCH.json` — which carries the million-host point the release
+/// `benchrun` measures — passes the validator with every axis present.
 #[test]
 fn hybrid_scale_twin_completes_and_models_agree() {
     let points = scalebench::sweep(true);
-    let big = points
-        .iter()
-        .find(|p| p.name == "hybrid_fbfly_32x16x4")
-        .expect("reduced sweep keeps the Solnushkin-scale point");
-    assert_eq!(big.model, SimModel::Hybrid);
     let million = scalebench::hybrid_axis_point(&points);
     assert_eq!(million.name, "hybrid_fbfly_32x32x4");
-
     let cheap = points
         .iter()
         .find(|p| p.name == "hybrid_fbfly_15x8x3")
         .expect("reduced sweep keeps the cheap hybrid point");
-    let run = scalebench::measure(cheap, &scalebench::NoopMeter);
-    assert_eq!(run.model, SimModel::Hybrid);
-    assert_eq!(run.hosts, 960);
-    assert_eq!(run.sim_packets, 0, "bulk flows must stay fluid");
-    assert!(run.sim_delivered_bytes > 0, "fluid flows delivered nothing");
-    assert!(run.sim_events > 0);
+    assert_eq!(cheap.model, SimModel::Hybrid);
 
-    // The parallel hybrid engine on the same point: width 2 must
-    // reproduce the serial report byte for byte.
-    let report = |par| {
-        let sim = scalebench::simulator_for(cheap, par);
-        serde_json::to_string_pretty(&sim.run_until(cheap.horizon)).expect("report serializes")
-    };
+    let doc = measure(&[
+        scalebench::threads_axis("hybrid_threads", cheap, &[2]),
+        scalebench::models_axis(&points[..1]),
+    ]);
+    for r in doc.records.iter().filter(|r| r.axis == "hybrid_threads") {
+        assert_eq!(r.hosts, 960);
+        assert_eq!(r.packets, 0, "bulk flows must stay fluid");
+        assert!(r.delivered_bytes > 0, "fluid flows delivered nothing");
+    }
+    assert_eq!(doc.records.iter().filter(|r| r.axis == "models").count(), 2);
+
+    let committed = std::fs::read_to_string(axis::output_path())
+        .expect("BENCH.json present at the repository root");
+    let committed = axis::validate(&committed).expect("committed document validates");
     assert_eq!(
-        report(0),
-        report(2),
-        "width 2 diverged from serial on the hybrid bench point"
+        committed.axes,
+        axis::AXES,
+        "committed document covers every axis"
     );
-
-    // The committed document must already match the schema — million-host
-    // point present, per-host heap and wall budgets inside bounds.
-    let committed = std::fs::read_to_string(scalebench::output_path())
-        .expect("BENCH_scale.json present at the repository root");
-    let committed_names = scalebench::validate(&committed).expect("committed document validates");
     assert!(
-        committed_names.iter().any(|n| n == "hybrid_fbfly_32x32x4"),
-        "committed sweep records the million-host point"
+        committed.repeats >= 3,
+        "committed numbers come from repeated runs"
     );
-
-    // The models axis on the smallest packet point: `measure_models`
-    // asserts both agreement errors against HYBRID_TOLERANCE itself.
-    let small = [points[0].clone()];
-    assert_eq!(small[0].name, "fbfly_2x8x2");
-    let models = scalebench::measure_models(&small);
-    assert_eq!(models.runs.len(), 1);
-
-    // Render a full document around the measured pieces (synthetic
-    // threads axes and million-host bench — the real ones
-    // are measured by the release binary and validated above via the
-    // committed document) and hold it to the schema.
-    let threads = scalebench::ThreadsAxis {
-        point: small[0].name.clone(),
-        hw_threads: 1,
-        runs: vec![
-            scalebench::ThreadsRun {
-                threads: 0,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-            scalebench::ThreadsRun {
-                threads: 2,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-        ],
-    };
-    let hybrid_threads = scalebench::ThreadsAxis {
-        point: million.name.clone(),
-        hw_threads: 1,
-        runs: vec![
-            scalebench::ThreadsRun {
-                threads: 0,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-            scalebench::ThreadsRun {
-                threads: 2,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-        ],
-    };
-    let million_run = scalebench::ScaleRun {
-        name: million.name.clone(),
-        model: SimModel::Hybrid,
-        hosts: scalebench::MILLION_HOSTS,
-        channels: 5_144_576,
-        wall_ms: 1.0,
-        sim_events: 1,
-        sim_packets: 0,
-        sim_delivered_bytes: 1,
-        measured_events: 1,
-        measured_allocs: 0,
-        peak_alloc_bytes: 0,
-    };
-    let doc = scalebench::render(&[run, million_run], &threads, &hybrid_threads, &models);
-    let names = scalebench::validate(&doc).expect("rendered document validates");
-    assert_eq!(names, vec!["hybrid_fbfly_15x8x3", "hybrid_fbfly_32x32x4"]);
+    assert!(committed
+        .records
+        .iter()
+        .any(|r| r.axis == "scale" && r.hosts == axis::MILLION_HOSTS));
 }
 
 /// The canonical scenario, traced: every emitted JSONL line must pass
@@ -254,7 +186,7 @@ fn hybrid_scale_twin_completes_and_models_agree() {
 /// categories this scenario is guaranteed to exercise must be present.
 /// This is the in-process twin of `tracesmoke` in
 /// `scripts/bench_smoke.sh` — it fails on any emitter/validator drift.
-/// It then mirrors the script's export + analysis smoke in-process:
+/// It then mirrors the binary's export + analysis checks in-process:
 /// the chrome-trace export must be well-formed JSON whose event and
 /// per-category record counts match the source `TraceStats`, and every
 /// analysis CSV must reproduce its pinned header over the real capture.
@@ -296,8 +228,8 @@ fn traced_canonical_run_matches_documented_schema() {
     }
 
     // Analysis twin: every CSV form runs over the real capture and
-    // leads with the header the smoke script (and downstream plots)
-    // key on; residency fractions must cover the whole horizon.
+    // leads with the header `tracetool --csv` writes and downstream
+    // plots key on; residency fractions must cover the whole horizon.
     let residency = analysis::residency(&records);
     let total: f64 = residency.rows.iter().map(|r| r.fraction).sum();
     assert!((total - 1.0).abs() < 1e-9, "residency sums to {total}");

@@ -10,14 +10,14 @@
 //! * **Hybrid mode agrees with packet ground truth.** On small
 //!   validation fabrics the fluid abstraction must reproduce the
 //!   packet model's delivered bytes and relative network power within
-//!   [`scalebench::HYBRID_TOLERANCE`] — the same documented bound the
-//!   `BENCH_scale.json` models axis is held to.
+//!   [`HYBRID_TOLERANCE`] — the same documented bound the benchmark's
+//!   `models` axis is held to.
 
 use epnet::power::LinkPowerProfile;
 use epnet::sim::{MergedSource, RunOptions, SimConfig, SimModel, SimTime, Simulator};
 use epnet::topology::{FlattenedButterfly, TwoTierClos};
 use epnet::workloads::{ServiceTrace, ServiceTraceConfig, UniformRandom};
-use epnet_bench::scalebench;
+use epnet_bench::axis::HYBRID_TOLERANCE;
 
 const HORIZON: SimTime = SimTime::from_ms(2);
 
@@ -94,16 +94,16 @@ fn hybrid_agrees_with_packet_within_the_documented_tolerance() {
     let bytes_err = (hybrid.delivered_bytes as f64 - packet.delivered_bytes as f64).abs()
         / packet.delivered_bytes as f64;
     assert!(
-        bytes_err <= scalebench::HYBRID_TOLERANCE,
+        bytes_err <= HYBRID_TOLERANCE,
         "delivered-bytes error {bytes_err:.4} exceeds tolerance {}",
-        scalebench::HYBRID_TOLERANCE
+        HYBRID_TOLERANCE
     );
     let profile = LinkPowerProfile::Measured;
     let power_err = (hybrid.relative_power(&profile) - packet.relative_power(&profile)).abs();
     assert!(
-        power_err <= scalebench::HYBRID_TOLERANCE,
+        power_err <= HYBRID_TOLERANCE,
         "relative-power error {power_err:.4} exceeds tolerance {}",
-        scalebench::HYBRID_TOLERANCE
+        HYBRID_TOLERANCE
     );
 
     // The per-pod rollup: bounded (<= 64 pods), non-empty in hybrid

@@ -9,92 +9,41 @@
 //! threads within one binary).
 
 use epnet::sim::{SimModel, SimTime};
-use epnet_bench::scalebench::{self, AllocMeter, AllocWindow, ScalePoint, ScaleTopo};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use epnet_bench::axis::{self, Point, Recipe, Topo, Variant, PACKET_ALLOCS_PER_EVENT};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-static WINDOW_BASE: AtomicU64 = AtomicU64::new(0);
-
-/// `System` with counted calls — the same scheme as the `scalebench`
-/// binary (duplicated here because `epnet-bench`'s library forbids
-/// unsafe code, and a `GlobalAlloc` impl cannot avoid it).
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        let live = LIVE.fetch_add(layout.size() as u64, Relaxed) + layout.size() as u64;
-        PEAK.fetch_max(live, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        let old = layout.size() as u64;
-        let new = new_size as u64;
-        if new >= old {
-            let live = LIVE.fetch_add(new - old, Relaxed) + (new - old);
-            PEAK.fetch_max(live, Relaxed);
-        } else {
-            LIVE.fetch_sub(old - new, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-struct Meter;
-
-impl AllocMeter for Meter {
-    fn begin(&self) {
-        WINDOW_BASE.store(ALLOCS.load(Relaxed), Relaxed);
-        PEAK.store(LIVE.load(Relaxed), Relaxed);
-    }
-
-    fn end(&self) -> AllocWindow {
-        AllocWindow {
-            allocs: ALLOCS.load(Relaxed) - WINDOW_BASE.load(Relaxed),
-            peak_bytes: PEAK.load(Relaxed),
-        }
-    }
-}
+epnet_bench::counting_allocator!();
 
 /// The canonical scenario merges 30% uniform-random with search-like
 /// bursty traffic — the burst-heavy pattern that historically made
 /// `pending_credits` queues and calendar buckets reallocate. After the
 /// half-horizon warmup every pool is at its high-water mark, so the
 /// steady-state window must average under one allocation per hundred
-/// events (the same bound `BENCH_scale.json` records).
+/// events (the same budget the benchmark's `scale` axis is held to).
 #[test]
 fn burst_heavy_run_allocates_nothing_per_event_after_warmup() {
-    let point = ScalePoint {
+    let point = Point {
         name: "fbfly_2x8x2_zero_alloc".to_string(),
-        topo: ScaleTopo::Fbfly { c: 2, k: 8, n: 2 },
+        topo: Topo::Fbfly { c: 2, k: 8, n: 2 },
+        recipe: Recipe::Canonical,
         horizon: SimTime::from_ms(4),
-        recipe: scalebench::Recipe::Canonical,
         model: SimModel::Packet,
     };
-    let run = scalebench::measure(&point, &Meter);
+    let run = axis::Axis {
+        name: "scale",
+        cases: vec![(point, vec![Variant::model(SimModel::Packet)])],
+    };
+    let record = axis::run(&run, 1, &counting::Meter).remove(0);
+    let alloc = record.alloc.expect("serial runs are metered");
     assert!(
-        run.measured_events > 10_000,
+        alloc.measured_events > 10_000,
         "window too small to be meaningful: {} events",
-        run.measured_events
+        alloc.measured_events
     );
-    let ape = run.allocs_per_event();
+    let ape = alloc.per_event();
     assert!(
-        ape < 0.01,
+        ape < PACKET_ALLOCS_PER_EVENT,
         "steady state allocates: {} allocs over {} events ({ape:.4}/event)",
-        run.measured_allocs,
-        run.measured_events
+        alloc.measured_allocs,
+        alloc.measured_events
     );
 }
