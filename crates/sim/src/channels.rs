@@ -22,8 +22,8 @@
 //!
 //! # The active set
 //!
-//! Epoch ticks are O(touched), not O(topology): a dense dirty list
-//! plus a membership bitmap track every channel that might need the
+//! Epoch ticks are O(touched), not O(topology): a membership bitmap
+//! (one bit per channel) tracks every channel that might need the
 //! controller's attention — it transmitted, queued, blocked, drained,
 //! powered on/off, or sits above the floor rate. A channel outside the
 //! set is *resting*: idle at the floor with an empty queue, which
@@ -31,12 +31,24 @@
 //! `idle_at_floor_always_holds` invariant in `controller.rs`), so the
 //! per-epoch sweep skips it entirely — decision, queue-depth sample,
 //! and overhang pre-charge alike. Channels enter the set at the
-//! mutation sites (`enqueue`, rate writes, power transitions) and
-//! retire only at epoch ticks once resting again. The same mutation
-//! sites maintain an incremental count of rate/power-asymmetric links
-//! via the [`Channels::peer`] table, replacing the per-epoch O(links)
-//! asymmetry sweep with a counter read. `EpochMode::Sweep` keeps the
-//! full sweep alive (see `engine.rs`).
+//! mutation sites (`enqueue`, rate writes, power transitions, fluid
+//! busy charges) with one OR, and retire only at epoch ticks once
+//! resting again, when the sampling pass clears their bit. The bitmap
+//! is the whole set: scanning it word by word yields the members in
+//! ascending channel order without duplicates in O(words + members),
+//! which is the order controller decisions must run in.
+//!
+//! The same mutation sites maintain three network-wide counters, so
+//! per-epoch questions about the whole fabric are counter reads:
+//!
+//! * the rate/power-asymmetric links (via the [`Channels::peer`]
+//!   table), replacing a per-epoch O(links) asymmetry sweep;
+//! * [`Channels::queued_total`], the bytes queued anywhere — an upper
+//!   bound on every channel's occupancy;
+//! * [`Channels::unsteady`], the channels powered off or draining.
+//!
+//! `EpochMode::Sweep` keeps the full sweep alive and cross-checks all
+//! three against a recount (see `engine.rs`).
 
 use crate::packet::PacketId;
 use crate::SimTime;
@@ -60,6 +72,25 @@ pub(crate) const F_DRAINING: u8 = 1 << 4;
 /// channel, every tick — never has to touch the cold table for the
 /// channels it skips.
 pub(crate) const F_TUNABLE: u8 = 1 << 5;
+/// Either latch that takes a channel out of the fluid regime's steady
+/// paths (powered off or draining); [`Channels::unsteady`] counts the
+/// channels carrying one.
+pub(crate) const F_UNSTEADY: u8 = F_OFF | F_DRAINING;
+
+/// Ascending indices of the set bits of `word`, offset by `base` — one
+/// bitmap word of an ordered set.
+#[inline]
+pub(crate) fn set_bits(word: u64, base: usize) -> impl Iterator<Item = usize> {
+    let mut bits = word;
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let b = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(base + b)
+    })
+}
 
 /// Cold per-channel state: read at epoch ticks and at finish, never on
 /// the per-event fast path.
@@ -83,7 +114,9 @@ pub(crate) struct ChannelCold {
 pub(crate) struct Channels {
     // ---- hot: touched on the per-event fast path ----
     /// Bytes in the output queue (including the packet being
-    /// serialized) — the adaptive router's congestion signal.
+    /// serialized) — the adaptive router's congestion signal. Written
+    /// only through [`Channels::add_occupancy`] and
+    /// [`Channels::sub_occupancy`], which keep `queued_total` exact.
     pub occupancy: Vec<u64>,
     /// Remaining downstream buffer credits, in bytes.
     pub credits: Vec<u32>,
@@ -91,7 +124,8 @@ pub(crate) struct Channels {
     pub rate: Vec<LinkRate>,
     /// Channel unusable until this time (reactivation, §3.1).
     pub available_at: Vec<SimTime>,
-    /// `F_*` latches.
+    /// `F_*` latches. Written only through the flag setters, which keep
+    /// `unsteady` exact.
     pub flags: Vec<u8>,
     /// Propagation delay of the physical medium.
     pub prop: Vec<SimTime>,
@@ -110,11 +144,14 @@ pub(crate) struct Channels {
     pending_credits: Vec<VecDeque<(SimTime, u32)>>,
     /// Drained credit-queue buffers awaiting reuse (capacity retained).
     credit_pool: Vec<VecDeque<(SimTime, u32)>>,
-    // ---- active set (per-epoch, see module docs) ----
-    /// Dense list of channels the epoch controller must visit.
-    active: Vec<u32>,
-    /// Membership bitmap over `active` (one bit per channel).
+    // ---- active set and network-wide counters (see module docs) ----
+    /// The active set: one bit per channel, bit `i % 64` of word
+    /// `i / 64`.
     active_bits: Vec<u64>,
+    /// Σ `occupancy` over every channel.
+    queued_total: u64,
+    /// Channels whose flags carry [`F_UNSTEADY`].
+    unsteady: u64,
     /// Opposing channel of the same link (self until the engine wires
     /// the fabric's link table; a self-peer is never asymmetric).
     peer: Vec<u32>,
@@ -149,8 +186,9 @@ impl Channels {
             queues: Vec::with_capacity(n),
             pending_credits: Vec::with_capacity(n),
             credit_pool: Vec::new(),
-            active: Vec::with_capacity(n),
             active_bits: Vec::with_capacity(n.div_ceil(64)),
+            queued_total: 0,
+            unsteady: 0,
             peer: Vec::with_capacity(n),
             asym_links: 0,
             asym_tracking: true,
@@ -178,8 +216,7 @@ impl Channels {
         if i % 64 == 0 {
             self.active_bits.push(0);
         }
-        self.active_bits[i / 64] |= 1u64 << (i % 64);
-        self.active.push(i as u32);
+        self.mark_active(i);
         self.peer.push(i as u32);
         self.cold.push(ChannelCold {
             time_at_rate_ps: [0; LinkRate::COUNT],
@@ -214,11 +251,7 @@ impl Channels {
     /// Inserts channel `i` into the active set (idempotent).
     #[inline]
     pub fn mark_active(&mut self, i: usize) {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if self.active_bits[word] & bit == 0 {
-            self.active_bits[word] |= bit;
-            self.active.push(i as u32);
-        }
+        self.active_bits[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Whether channel `i` is in the active set.
@@ -227,26 +260,76 @@ impl Channels {
         self.active_bits[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Sorts the active list ascending. Controller decisions must run
-    /// in channel-index order — decision order fixes event insertion
-    /// order, and FIFO tie-breaking makes that order part of the
-    /// byte-identical output contract.
-    pub fn sort_active(&mut self) {
-        self.active.sort_unstable();
+    /// The active-set bitmap, one bit per channel (see [`set_bits`]
+    /// for walking a word in ascending order).
+    #[inline]
+    pub fn active_words(&self) -> &[u64] {
+        &self.active_bits
     }
 
     /// Number of channels currently in the active set.
-    #[inline]
+    #[cfg(test)]
     pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.active_bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
-    /// The `k`-th entry of the active list (index-based access so the
-    /// engine can mutate channel state mid-iteration; entries appended
-    /// during a pass land past the caller's snapshot length).
+    /// The active set's members in ascending order.
+    #[cfg(test)]
+    pub fn active_ids(&self) -> Vec<usize> {
+        let words = self.active_bits.iter().enumerate();
+        words
+            .flat_map(|(w, &word)| set_bits(word, w * 64))
+            .collect()
+    }
+
+    /// Visits the active set in ascending channel order and drops every
+    /// member for which `keep` returns `false`. `keep` must not insert
+    /// channels into the set: each word is written back whole once its
+    /// members are visited.
     #[inline]
-    pub fn active_at(&self, k: usize) -> u32 {
-        self.active[k]
+    fn retain_active(&mut self, mut keep: impl FnMut(&mut Self, usize) -> bool) {
+        for w in 0..self.active_bits.len() {
+            let word = self.active_bits[w];
+            let mut kept = word;
+            for i in set_bits(word, w * 64) {
+                if !keep(self, i) {
+                    kept &= !(1u64 << (i % 64));
+                }
+            }
+            self.active_bits[w] = kept;
+        }
+    }
+
+    /// Bytes queued on every channel together — an upper bound on any
+    /// one channel's occupancy.
+    #[inline]
+    pub fn queued_total(&self) -> u64 {
+        self.queued_total
+    }
+
+    /// Channels currently powered off or draining ([`F_UNSTEADY`]).
+    #[inline]
+    pub fn unsteady(&self) -> u64 {
+        self.unsteady
+    }
+
+    /// Adds `bytes` to channel `i`'s queue occupancy; returns the new
+    /// occupancy.
+    #[inline]
+    pub fn add_occupancy(&mut self, i: usize, bytes: u64) -> u64 {
+        self.queued_total += bytes;
+        self.occupancy[i] += bytes;
+        self.occupancy[i]
+    }
+
+    /// Removes `bytes` from channel `i`'s queue occupancy.
+    #[inline]
+    pub fn sub_occupancy(&mut self, i: usize, bytes: u64) {
+        self.queued_total -= bytes;
+        self.occupancy[i] -= bytes;
     }
 
     /// Links whose two channels currently differ in rate or powered
@@ -333,11 +416,12 @@ impl Channels {
     /// copied onto the coordinator's master `Channels`, the serial
     /// epoch handler runs there, and the mutated state is copied back.
     pub fn copy_channel_from(&mut self, src: &Channels, i: usize, include_queue: bool) {
+        self.queued_total = self.queued_total - self.occupancy[i] + src.occupancy[i];
         self.occupancy[i] = src.occupancy[i];
         self.credits[i] = src.credits[i];
         self.rate[i] = src.rate[i];
         self.available_at[i] = src.available_at[i];
-        self.flags[i] = src.flags[i];
+        self.write_flags(i, src.flags[i]);
         self.busy_until[i] = src.busy_until[i];
         self.busy_ps_epoch[i] = src.busy_ps_epoch[i];
         self.train_len[i] = src.train_len[i];
@@ -409,43 +493,25 @@ impl Channels {
     ) -> (u64, u64) {
         let mut queued_sum = 0u64;
         let mut queued_peak = 0u64;
-        let mut keep = 0usize;
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            let occ = self.occupancy[i];
+        self.retain_active(|c, i| {
+            let occ = c.occupancy[i];
             queued_sum += occ;
             queued_peak = queued_peak.max(occ);
-            let overhang = self.busy_until[i].saturating_sub(now);
-            self.busy_ps_epoch[i] = overhang.as_ps().min(epoch_ps);
-            if self.is_resting(i, min_rate, decisions_enabled) {
-                self.active_bits[i / 64] &= !(1u64 << (i % 64));
-            } else {
-                self.active[keep] = i as u32;
-                keep += 1;
-            }
-        }
-        self.active.truncate(keep);
+            let overhang = c.busy_until[i].saturating_sub(now);
+            c.busy_ps_epoch[i] = overhang.as_ps().min(epoch_ps);
+            !c.is_resting(i, min_rate, decisions_enabled)
+        });
         (queued_sum, queued_peak)
     }
 
     /// Sweep-mode twin of [`Channels::sample_active_and_retire`]:
-    /// compacts resting channels out of the set without sampling (the
+    /// retires resting channels from the set without sampling (the
     /// engine's reference full sweep already recharged every channel).
     /// Keeping the set maintained in sweep mode makes the two modes'
     /// retained state identical, so the cross-check debug assertions
     /// hold in either.
     pub fn retire_resting(&mut self, min_rate: LinkRate, decisions_enabled: bool) {
-        let mut keep = 0usize;
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            if self.is_resting(i, min_rate, decisions_enabled) {
-                self.active_bits[i / 64] &= !(1u64 << (i % 64));
-            } else {
-                self.active[keep] = i as u32;
-                keep += 1;
-            }
-        }
-        self.active.truncate(keep);
+        self.retain_active(|c, i| !c.is_resting(i, min_rate, decisions_enabled));
     }
 
     #[inline]
@@ -455,12 +521,29 @@ impl Channels {
 
     #[inline]
     pub fn set_flag(&mut self, i: usize, f: u8) {
-        self.flags[i] |= f;
+        if f & F_UNSTEADY != 0 {
+            self.write_flags(i, self.flags[i] | f);
+        } else {
+            self.flags[i] |= f;
+        }
     }
 
     #[inline]
     pub fn clear_flag(&mut self, i: usize, f: u8) {
-        self.flags[i] &= !f;
+        if f & F_UNSTEADY != 0 {
+            self.write_flags(i, self.flags[i] & !f);
+        } else {
+            self.flags[i] &= !f;
+        }
+    }
+
+    /// Replaces channel `i`'s flags, keeping `unsteady` exact.
+    #[inline]
+    fn write_flags(&mut self, i: usize, flags: u8) {
+        let was = u64::from(self.flags[i] & F_UNSTEADY != 0);
+        let is = u64::from(flags & F_UNSTEADY != 0);
+        self.unsteady = self.unsteady + is - was;
+        self.flags[i] = flags;
     }
 
     /// Whether the channel has neither queued traffic nor an in-flight
@@ -677,7 +760,7 @@ mod tests {
         c.set_rate(0, LinkRate::MAX);
         assert!(c.is_active(0));
         assert_eq!(c.active_len(), 1);
-        // mark_active is idempotent: no duplicate dense entries.
+        // mark_active is idempotent: membership is one bit.
         c.mark_active(0);
         assert_eq!(c.active_len(), 1);
     }
@@ -686,10 +769,10 @@ mod tests {
     fn resting_requires_idle_queue_and_zero_busy() {
         let mut c = two();
         c.set_rate(0, LinkRate::MIN);
-        c.occupancy[0] = 64;
+        c.add_occupancy(0, 64);
         c.retire_resting(LinkRate::MIN, true);
         assert!(c.is_active(0), "queued bytes pin the channel active");
-        c.occupancy[0] = 0;
+        c.sub_occupancy(0, 64);
         c.busy_ps_epoch[0] = 10;
         c.retire_resting(LinkRate::MIN, true);
         assert!(
@@ -766,7 +849,7 @@ mod tests {
     fn copy_channel_from_transfers_mutable_state() {
         let mut a = two();
         let mut b = two();
-        a.occupancy[0] = 77;
+        a.add_occupancy(0, 77);
         a.set_rate(0, LinkRate::MIN);
         a.busy_until[0] = SimTime::from_us(3);
         a.note_interval(0, SimTime::from_us(1));
@@ -809,8 +892,8 @@ mod tests {
         for _ in 0..130 {
             c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
         }
-        c.occupancy[3] = 100;
-        c.occupancy[129] = 250;
+        c.add_occupancy(3, 100);
+        c.add_occupancy(129, 250);
         c.busy_until[7] = SimTime::from_us(12);
         let now = SimTime::from_us(10);
         let epoch_ps = SimTime::from_us(10).as_ps();
@@ -828,8 +911,74 @@ mod tests {
         }
         let (sum2, _) = c.sample_active_and_retire(now, epoch_ps, LinkRate::MIN, true);
         assert_eq!(sum2, 350);
-        let mut left: Vec<u32> = (0..c.active_len()).map(|k| c.active_at(k)).collect();
-        left.sort_unstable();
-        assert_eq!(left, vec![3, 7, 129]);
+        assert_eq!(c.active_ids(), vec![3, 7, 129]);
+    }
+
+    #[test]
+    fn active_set_iterates_ascending_across_words() {
+        let mut c = Channels::with_capacity(200);
+        for _ in 0..200 {
+            c.push(LinkRate::MIN, 1024, false, SimTime::from_ns(5));
+        }
+        c.retire_resting(LinkRate::MIN, true);
+        assert_eq!(c.active_len(), 0);
+        for i in [199, 64, 3, 63, 128, 3] {
+            c.mark_active(i);
+        }
+        assert_eq!(c.active_ids(), vec![3, 63, 64, 128, 199]);
+    }
+
+    /// `queued_total` and `unsteady` are the fluid regime's global
+    /// steadiness bounds; every write path must keep them equal to a
+    /// recount.
+    #[test]
+    fn queued_total_and_unsteady_track_every_write_path() {
+        fn recount(c: &Channels) -> (u64, u64) {
+            let queued = c.occupancy.iter().sum();
+            let unsteady = c.flags.iter().filter(|&&f| f & F_UNSTEADY != 0).count();
+            (queued, unsteady as u64)
+        }
+        let check = |c: &Channels| assert_eq!((c.queued_total(), c.unsteady()), recount(c));
+        let mut c = two();
+        c.set_peers(0, 1);
+        check(&c);
+        assert_eq!(c.add_occupancy(0, 100), 100);
+        assert_eq!(c.add_occupancy(1, 50), 50);
+        c.sub_occupancy(0, 40);
+        check(&c);
+        assert_eq!(c.queued_total(), 110);
+        // Power-off and a parked drain on one channel count it once.
+        c.set_off(0, SimTime::ZERO, true);
+        assert_eq!(c.unsteady(), 1);
+        c.set_pending_rate(0, Some(LinkRate::MIN));
+        assert_eq!(c.unsteady(), 1);
+        c.set_pending_rate(1, Some(LinkRate::MIN));
+        assert_eq!(c.unsteady(), 2);
+        check(&c);
+        assert_eq!(c.take_pending_rate(1), Some(LinkRate::MIN));
+        c.set_pending_rate(0, None);
+        assert_eq!(c.unsteady(), 1, "still powered off");
+        c.set_off(0, SimTime::ZERO, false);
+        assert_eq!(c.unsteady(), 0);
+        check(&c);
+        // Raw flag writes, including latches outside the unsteady pair.
+        c.set_flag(1, F_DRAINING | F_BUSY);
+        assert_eq!(c.unsteady(), 1);
+        c.clear_flag(1, F_BUSY);
+        assert_eq!(c.unsteady(), 1);
+        c.clear_flag(1, F_DRAINING);
+        assert_eq!(c.unsteady(), 0);
+        check(&c);
+        // Gather/scatter copies move both counters by the delta.
+        let mut src = two();
+        src.add_occupancy(0, 7);
+        src.set_flag(0, F_OFF);
+        c.copy_channel_from(&src, 0, false);
+        c.copy_channel_from(&src, 1, false);
+        check(&c);
+        assert_eq!((c.queued_total(), c.unsteady()), (7, 1));
+        c.copy_channel_from(&two(), 0, false);
+        assert_eq!((c.queued_total(), c.unsteady()), (0, 0));
+        check(&c);
     }
 }

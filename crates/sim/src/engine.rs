@@ -33,7 +33,9 @@
 //! through free lists, so a warmed-up run performs no steady-state heap
 //! allocation (see DESIGN.md "Memory layout").
 
-use crate::channels::{Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE};
+use crate::channels::{
+    set_bits, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE,
+};
 use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
@@ -62,7 +64,7 @@ pub(crate) struct MessageRec {
     pub(crate) offered_at: SimTime,
 }
 
-/// What [`Simulator::apply_rate`] did with a controller decision —
+/// What [`Core::apply_rate`] did with a controller decision —
 /// the trace layer's `reason` derives from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RateOutcome {
@@ -75,6 +77,15 @@ enum RateOutcome {
     /// A pending drain-first change was cancelled by a reversal.
     DrainCancelled,
 }
+
+/// Controller decisions the active-set epoch paths plan before applying
+/// them (see [`Core::retune_independent_active`]). Bounds the retained
+/// plan however many channels change rate in one tick.
+const PLAN_CHUNK: usize = 4096;
+
+/// One controller decision: channel, measured utilization, decided
+/// rate.
+type PlannedDecision = (ChannelId, f64, LinkRate);
 
 /// How `route()` obtains its candidate-port sets.
 ///
@@ -190,9 +201,11 @@ pub(crate) struct Core {
     /// path (channel → link is a table lookup there, once per active
     /// channel per tick).
     pub(crate) link_of: Vec<u32>,
-    /// Scratch for the paired-link active path: links with at least one
-    /// active channel, sorted and deduplicated in place each tick.
-    pub(crate) active_links: Vec<u32>,
+    /// The paired-link active path's per-tick link set, one bit per
+    /// link: filled from the active channels, cleared as it is scanned.
+    pub(crate) link_bits: Vec<u64>,
+    /// The active-set epoch paths' retained plan of non-hold decisions.
+    pub(crate) plan: Vec<PlannedDecision>,
     pub(crate) last_offered_at: SimTime,
     /// End of the current utilization-measurement epoch.
     pub(crate) epoch_end: SimTime,
@@ -378,7 +391,8 @@ impl Core {
             routes,
             epoch_mode: options.epoch,
             link_of,
-            active_links: Vec::with_capacity(num_links),
+            link_bits: vec![0; num_links.div_ceil(64)],
+            plan: Vec::with_capacity(PLAN_CHUNK + 128),
             last_offered_at: SimTime::ZERO,
             epoch_end: first_epoch_end,
             controller_active: false,
@@ -804,8 +818,7 @@ impl Core {
         self.channels.queues[i].push_back(pkt);
         // Queued bytes make the channel the epoch controller's business.
         self.channels.mark_active(i);
-        let occ = self.channels.occupancy[i] + bytes;
-        self.channels.occupancy[i] = occ;
+        let occ = self.channels.add_occupancy(i, bytes);
         if occ > self.stats.peak_queue_bytes {
             self.stats.peak_queue_bytes = occ;
         }
@@ -948,7 +961,7 @@ impl Core {
             q.pop_front().expect("TxDone with empty queue");
         }
         let emptied = q.is_empty();
-        self.channels.occupancy[i] -= self.channels.train_bytes[i];
+        self.channels.sub_occupancy(i, self.channels.train_bytes[i]);
         self.channels.train_len[i] = 0;
         self.channels.train_bytes[i] = 0;
         self.channels.clear_flag(i, F_BUSY);
@@ -1278,14 +1291,17 @@ impl Core {
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
     pub(crate) fn on_epoch(&mut self) {
-        let tick_start = Instant::now();
         // Fluid flows advance before the controller reads per-channel
         // utilization: the epoch's busy picoseconds then include fluid
         // movement exactly as they would packet serialization, keeping
-        // rate decisions regime-independent.
+        // rate decisions regime-independent. The two are profiled as
+        // separate, non-overlapping spans.
         if self.model == SimModel::Hybrid {
+            let start = Instant::now();
             self.advance_flows();
+            self.inst.profiler.record("fluid_advance", start.elapsed());
         }
+        let tick_start = Instant::now();
         let sweep = self.epoch_mode == EpochMode::Sweep || self.inst.on(TraceCategory::Controller);
         let decisions_enabled = self.config.control != ControlMode::AlwaysFull;
         match self.config.control {
@@ -1324,6 +1340,26 @@ impl Core {
             } else {
                 self.stats.asymmetric_link_samples += self.channels.asymmetric_links();
             }
+        }
+        #[cfg(debug_assertions)]
+        if sweep {
+            let queued: u64 = self.channels.occupancy.iter().sum();
+            let flags = self.channels.flags.iter();
+            let unsteady = flags.filter(|&&f| f & crate::channels::F_UNSTEADY != 0);
+            debug_assert_eq!(
+                queued,
+                self.channels.queued_total(),
+                "network-wide queued-bytes counter drifted from the swept sum"
+            );
+            debug_assert_eq!(
+                unsteady.count() as u64,
+                self.channels.unsteady(),
+                "off/draining channel counter drifted from the swept count"
+            );
+            debug_assert!(
+                self.flows.sharers_match_live(),
+                "fluid sharer counts drifted from the live flows"
+            );
         }
         if let Some(mut dt) = self.dyntopo.take() {
             let mask = self.mask.as_mut().expect("dyntopo requires a mask");
@@ -1401,56 +1437,115 @@ impl Core {
         }
     }
 
-    /// Active-set twin of [`Simulator::retune_independent`]: only set
-    /// members can decide anything but "hold", and decisions run in
-    /// ascending channel order — the same relative order as the sweep —
-    /// because decision order fixes event insertion order, and FIFO
-    /// tie-breaking makes that order observable in the report.
+    /// Active-set twin of [`Core::retune_independent`]: only set members
+    /// can decide anything but "hold", and decisions run in ascending
+    /// channel order — the same relative order as the sweep — because
+    /// decision order fixes event insertion order, and FIFO
+    /// tie-breaking makes that order observable in the report. The
+    /// bitmap yields that order directly.
+    ///
+    /// Plan, then apply: a read-only pass decides every member, counts
+    /// the holds (rate unchanged, nothing parked — `apply_rate` would do
+    /// nothing) and plans the rest, which [`Core::apply_plan`] then
+    /// applies in order. This is exact because applying a decision for
+    /// channel `c` writes only `c`'s own state, which no other
+    /// channel's decision reads. The plan is applied every
+    /// [`PLAN_CHUNK`] decisions, so its retained size stays bounded.
     fn retune_independent_active(&mut self) {
-        self.channels.sort_active();
-        // Snapshot the length: decisions can append to the set (a rate
-        // change marks the channel), and appended entries need no
-        // decision of their own this tick.
-        let n0 = self.channels.active_len();
-        for k in 0..n0 {
-            let id = ChannelId::new(self.channels.active_at(k));
-            if let Some((util, rate)) = self.channel_decision(id) {
-                self.decide_rate(id, util, rate);
+        let mut plan = std::mem::take(&mut self.plan);
+        let mut holds = 0u64;
+        for w in 0..self.channels.active_words().len() {
+            let word = self.channels.active_words()[w];
+            for i in set_bits(word, w * 64) {
+                let ch = ChannelId::new(i as u32);
+                if let Some((util, rate)) = self.channel_decision(ch) {
+                    self.plan_decision(&mut plan, &mut holds, ch, util, rate);
+                }
+            }
+            if plan.len() >= PLAN_CHUNK {
+                self.apply_plan(&mut plan);
             }
         }
+        self.apply_plan(&mut plan);
+        self.plan = plan;
+        self.stats.controller_decisions += holds;
     }
 
     fn retune_paired(&mut self) {
         // "The link pair must be reconfigured together to match the
         // requirements of the channel with the highest load" (§3.3.1).
         for link in 0..self.fabric.num_links() {
-            self.retune_link(epnet_topology::LinkId::new(link as u32));
+            for (ch, util, rate) in self.link_decisions(link).into_iter().flatten() {
+                self.decide_rate(ch, util, rate);
+            }
         }
     }
 
-    /// Active-set twin of [`Simulator::retune_paired`]: a link is
-    /// processed when *either* channel is in the active set (the
-    /// paired rule can retune a resting channel to match its busy
-    /// peer), in ascending link order to match the sweep's event
-    /// insertion order. Both scratch structures are preallocated and
-    /// sorted in place — no steady-state allocation.
+    /// Active-set twin of [`Core::retune_paired`]: a link is processed
+    /// when *either* channel is in the active set (the paired rule can
+    /// retune a resting channel to match its busy peer), in ascending
+    /// link order to match the sweep's event insertion order. The
+    /// active channels mark their links in a preallocated link bitmap,
+    /// whose scan yields that order and clears it for the next tick.
+    /// Decisions are planned and applied as in
+    /// [`Core::retune_independent_active`]: applying a link's decision
+    /// writes only its own two channels.
     fn retune_paired_active(&mut self) {
-        self.channels.sort_active();
-        let mut links = std::mem::take(&mut self.active_links);
-        links.clear();
-        for k in 0..self.channels.active_len() {
-            links.push(self.link_of[self.channels.active_at(k) as usize]);
+        let words = self.channels.active_words();
+        for (w, &word) in words.iter().enumerate() {
+            for i in set_bits(word, w * 64) {
+                let link = self.link_of[i] as usize;
+                self.link_bits[link / 64] |= 1u64 << (link % 64);
+            }
         }
-        links.sort_unstable();
-        links.dedup();
-        for &link in &links {
-            self.retune_link(epnet_topology::LinkId::new(link));
+        let mut plan = std::mem::take(&mut self.plan);
+        let mut holds = 0u64;
+        for w in 0..self.link_bits.len() {
+            let word = std::mem::take(&mut self.link_bits[w]);
+            for link in set_bits(word, w * 64) {
+                for (ch, util, rate) in self.link_decisions(link).into_iter().flatten() {
+                    self.plan_decision(&mut plan, &mut holds, ch, util, rate);
+                }
+            }
+            if plan.len() >= PLAN_CHUNK {
+                self.apply_plan(&mut plan);
+            }
         }
-        self.active_links = links;
+        self.apply_plan(&mut plan);
+        self.plan = plan;
+        self.stats.controller_decisions += holds;
     }
 
-    /// One §3.3.1 paired-link decision. When both channels are tunable
-    /// the pair moves together to the faster of the two desired rates.
+    /// Plans one decision: a hold — the rate is unchanged and no drain
+    /// is parked, so [`Core::decide_rate`] would only count it — is
+    /// counted in `holds`; anything else joins `plan`.
+    fn plan_decision(
+        &self,
+        plan: &mut Vec<PlannedDecision>,
+        holds: &mut u64,
+        ch: ChannelId,
+        util: f64,
+        rate: LinkRate,
+    ) {
+        let i = ch.index();
+        if rate == self.channels.rate[i] && self.channels.flags[i] & F_DRAINING == 0 {
+            *holds += 1;
+        } else {
+            plan.push((ch, util, rate));
+        }
+    }
+
+    /// Applies and empties a plan, in plan order.
+    fn apply_plan(&mut self, plan: &mut Vec<PlannedDecision>) {
+        for &(ch, util, rate) in plan.iter() {
+            self.decide_rate(ch, util, rate);
+        }
+        plan.clear();
+    }
+
+    /// The §3.3.1 decisions for one link, in channel order. When both
+    /// channels are tunable the pair moves together to the faster of
+    /// the two desired rates.
     /// When exactly one is exempt (powered off by the dynamic-topology
     /// controller, or a host channel with tuning disabled), the tunable
     /// channel is tuned *independently*: §3.3.1 pairs the channels only
@@ -1462,17 +1557,16 @@ impl Core {
     /// held, forever.) No current topology produces a half-exempt link
     /// — host exemption and power-off both apply to whole links — so
     /// this arm is pinned by a unit test rather than the golden report.
-    fn retune_link(&mut self, link: epnet_topology::LinkId) {
-        let (a, b) = self.fabric.link_channels(link);
+    fn link_decisions(&self, link: usize) -> [Option<PlannedDecision>; 2] {
+        let (a, b) = self
+            .fabric
+            .link_channels(epnet_topology::LinkId::new(link as u32));
         match (self.channel_decision(a), self.channel_decision(b)) {
             (Some((ua, ra)), Some((ub, rb))) => {
                 let rate = ra.max(rb);
-                self.decide_rate(a, ua, rate);
-                self.decide_rate(b, ub, rate);
+                [Some((a, ua, rate)), Some((b, ub, rate))]
             }
-            (Some((ua, ra)), None) => self.decide_rate(a, ua, ra),
-            (None, Some((ub, rb))) => self.decide_rate(b, ub, rb),
-            (None, None) => {}
+            (da, db) => [da.map(|(u, r)| (a, u, r)), db.map(|(u, r)| (b, u, r))],
         }
     }
 
@@ -1572,8 +1666,12 @@ impl Core {
         }
         // If traffic is waiting, make sure it resumes once the channel
         // relocks (the serializing packet, if any, completes at the old
-        // timing — the change takes effect for subsequent packets).
-        self.try_tx(ch);
+        // timing — the change takes effect for subsequent packets). An
+        // empty queue has nothing to resume, and `try_tx` would return
+        // without acting.
+        if self.channels.occupancy[i] != 0 {
+            self.try_tx(ch);
+        }
         RateOutcome::Applied
     }
 

@@ -5,14 +5,17 @@
 //! transfer at the paper's scale is two thousand packet events before
 //! it even contends. The hybrid model absorbs large messages whose path
 //! is currently *steady* — no channel powered off, draining, or
-//! congested — into a compact struct-of-arrays table and advances them
-//! analytically once per controller epoch: each flow moves
-//! `min_over_path(window / (serialize_ps_per_byte · sharers))` bytes,
-//! the max-min fair share of the slowest channel on its fixed path.
-//! The busy picoseconds that movement implies are charged to each
-//! channel's epoch accumulator *before* the controller reads
-//! utilization, so the §3.3 rate controller, the power model, and
-//! telemetry run unmodified on top of either regime.
+//! congested — into a compact table and advances them analytically
+//! once per controller epoch: each flow moves
+//! `min_over_path(window / (serialize_ps_per_byte · sharers))` bytes.
+//! That is an equal split of each channel among the flows crossing it,
+//! minimised over the flow's fixed path — not a max-min fair
+//! allocation, which would hand capacity a flow bottlenecked elsewhere
+//! leaves unused to the channel's other flows. The busy picoseconds
+//! that movement implies are charged to each channel's epoch
+//! accumulator *before* the controller reads utilization, so the §3.3
+//! rate controller, the power model, and telemetry run unmodified on
+//! top of either regime.
 //!
 //! Regime boundaries are explicit and conservative:
 //!
@@ -32,7 +35,7 @@
 //!   ordinary packets carrying the original offer time, so latency and
 //!   warmup accounting match a message that had always been packets.
 
-use crate::channels::{F_DRAINING, F_OFF};
+use crate::channels::F_UNSTEADY;
 use crate::engine::Core;
 use crate::traffic::Message;
 use crate::SimTime;
@@ -45,41 +48,56 @@ pub(crate) const FLOW_MIN_BYTES: u64 = 64 * 1024;
 
 /// Longest absorbable path, in channels (injection + switch hops +
 /// ejection). Both simulated families are diameter-2 fabrics (≤ 5
-/// channels); 8 leaves headroom without widening the SoA row.
+/// channels); 8 leaves headroom and keeps a flow's row one 64-byte
+/// cache line.
 pub(crate) const MAX_FLOW_HOPS: usize = 8;
 
 /// A flow's path channel occupancy beyond this many packet payloads
 /// counts as congestion onset and forces the packet regime.
 const CONGESTION_PACKETS: u64 = 4;
 
-/// Struct-of-arrays store of live fluid flows, recycled through a free
-/// list like the engine's message table. Columns grow by amortized
+/// One live fluid flow: a 64-byte row, one cache line.
+#[derive(Debug, Clone, Copy)]
+struct Flow {
+    /// Bytes still to deliver.
+    remaining: u64,
+    /// Original workload offer time (warmup gating, message latency).
+    offered_at: SimTime,
+    /// Simulated time up to which this flow has been advanced.
+    last_advance: SimTime,
+    /// Destination host (raw id).
+    dst: u32,
+    /// Channels used, `path[..path_len]` (raw channel ids).
+    path: [u32; MAX_FLOW_HOPS],
+    path_len: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Flow>() == 64);
+
+impl Flow {
+    fn path(&self) -> &[u32] {
+        &self.path[..self.path_len as usize]
+    }
+}
+
+/// The live fluid flows, dense in live order: absorption appends and
+/// release is a `swap_remove`, so the order flows advance in is a pure
+/// function of the absorb/release sequence. Storage grows by amortized
 /// doubling up to the high-water mark of concurrently live flows and
-/// are never shrunk, so a warmed-up run allocates only when that mark
+/// is never shrunk, so a warmed-up run allocates only when that mark
 /// moves.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
-    /// Bytes still to deliver.
-    remaining: Vec<u64>,
-    /// Original workload offer time (warmup gating, message latency).
-    offered_at: Vec<SimTime>,
-    /// Destination host (raw id).
-    dst: Vec<u32>,
-    /// Simulated time up to which this flow has been advanced.
-    last_advance: Vec<SimTime>,
-    /// Channels used, `path[..path_len]` (raw channel ids).
-    path: Vec<[u32; MAX_FLOW_HOPS]>,
-    path_len: Vec<u8>,
-    /// Retired slots awaiting reuse.
-    free: Vec<u32>,
-    /// Slots currently live, iterated each advancement.
-    live: Vec<u32>,
-    /// Scratch: flows sharing each channel (indexed by channel, sized
-    /// at construction in hybrid mode; empty in packet mode).
+    live: Vec<Flow>,
+    /// Live flows crossing each channel (indexed by channel, sized at
+    /// construction in hybrid mode; empty in packet mode). Raised at
+    /// absorption; a flow released during an advancement pass is still
+    /// counted until the pass ends, so every flow in a pass sees the
+    /// sharer counts as they stood when the pass began.
     per_channel: Vec<u32>,
-    /// Scratch: channels with a non-zero `per_channel` entry, so
-    /// clearing between advancements is O(touched), not O(channels).
-    touched: Vec<u32>,
+    /// Path channels of the flows released during the current pass,
+    /// whose sharer counts drop when it ends.
+    retired: Vec<u32>,
     /// Scratch for the absorb-time greedy path walk.
     path_scratch: Vec<PortIndex>,
     /// High-water mark of `live.len()` (diagnostics).
@@ -87,8 +105,8 @@ pub(crate) struct FlowTable {
 }
 
 impl FlowTable {
-    /// An empty table whose fair-share scratch covers `num_channels`
-    /// (pass 0 in packet mode — the table is never consulted there).
+    /// An empty table whose sharer counts cover `num_channels` (pass 0
+    /// in packet mode — the table is never consulted there).
     pub(crate) fn new(num_channels: usize) -> Self {
         Self {
             per_channel: vec![0; num_channels],
@@ -107,50 +125,48 @@ impl FlowTable {
         self.peak_live
     }
 
-    /// Column capacity high-water: slots ever allocated. The free list
-    /// recycles released slots, so this only moves when `peak_live`
-    /// does — pinned by the recycle test below.
+    /// Rows ever needed: released rows are reused before the table
+    /// grows, so this is the live high-water mark — pinned by the
+    /// recycle test below.
     pub(crate) fn capacity(&self) -> usize {
-        self.remaining.len()
+        self.peak_live
     }
 
-    fn alloc(
-        &mut self,
-        remaining: u64,
-        offered_at: SimTime,
-        dst: u32,
-        path: [u32; MAX_FLOW_HOPS],
-        path_len: u8,
-    ) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let f = s as usize;
-                self.remaining[f] = remaining;
-                self.offered_at[f] = offered_at;
-                self.dst[f] = dst;
-                self.last_advance[f] = offered_at;
-                self.path[f] = path;
-                self.path_len[f] = path_len;
-                s
-            }
-            None => {
-                let s = u32::try_from(self.remaining.len()).expect("flow table overflow");
-                self.remaining.push(remaining);
-                self.offered_at.push(offered_at);
-                self.dst.push(dst);
-                self.last_advance.push(offered_at);
-                self.path.push(path);
-                self.path_len.push(path_len);
-                s
-            }
-        };
-        self.live.push(slot);
+    fn alloc(&mut self, flow: Flow) {
+        for &c in flow.path() {
+            self.per_channel[c as usize] += 1;
+        }
+        self.live.push(flow);
         self.peak_live = self.peak_live.max(self.live.len());
     }
 
+    /// Releases the flow at `live_idx` (the tail flow takes its place)
+    /// and defers its sharer-count drop to the end of the pass.
     fn release(&mut self, live_idx: usize) {
-        let slot = self.live.swap_remove(live_idx);
-        self.free.push(slot);
+        let flow = self.live.swap_remove(live_idx);
+        self.retired.extend_from_slice(flow.path());
+    }
+
+    /// Whether every channel's sharer count equals a recount over the
+    /// live flows (the sweep-mode cross-check; true between passes).
+    #[cfg(debug_assertions)]
+    pub(crate) fn sharers_match_live(&self) -> bool {
+        let mut count = vec![0u32; self.per_channel.len()];
+        for flow in &self.live {
+            for &c in flow.path() {
+                count[c as usize] += 1;
+            }
+        }
+        count == self.per_channel
+    }
+
+    /// Ends an advancement pass: drops the released flows' sharer
+    /// counts.
+    fn settle_retired(&mut self) {
+        for &c in &self.retired {
+            self.per_channel[c as usize] -= 1;
+        }
+        self.retired.clear();
     }
 }
 
@@ -212,14 +228,20 @@ impl Core {
         let limit = self.flow_congestion_limit();
         path.iter().all(|&c| {
             let i = c as usize;
-            self.channels.flags[i] & (F_OFF | F_DRAINING) == 0
-                && self.channels.occupancy[i] <= limit
+            self.channels.flags[i] & F_UNSTEADY == 0 && self.channels.occupancy[i] <= limit
         })
     }
 
     /// Commits `m` into the flow table on an already-validated path.
     pub(crate) fn absorb_flow(&mut self, m: &Message, path: [u32; MAX_FLOW_HOPS], len: u8) {
-        self.flows.alloc(m.bytes, m.at, m.dst.raw(), path, len);
+        self.flows.alloc(Flow {
+            remaining: m.bytes,
+            offered_at: m.at,
+            last_advance: m.at,
+            dst: m.dst.raw(),
+            path,
+            path_len: len,
+        });
         self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
     }
 
@@ -244,12 +266,20 @@ impl Core {
     /// utilization) and once more at finish for the partial window up
     /// to the horizon.
     ///
-    /// Each flow moves the max-min fair share of its slowest path
-    /// channel: `min_over_path(capacity_window / (ps_per_byte ·
-    /// sharers))`, where a channel mid-reactivation contributes only
-    /// the window after `available_at`. The implied busy picoseconds
-    /// are charged per channel exactly as packet serialization would
-    /// be, so `epoch_utilization` is regime-independent.
+    /// Each flow moves an equal split of every path channel among the
+    /// flows crossing it, limited by the tightest channel:
+    /// `min_over_path(capacity_window / (ps_per_byte · sharers))`, where
+    /// a channel mid-reactivation contributes only the window after
+    /// `available_at`. The implied busy picoseconds are charged per
+    /// channel exactly as packet serialization would be, so
+    /// `epoch_utilization` is regime-independent.
+    ///
+    /// One walk over each path checks steadiness and computes the
+    /// budget. While the network-wide bounds show no queue above the
+    /// congestion limit and no channel off or draining, no channel can
+    /// fail the check and its `flags`/`occupancy` reads are skipped; a
+    /// demotion earlier in the pass queues packets, so the bounds are
+    /// re-read per flow.
     pub(crate) fn advance_flows(&mut self) {
         if self.flows.live.is_empty() {
             return;
@@ -257,93 +287,76 @@ impl Core {
         let now = self.now;
         let ids = self.inst.ids;
         let limit = self.flow_congestion_limit();
-        // Snapshot of fair-share counts at this advancement.
-        for &c in &self.flows.touched {
-            self.flows.per_channel[c as usize] = 0;
-        }
-        self.flows.touched.clear();
-        for k in 0..self.flows.live.len() {
-            let f = self.flows.live[k] as usize;
-            let path = self.flows.path[f];
-            for &c in &path[..self.flows.path_len[f] as usize] {
-                let i = c as usize;
-                if self.flows.per_channel[i] == 0 {
-                    self.flows.touched.push(c);
-                }
-                self.flows.per_channel[i] += 1;
-            }
-        }
         let mut k = 0usize;
         while k < self.flows.live.len() {
-            let f = self.flows.live[k] as usize;
-            let path = self.flows.path[f];
-            let len = self.flows.path_len[f] as usize;
-            let mut demote = false;
-            for &c in &path[..len] {
+            let flow = self.flows.live[k];
+            let check = self.channels.queued_total() > limit || self.channels.unsteady() > 0;
+            let mut steady = true;
+            let mut budget = flow.remaining;
+            for &c in flow.path() {
                 let i = c as usize;
-                if self.channels.flags[i] & (F_OFF | F_DRAINING) != 0
-                    || self.channels.occupancy[i] > limit
+                if check
+                    && (self.channels.flags[i] & F_UNSTEADY != 0
+                        || self.channels.occupancy[i] > limit)
                 {
-                    demote = true;
+                    steady = false;
                     break;
                 }
+                if budget > 0 {
+                    let from = flow
+                        .last_advance
+                        .max(self.channels.available_at[i])
+                        .min(now);
+                    let window_ps = (now - from).as_ps();
+                    let ppb = self.channels.rate[i].serialize_ps(1);
+                    let share = u64::from(self.flows.per_channel[i]);
+                    budget = budget.min(window_ps / (ppb * share));
+                }
             }
-            if demote {
-                let remaining = self.flows.remaining[f];
-                let offered_at = self.flows.offered_at[f];
-                let dst = HostId::new(self.flows.dst[f]);
+            if !steady {
+                // `swap_remove` moves the tail flow into index k; do not
+                // advance k.
                 self.flows.release(k);
-                // `swap_remove` moved the tail flow into index k; do
-                // not advance k.
-                self.inject_packets(ChannelId::new(path[0]), dst, remaining, offered_at);
+                let dst = HostId::new(flow.dst);
+                let inj = ChannelId::new(flow.path[0]);
+                self.inject_packets(inj, dst, flow.remaining, flow.offered_at);
                 self.inst.metrics.add(ids.flows_demoted, 1);
                 continue;
             }
-            let last = self.flows.last_advance[f];
-            let mut budget = self.flows.remaining[f];
-            for &c in &path[..len] {
-                let i = c as usize;
-                let from = last.max(self.channels.available_at[i]).min(now);
-                let window_ps = (now - from).as_ps();
-                let ppb = self.channels.rate[i].serialize_ps(1);
-                let share = u64::from(self.flows.per_channel[i]);
-                budget = budget.min(window_ps / (ppb * share));
-                if budget == 0 {
-                    break;
-                }
-            }
             if budget > 0 {
-                for &c in &path[..len] {
+                for &c in flow.path() {
                     let i = c as usize;
                     let busy = budget * self.channels.rate[i].serialize_ps(1);
                     self.channels.busy_ps_epoch[i] += busy;
                     self.channels.mark_active(i);
                     self.stats.busy_ps_total += u128::from(busy);
                 }
-                let offered_at = self.flows.offered_at[f];
-                self.flows.remaining[f] -= budget;
-                self.stats.record_flow_bytes(offered_at, budget);
+                self.stats.record_flow_bytes(flow.offered_at, budget);
                 self.inst.metrics.add(ids.flow_fluid_bytes, budget);
                 if !self.pod_bytes.is_empty() {
-                    let dst = self.flows.dst[f] as usize;
+                    let dst = flow.dst as usize;
                     self.pod_bytes[self.pod_of_host[dst] as usize] += budget;
                 }
             }
-            self.flows.last_advance[f] = now;
-            if self.flows.remaining[f] == 0 {
-                self.stats.record_message(self.flows.offered_at[f], now);
+            if flow.remaining == budget {
+                self.stats.record_message(flow.offered_at, now);
                 self.inst.metrics.add(ids.flows_completed, 1);
                 self.flows.release(k);
                 continue;
             }
+            let live = &mut self.flows.live[k];
+            live.remaining -= budget;
+            live.last_advance = now;
             k += 1;
         }
+        self.flows.settle_retired();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channels::F_DRAINING;
     use crate::config::SimConfig;
     use crate::env::SimModel;
     use crate::traffic::ReplaySource;
@@ -455,9 +468,9 @@ mod tests {
 
     #[test]
     fn free_list_recycles_slots_under_absorb_demote_churn() {
-        // Two flows live sequentially: the second must reuse the slot
-        // the first released (demotion), so the column capacity
-        // high-water stays at one while two absorptions happened.
+        // Two flows live sequentially: the second must reuse the row
+        // the first released (demotion), so the table's high-water
+        // stays at one while two absorptions happened.
         let mk = |at_us: u64| Message {
             at: SimTime::from_us(at_us),
             src: HostId::new(0),
@@ -481,7 +494,7 @@ mod tests {
         assert_eq!(
             sim.core.flows.capacity(),
             1,
-            "free list must recycle the released slot, not grow a column"
+            "the released row must be reused, not the table grown"
         );
         assert_eq!(sim.core.flows.peak_live(), 1);
         sim.advance_until(SimTime::from_ms(2));

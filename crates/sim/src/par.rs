@@ -99,7 +99,7 @@
 //! in the Workload phase: the greedy path walk on the master (it reads
 //! only the fabric and the dyntopo mask), the steadiness gate against
 //! the owning shards' channel copies, and the allocation on the
-//! master-resident table — so the flow free list, flow ids, and the
+//! master-resident table — so the flows' live order, sharer counts and the
 //! high-water diagnostics reproduce the serial engine bit for bit.
 //! Flows advance inside the epoch phase's `on_epoch` over the gathered
 //! all-channel state, so per-channel fluid busy picoseconds land in
@@ -586,7 +586,7 @@ pub(crate) fn run<S: TrafficSource>(
             );
             // The flow table itself lives only on the master — flows
             // absorb and advance at coordinator phases — so drop the
-            // per-channel fair-share scratch a hybrid build sizes.
+            // per-channel sharer counts a hybrid build sizes.
             core.flows = crate::flows::FlowTable::new(0);
             core.queue = CoreQueue::Window(WindowQueue::with_cross(cross_bitmap.clone()));
             core.end = end;
@@ -1195,7 +1195,7 @@ fn inject_one(
     // and the dyntopo mask, both master-authoritative); the steadiness
     // gate reads each path channel from its owning shard, whose state
     // at a coordinator phase is exactly the serial state. The table
-    // allocation itself is master-only, so flow ids and the free list
+    // allocation itself is master-only, so the flows' live order and sharer counts
     // reproduce the serial order bit for bit.
     if master.model == crate::env::SimModel::Hybrid && m.bytes >= crate::flows::FLOW_MIN_BYTES {
         if let Some((path, len)) = master.flow_path(&m) {
