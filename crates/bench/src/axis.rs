@@ -9,9 +9,9 @@
 //! can be told apart from drift. Each (point, variant) becomes one
 //! [`Record`]: the fabric, the options, the wall-clock samples with
 //! their median and min/max, the simulation counters, a digest of the
-//! serialized report, the mean phase profile, and — for serial runs
-//! under a counting allocator ([`counting_allocator!`](crate::counting_allocator)) —
-//! the steady-state allocation meter.
+//! serialized report, the mean phase profile, and — under a counting
+//! allocator ([`counting_allocator!`](crate::counting_allocator)) — the
+//! steady-state allocation meter.
 //!
 //! [`validate`] is the only checker of a benchmark document. The
 //! `benchcheck` binary, the `benchrun` binary before it writes, and the
@@ -24,8 +24,6 @@
 //! | `engine` | canonical FBFLY(2,8,2) | route table, per-hop routes | one digest |
 //! | `load` | uniform 512 KiB, 2.5–100% load | epoch sweep, active set | one digest; activity bound at low load |
 //! | `scale` | FBFLY and Clos up to 2^20 hosts | the point's model | allocation, heap and wall budgets |
-//! | `threads` | the largest packet point | serial, widths 1/2/4/8 | one digest |
-//! | `hybrid_threads` | the 2^20-host flat | serial, widths 1/2/4 | one digest |
 //! | `models` | small packet points | packet, hybrid model | [`HYBRID_TOLERANCE`] |
 
 use crate::{enginebench, loadbench, scalebench};
@@ -41,17 +39,10 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Schema tag of every document [`render`] writes.
-pub const SCHEMA: &str = "epnet-bench/v1";
+pub const SCHEMA: &str = "epnet-bench/v2";
 
 /// Every axis, in the order `benchrun` measures them.
-pub const AXES: [&str; 6] = [
-    "engine",
-    "load",
-    "scale",
-    "threads",
-    "hybrid_threads",
-    "models",
-];
+pub const AXES: [&str; 4] = ["engine", "load", "scale", "models"];
 
 /// Repeats per (point, variant) of a full run: enough for a median
 /// and a range on a host that drifts ±20–40% between runs.
@@ -323,24 +314,13 @@ pub struct Axis {
 }
 
 /// Every axis: the full sweep, or the seconds-to-minutes `reduced`
-/// one. The reduced threads axis runs on the canonical point.
+/// one.
 pub fn axes(reduced: bool) -> Vec<Axis> {
     let points = scalebench::sweep(reduced);
-    let threads_point = if reduced {
-        &points[0]
-    } else {
-        scalebench::axis_point(&points)
-    };
     vec![
         enginebench::axis(),
         loadbench::axis(reduced),
         scalebench::scale_axis(&points),
-        scalebench::threads_axis("threads", threads_point, &scalebench::THREAD_WIDTHS),
-        scalebench::threads_axis(
-            "hybrid_threads",
-            scalebench::hybrid_axis_point(&points),
-            &scalebench::HYBRID_THREAD_WIDTHS,
-        ),
         scalebench::models_axis(&points),
     ]
 }
@@ -457,8 +437,6 @@ pub struct Options {
     pub routes: Routes,
     /// The epoch-tick implementation requested.
     pub epoch: EpochMode,
-    /// Parallel-engine width; 0 is the serial engine.
-    pub par: u64,
 }
 
 impl Options {
@@ -467,7 +445,6 @@ impl Options {
             model: o.model,
             routes: o.routes_used(),
             epoch: o.epoch,
-            par: o.par.unwrap_or(0) as u64,
         }
     }
 }
@@ -620,30 +597,25 @@ fn digest(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-/// Runs `point` once under `options`. Serial runs go through the
-/// phased API so `meter` can watch the second half of the horizon
-/// (well past warmup, every free-list at its high-water mark); parallel
-/// runs go through `run_until`.
+/// Runs `point` once under `options`, through the phased API so
+/// `meter` can watch the second half of the horizon (well past warmup,
+/// every free-list at its high-water mark).
 fn measure(point: &Point, options: &RunOptions, meter: &dyn AllocMeter) -> Sample {
     let mut sim = simulator_for(point, options.clone());
     let hosts = sim.fabric().num_hosts() as u64;
     let channels = sim.fabric().num_channels() as u64;
     let start = Instant::now();
-    let (report, alloc) = if options.par == Some(0) {
-        sim.prime(point.horizon);
-        sim.advance_until(SimTime::from_ps(point.horizon.as_ps() / 2));
-        let warm = sim.events_processed();
-        meter.begin();
-        sim.advance_until(point.horizon);
-        let alloc = meter.end().map(|w| Alloc {
-            measured_events: sim.events_processed() - warm,
-            measured_allocs: w.allocs,
-            peak_bytes: w.peak_bytes,
-        });
-        (sim.finalize(), alloc)
-    } else {
-        (sim.run_until(point.horizon), None)
-    };
+    sim.prime(point.horizon);
+    sim.advance_until(SimTime::from_ps(point.horizon.as_ps() / 2));
+    let warm = sim.events_processed();
+    meter.begin();
+    sim.advance_until(point.horizon);
+    let alloc = meter.end().map(|w| Alloc {
+        measured_events: sim.events_processed() - warm,
+        measured_allocs: w.allocs,
+        peak_bytes: w.peak_bytes,
+    });
+    let report = sim.finalize();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     Sample {
@@ -736,7 +708,7 @@ pub struct Document {
     /// [`SCHEMA`].
     pub schema: String,
     /// Hardware threads of the measuring host: the context for every
-    /// parallel-width number.
+    /// wall-clock number.
     pub hw_threads: u64,
     /// Repeats per (point, variant).
     pub repeats: u64,
@@ -902,7 +874,7 @@ fn check_group(group: &[&Record]) -> Result<(), String> {
             .copied()
             .ok_or_else(|| format!("{axis}/{point}: no {what} variant"))
     };
-    if matches!(axis, "engine" | "load" | "threads" | "hybrid_threads") {
+    if matches!(axis, "engine" | "load") {
         if group.len() < 2 {
             return Err(format!("{axis}/{point}: needs two variants to compare"));
         }
@@ -917,9 +889,6 @@ fn check_group(group: &[&Record]) -> Result<(), String> {
         }
     }
     match axis {
-        "threads" | "hybrid_threads" if group[0].options.par != 0 => Err(format!(
-            "{axis}/{point}: the serial baseline (par 0) must come first"
-        )),
         "load" => {
             let sweep = find(&|o| o.epoch == EpochMode::Sweep, "epoch-sweep")?;
             let active = find(&|o| o.epoch == EpochMode::ActiveSet, "active-set")?;

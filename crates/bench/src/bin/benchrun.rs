@@ -1,5 +1,5 @@
 //! The benchmark runner: measures the axes of `epnet_bench::axis` and
-//! writes one `epnet-bench/v1` document.
+//! writes one `epnet-bench/v2` document.
 //!
 //! ```text
 //! cargo run --release -p epnet-bench --bin benchrun -- \
@@ -8,9 +8,9 @@
 //!
 //! Every (point, variant) runs three times, interleaved with the
 //! point's other variants (once under `--reduced`). The process runs under
-//! a counting global allocator, so serial runs record the steady-state
+//! a counting global allocator, so every run records the steady-state
 //! allocation meter. The document is validated before it is written;
-//! a document that fails (a width that diverged from serial, a budget
+//! a document that fails (a variant whose report diverged, a budget
 //! overrun) is printed to stderr with the reason and not written, and
 //! the exit status is 1. `--reduced` trims every axis for smoke runs;
 //! `--out` defaults to `BENCH.json` at the repository root, and `-`

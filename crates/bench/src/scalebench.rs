@@ -1,5 +1,5 @@
-//! The topology sweep and the four axes built on it: `scale`,
-//! `threads`, `hybrid_threads` and `models`.
+//! The topology sweep and the two axes built on it: `scale` and
+//! `models`.
 //!
 //! The sweep grows the fabric from the toy FBFLY(2,8,2) up to the
 //! paper's 15-ary 2-flat (225 hosts, Figure 7/8 scale) plus the
@@ -11,28 +11,12 @@
 //!   meter watching the second half of the horizon: a warmed-up engine
 //!   recycles packets, messages, credit buffers and queue storage, so
 //!   allocations per event there should be ~0.
-//! * `threads` re-runs the largest packet point serially and on the
-//!   parallel engine at every [`THREAD_WIDTHS`] width; `hybrid_threads`
-//!   does the same for the million-host point at
-//!   [`HYBRID_THREAD_WIDTHS`]. Every width must serialize the serial
-//!   report.
 //! * `models` re-runs each packet point under both models at the
 //!   reduced horizon; they must agree within
 //!   [`HYBRID_TOLERANCE`](crate::axis::HYBRID_TOLERANCE).
 
 use crate::axis::{Axis, Point, Recipe, Topo, Variant};
-use epnet_sim::{RunOptions, SimModel, SimTime};
-
-/// Parallel widths of the `threads` axis, matching the determinism
-/// matrix in `tests/tests/par_modes.rs`. The serial engine always runs
-/// first as the baseline.
-pub const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// Parallel widths of the `hybrid_threads` axis. Narrower than
-/// [`THREAD_WIDTHS`]: every run simulates the 2^20-host fabric end to
-/// end, and width 8 adds nothing a 1–4 sweep does not already say
-/// about the coordinator's per-width overhead.
-pub const HYBRID_THREAD_WIDTHS: [usize; 3] = [1, 2, 4];
+use epnet_sim::{SimModel, SimTime};
 
 /// Simulated horizon of the full sweep (matches the canonical bench).
 pub const FULL_HORIZON: SimTime = SimTime::from_ms(10);
@@ -113,34 +97,6 @@ pub fn sweep(reduced: bool) -> Vec<Point> {
     points
 }
 
-/// The point the `threads` axis runs on: the last *packet-model*
-/// point. The hybrid tail has its own axis ([`hybrid_axis_point`]).
-///
-/// # Panics
-///
-/// Panics if the sweep has no packet-model point.
-pub fn axis_point(points: &[Point]) -> &Point {
-    points
-        .iter()
-        .rev()
-        .find(|p| p.model == SimModel::Packet)
-        .expect("sweep always has packet points")
-}
-
-/// The point the `hybrid_threads` axis runs on: the last hybrid point —
-/// the million-host grouped flat in both the full and reduced sweeps.
-///
-/// # Panics
-///
-/// Panics if the sweep has no hybrid-model point.
-pub fn hybrid_axis_point(points: &[Point]) -> &Point {
-    points
-        .iter()
-        .rev()
-        .find(|p| p.model == SimModel::Hybrid)
-        .expect("sweep always has hybrid points")
-}
-
 /// The `scale` axis: every point once, under its own model.
 pub fn scale_axis(points: &[Point]) -> Axis {
     Axis {
@@ -149,32 +105,6 @@ pub fn scale_axis(points: &[Point]) -> Axis {
             .iter()
             .map(|p| (p.clone(), vec![Variant::model(p.model)]))
             .collect(),
-    }
-}
-
-/// A threads-shaped axis named `name` on `point`: the serial engine,
-/// then the parallel engine at each of `widths`, under the point's
-/// model.
-pub fn threads_axis(name: &'static str, point: &Point, widths: &[usize]) -> Axis {
-    let variants = std::iter::once(0)
-        .chain(widths.iter().copied())
-        .map(|width| {
-            let label = if width == 0 {
-                "serial".to_string()
-            } else {
-                format!("par{width}")
-            };
-            let options = RunOptions {
-                model: point.model,
-                par: Some(width),
-                ..RunOptions::default()
-            };
-            Variant::new(label, options)
-        })
-        .collect();
-    Axis {
-        name,
-        cases: vec![(point.clone(), variants)],
     }
 }
 
@@ -231,13 +161,6 @@ mod tests {
         hybrid_scale("hybrid_fbfly_32x32x4", MILLION_HOSTS)
     }
 
-    /// Serial plus width 2 on `point`, one report between them.
-    fn threads(axis: &str, point: &str) -> Vec<Record> {
-        let mut par2 = sample(axis, point, "par2");
-        par2.options.par = 2;
-        vec![sample(axis, point, "serial"), par2]
-    }
-
     fn models() -> Vec<Record> {
         let mut hybrid = sample("models", "fbfly_2x8x2", "hybrid");
         hybrid.options.model = SimModel::Hybrid;
@@ -251,8 +174,6 @@ mod tests {
     /// synthetic samples.
     fn document(scale: Vec<Record>) -> Vec<Record> {
         let mut records = scale;
-        records.extend(threads("threads", "fbfly_2x8x2"));
-        records.extend(threads("hybrid_threads", "hybrid_fbfly_32x32x4"));
         records.extend(models());
         records
     }
@@ -282,25 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_requires_the_threads_axes() {
+    fn validate_requires_every_listed_axis() {
         let records = document(vec![packet_scale("fbfly_2x8x2"), million()]);
         assert!(validate(&render_sample(&records)).is_ok());
         // Listing an axis without records fails.
-        for axis in ["threads", "hybrid_threads"] {
+        for axis in ["scale", "models"] {
             let kept: Vec<Record> = records.iter().filter(|r| r.axis != axis).cloned().collect();
-            let doc =
-                crate::axis::render(&["scale", "threads", "hybrid_threads", "models"], 1, &kept);
+            let doc = crate::axis::render(&["scale", "models"], 1, &kept);
             assert!(validate(&doc).is_err(), "{axis} axis is required");
         }
-        // A baseline-less axis fails, and so does a width that diverged.
-        let mut no_serial = records.clone();
-        no_serial.retain(|r| !(r.axis == "threads" && r.variant == "serial"));
-        assert!(validate(&render_sample(&no_serial)).is_err());
-        let mut diverged = records;
-        for r in diverged.iter_mut().filter(|r| r.variant == "par2") {
-            r.report_digest = "00000000000000bb".into();
-        }
-        assert!(validate(&render_sample(&diverged)).is_err());
     }
 
     #[test]
@@ -434,33 +345,6 @@ mod tests {
             }
             Topo::ClosNonBlocking { c } => 2 * (c as u64) * (c as u64),
             Topo::ClosMultiPod { c, pods } => pods as u64 * (c as u64) * (c as u64),
-        }
-    }
-
-    #[test]
-    fn axis_point_skips_the_hybrid_tail() {
-        let full = sweep(false);
-        assert_eq!(axis_point(&full).name, "fbfly_15x15x2");
-        let reduced = sweep(true);
-        assert_eq!(axis_point(&reduced).name, "clos_nb4");
-    }
-
-    #[test]
-    fn hybrid_axis_point_is_the_million_host_flat() {
-        for reduced in [false, true] {
-            let points = sweep(reduced);
-            assert_eq!(hybrid_axis_point(&points).name, "hybrid_fbfly_32x32x4");
-            let axis = threads_axis(
-                "hybrid_threads",
-                hybrid_axis_point(&points),
-                &HYBRID_THREAD_WIDTHS,
-            );
-            let widths: Vec<_> = axis.cases[0].1.iter().map(|v| v.options.par).collect();
-            assert_eq!(widths, vec![Some(0), Some(1), Some(2), Some(4)]);
-            assert!(axis.cases[0]
-                .1
-                .iter()
-                .all(|v| v.options.model == SimModel::Hybrid));
         }
     }
 }

@@ -224,9 +224,8 @@ impl Experiment {
 /// `EPNET_THREADS` environment variable overrides it (any positive
 /// integer — `EPNET_THREADS=1` forces fully serial execution, useful
 /// for debugging and for the determinism tests that compare serial and
-/// parallel output byte for byte). The value grammar, including the
-/// stderr message for a malformed value, is shared with `EPNET_PAR`
-/// via [`epnet_sim::env_threads`].
+/// parallel output byte for byte). [`epnet_sim::env_threads`] parses
+/// the value and prints the stderr message for a malformed one.
 pub fn worker_threads() -> usize {
     epnet_sim::env_threads("EPNET_THREADS").unwrap_or_else(|| {
         std::thread::available_parallelism()

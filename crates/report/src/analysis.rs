@@ -8,9 +8,8 @@
 //! breakdowns. Formatting is split off into `format_*` table renderers
 //! so the same structs can feed CSV writers (see `epnet-bench::csv`).
 //!
-//! Everything here is a pure function of the record stream — analyses
-//! of a deterministic trace are themselves deterministic, which the
-//! smoke suite relies on when it diffs serial against parallel runs.
+//! Everything here is a pure function of the record stream: analyses
+//! of a deterministic trace are themselves deterministic.
 
 use crate::tracecharts::{self, parse_rate};
 use epnet::power::RATE_LADDER;

@@ -40,10 +40,11 @@ use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
 use crate::env::{EpochMode, Routes, RunOptions, SimModel};
-use crate::event::{Event, EventQueue};
+use crate::event::Event;
 use crate::flows::FlowTable;
 use crate::instrument::Instruments;
 use crate::packet::{MessageId, Packet, PacketArena, PacketId};
+use crate::sched::Scheduler;
 use crate::stats::{RateResidency, SimReport, Stats};
 use crate::traffic::{Message, TrafficSource};
 use crate::SimTime;
@@ -131,14 +132,10 @@ pub(crate) enum RouteMode {
 #[derive(Debug)]
 pub struct Simulator<S> {
     /// The non-generic engine core: all simulation state except the
-    /// traffic source. The parallel engine ([`RunOptions::par`]) instantiates
-    /// one core per shard — see [`crate::par`].
+    /// traffic source.
     pub(crate) core: Core,
-    pub(crate) source: S,
-    pub(crate) pending: Option<Message>,
-    /// Parallel width from [`RunOptions::par`]; `None` reads `EPNET_PAR`
-    /// when [`Simulator::run_until`] starts.
-    par: Option<usize>,
+    source: S,
+    pending: Option<Message>,
     /// Whether [`Simulator::prime`] has run.
     primed: bool,
     /// The pop loop is still inside the warmup window (wall-clock
@@ -148,30 +145,14 @@ pub struct Simulator<S> {
     phase_start: Instant,
 }
 
-/// Where a core's generated events go.
-///
-/// The serial engine schedules straight into its own [`EventQueue`].
-/// Under the sharded parallel engine every core runs in *window* mode:
-/// events inside the current lookahead window enter a shard-local
-/// ordered queue, everything else is recorded for the coordinator to
-/// push into the single global queue with exact serial sequence
-/// numbers (see `crate::par`).
-#[derive(Debug)]
-pub(crate) enum CoreQueue {
-    /// The serial engine's event queue.
-    Serial(EventQueue),
-    /// Window-capture mode for the parallel engine.
-    Window(crate::par::WindowQueue),
-}
-
 /// The engine core: every piece of simulation state except the traffic
-/// source, with all event handlers. Non-generic so the parallel engine
-/// can build one per shard and move them across worker threads.
+/// source, with all event handlers. Non-generic, so the handlers are
+/// compiled once whatever the traffic source.
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) fabric: FabricGraph,
     pub(crate) config: SimConfig,
-    pub(crate) queue: CoreQueue,
+    pub(crate) queue: Scheduler<Event>,
     pub(crate) now: SimTime,
     pub(crate) end: SimTime,
     pub(crate) channels: Channels,
@@ -246,9 +227,8 @@ impl<S: TrafficSource> Simulator<S> {
     }
 
     /// Creates a simulator with explicit run options, which always win
-    /// over the environment; only `options.par == None` consults
-    /// `EPNET_PAR`, when [`Simulator::run_until`] starts. Benches and
-    /// tests comparing configurations within one process use this.
+    /// over the environment. Benches and tests comparing configurations
+    /// within one process use this.
     pub fn with_options(
         fabric: FabricGraph,
         config: SimConfig,
@@ -260,7 +240,6 @@ impl<S: TrafficSource> Simulator<S> {
             core: Core::build(fabric, config, inst, &options),
             source,
             pending: None,
-            par: options.par,
             primed: false,
             in_warmup: false,
             phase_start: Instant::now(),
@@ -270,9 +249,7 @@ impl<S: TrafficSource> Simulator<S> {
 
 impl Core {
     /// Builds an engine core over `fabric`, reporting through `inst`.
-    /// Shared by [`Simulator::new`] and the parallel engine's per-shard
-    /// core construction.
-    pub(crate) fn build(
+    fn build(
         fabric: FabricGraph,
         config: SimConfig,
         mut inst: Instruments,
@@ -361,18 +338,8 @@ impl Core {
             }
             RouteMode::Table(table)
         };
-        // The queue hint reflects expected *pending events*, not fabric
-        // size: a packet run keeps one or two events in flight per busy
-        // channel, but the hybrid fluid regime has no per-packet events
-        // at all — just the next workload pull and the epoch tick — so
-        // a channel-count-sized calendar would scatter its sparse
-        // events over cold buckets (one first-touch allocation each).
-        let queue_hint = match model {
-            SimModel::Hybrid => 0,
-            SimModel::Packet => n,
-        };
         Self {
-            queue: CoreQueue::Serial(EventQueue::with_hint(queue_hint)),
+            queue: Scheduler::new(),
             fabric,
             config,
             now: SimTime::ZERO,
@@ -401,105 +368,6 @@ impl Core {
             pod_of_host,
             pod_bytes,
             inst,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at` — into the serial event
-    /// queue, or, in window mode, into the shard-local queue (events
-    /// inside the current window) or the generation log for the
-    /// coordinator to sequence (everything else). Window mode records
-    /// *every* generated event in the log so the coordinator's replay
-    /// can assign the exact serial sequence number to each.
-    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.schedule(at, event),
-            CoreQueue::Window(w) => w.record(at, event),
-        }
-    }
-
-    /// Earliest scheduled time in serial mode.
-    fn serial_peek(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.peek_time(),
-            CoreQueue::Window(_) => unreachable!("serial pop loop on a window-mode core"),
-        }
-    }
-
-    /// Pops the earliest event in serial mode. The parallel engine uses
-    /// this once, to drain the primed queue into the coordinator's
-    /// globally-sequenced queues.
-    pub(crate) fn serial_pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.pop(),
-            CoreQueue::Window(_) => unreachable!("serial pop loop on a window-mode core"),
-        }
-    }
-
-    /// Dispatches one shard-local event — the parallel engine's
-    /// counterpart of the serial pop loop's match. Global events
-    /// (`Workload`, `EpochTick`) are coordinator phases and never reach
-    /// a shard.
-    pub(crate) fn dispatch_local(&mut self, ev: Event, half: crate::par::ArriveHalf) {
-        use crate::par::ArriveHalf;
-        match ev {
-            Event::TxDone { channel } => self.on_tx_done(channel),
-            Event::Arrive { channel, packet } => {
-                let (credit, route) = match half {
-                    ArriveHalf::Full => (true, true),
-                    ArriveHalf::Credit => (true, false),
-                    ArriveHalf::Route => (false, true),
-                };
-                self.on_arrive(channel, packet, credit, route);
-            }
-            Event::CreditWake { channel } => self.on_credit_wake(channel),
-            Event::Retry { channel } => self.on_retry(channel),
-            Event::Workload | Event::EpochTick => {
-                unreachable!("global events are coordinator phases, never shard-dispatched")
-            }
-        }
-    }
-
-    /// Drains this core's window queue in (time, sequence) order,
-    /// dispatching each event and recording an execution record — the
-    /// per-dispatch high-water marks of the generation/free/timeline
-    /// logs and the trace sink — for the coordinator's barrier replay.
-    pub(crate) fn exec_window(&mut self, sink: Option<&epnet_telemetry::MemorySink>) {
-        loop {
-            let CoreQueue::Window(w) = &mut self.queue else {
-                unreachable!("exec_window on a serial core")
-            };
-            let Some(((t, seq), le)) = w.local.pop() else {
-                break;
-            };
-            debug_assert!(t >= self.now, "window events went backwards");
-            self.now = t;
-            let kind = match le.ev {
-                Event::TxDone { .. } => crate::par::KIND_TX_DONE,
-                Event::Arrive { .. } => crate::par::KIND_ARRIVE,
-                Event::CreditWake { .. } => crate::par::KIND_CREDIT_WAKE,
-                Event::Retry { .. } => crate::par::KIND_RETRY,
-                Event::Workload | Event::EpochTick => {
-                    unreachable!("global events never enter a shard window")
-                }
-            };
-            let half = le.half;
-            self.dispatch_local(le.ev, le.half);
-            let timeline_end = self.stats.timeline.len() as u32;
-            let trace_end = sink.map_or(0, |s| s.len() as u32);
-            let CoreQueue::Window(w) = &mut self.queue else {
-                unreachable!("queue mode changed mid-window")
-            };
-            w.execs.push(crate::par::ExecRec {
-                t,
-                seq,
-                kind,
-                half,
-                gen_end: w.gens.len() as u32,
-                pkt_free_end: w.freed_packets.len() as u32,
-                msg_free_end: w.freed_messages.len() as u32,
-                timeline_end,
-                trace_end,
-            });
         }
     }
 }
@@ -544,22 +412,7 @@ impl<S: TrafficSource> Simulator<S> {
     }
 
     /// Runs the simulation until simulated time `end` and reports.
-    ///
-    /// When [`RunOptions::par`] (or, if that is `None`, `EPNET_PAR`
-    /// read now) selects a worker width, the run executes on the
-    /// sharded parallel engine instead of the serial pop loop; its
-    /// report is byte-identical to the serial engine's at every width
-    /// (see `crate::par`). The phased API ([`Simulator::prime`] /
-    /// [`Simulator::advance_until`] / [`Simulator::finalize`]) always
-    /// runs serially.
     pub fn run_until(mut self, end: SimTime) -> SimReport {
-        let width = self
-            .par
-            .unwrap_or_else(|| crate::env::env_threads("EPNET_PAR").unwrap_or(0));
-        if width > 0 {
-            self.prime(end);
-            return crate::par::run(self, end, width);
-        }
         self.prime(end);
         self.advance_until(end);
         self.finalize()
@@ -583,14 +436,14 @@ impl<S: TrafficSource> Simulator<S> {
         }
         self.pending = self.source.next_message();
         if let Some(m) = self.pending {
-            self.core.schedule(m.at, Event::Workload);
+            self.core.queue.schedule(m.at, Event::Workload);
         }
         self.core.controller_active = self.core.config.control != ControlMode::AlwaysFull
             || self.core.dyntopo.is_some()
             || self.core.model == SimModel::Hybrid;
         if self.core.controller_active {
             let epoch = self.core.config.epoch;
-            self.core.schedule(epoch, Event::EpochTick);
+            self.core.queue.schedule(epoch, Event::EpochTick);
         }
         self.in_warmup = self.core.config.warmup > SimTime::ZERO;
         self.phase_start = Instant::now();
@@ -625,7 +478,7 @@ impl<S: TrafficSource> Simulator<S> {
         let mut n_credit_wake = 0u64;
         let mut n_retry = 0u64;
         let mut n_epoch_tick = 0u64;
-        while let Some(t) = self.core.serial_peek() {
+        while let Some(t) = self.core.queue.peek_time() {
             if t > cap {
                 break;
             }
@@ -638,7 +491,7 @@ impl<S: TrafficSource> Simulator<S> {
                 self.in_warmup = false;
             }
             debug_assert!(t >= self.core.now, "time went backwards");
-            let (t, ev) = self.core.serial_pop().expect("peeked event vanished");
+            let (t, ev) = self.core.queue.pop().expect("peeked event vanished");
             self.core.now = t;
             self.core.stats.events += 1;
             match ev {
@@ -652,7 +505,7 @@ impl<S: TrafficSource> Simulator<S> {
                 }
                 Event::Arrive { channel, packet } => {
                     n_arrive += 1;
-                    self.core.on_arrive(channel, packet, true, true);
+                    self.core.on_arrive(channel, packet);
                 }
                 Event::CreditWake { channel } => {
                     n_credit_wake += 1;
@@ -713,7 +566,7 @@ impl<S: TrafficSource> Simulator<S> {
         }
         if let Some(m) = self.pending {
             if m.at <= self.core.end {
-                self.core.schedule(m.at, Event::Workload);
+                self.core.queue.schedule(m.at, Event::Workload);
             }
         }
     }
@@ -773,14 +626,6 @@ impl Core {
                 MessageId(slot)
             }
         };
-        // In window mode this core is the parallel coordinator's master
-        // and the caller is a flow demotion inside an epoch phase (shard
-        // cores never inject). Log what was created so the coordinator
-        // can mirror the message record, the packet payloads, and the
-        // mutated queue out to the owning shards after `on_epoch`.
-        if let CoreQueue::Window(w) = &mut self.queue {
-            w.demoted_msgs.push((message.raw(), dst.raw()));
-        }
         let budget = match self.config.routing {
             RoutingPolicy::MinimalAdaptive => 0,
             RoutingPolicy::Ugal {
@@ -801,9 +646,6 @@ impl Core {
                 hops: 0,
                 misroutes_left: budget,
             });
-            if let CoreQueue::Window(w) = &mut self.queue {
-                w.demoted_packets.push((inj.raw(), id));
-            }
             self.enqueue(inj, id, bytes);
         }
         self.try_tx(inj);
@@ -846,7 +688,7 @@ impl Core {
         if now < available_at {
             if flags & F_RETRY == 0 {
                 self.channels.set_flag(i, F_RETRY);
-                self.schedule(available_at, Event::Retry { channel: ch });
+                self.queue.schedule(available_at, Event::Retry { channel: ch });
             }
             return;
         }
@@ -872,7 +714,7 @@ impl Core {
                             u64::from(credits),
                         );
                     }
-                    self.schedule(at, Event::CreditWake { channel: ch });
+                    self.queue.schedule(at, Event::CreditWake { channel: ch });
                 }
             }
             return;
@@ -882,7 +724,7 @@ impl Core {
         let rate = self.channels.rate[i];
         let extra = self.arrive_extra[i];
         let mut tail = now + SimTime::from_ps(rate.serialize_ps(u64::from(head_bytes)));
-        self.schedule(
+        self.queue.schedule(
             tail + extra,
             Event::Arrive {
                 channel: ch,
@@ -917,7 +759,7 @@ impl Core {
             tail = next_tail;
             train_len += 1;
             train_bytes += u64::from(next_bytes);
-            self.schedule(
+            self.queue.schedule(
                 tail + extra,
                 Event::Arrive {
                     channel: ch,
@@ -943,10 +785,10 @@ impl Core {
         self.channels.train_len[i] = train_len;
         self.channels.train_bytes[i] = train_bytes;
         self.stats.busy_ps_total += u128::from(ser.as_ps());
-        self.schedule(tail, Event::TxDone { channel: ch });
+        self.queue.schedule(tail, Event::TxDone { channel: ch });
     }
 
-    pub(crate) fn on_tx_done(&mut self, ch: ChannelId) {
+    fn on_tx_done(&mut self, ch: ChannelId) {
         let i = ch.index();
         let train_len = self.channels.train_len[i];
         debug_assert!(train_len >= 1, "TxDone without a train");
@@ -974,7 +816,7 @@ impl Core {
 
     /// A credit-blocked channel's pending return matured: clear the
     /// wake latch, trace the unblock, and retry transmission.
-    pub(crate) fn on_credit_wake(&mut self, ch: ChannelId) {
+    fn on_credit_wake(&mut self, ch: ChannelId) {
         let i = ch.index();
         self.channels.clear_flag(i, F_CREDIT_WAKE);
         if self.inst.on(TraceCategory::Credit) {
@@ -991,7 +833,7 @@ impl Core {
 
     /// A reconfiguring channel became available again: clear the retry
     /// latch and resume transmission.
-    pub(crate) fn on_retry(&mut self, ch: ChannelId) {
+    fn on_retry(&mut self, ch: ChannelId) {
         self.channels.clear_flag(ch.index(), F_RETRY);
         // A Retry matures exactly at `available_at`: the link carries
         // traffic again, closing the reactivation window — traced here
@@ -1005,92 +847,55 @@ impl Core {
         self.try_tx(ch);
     }
 
-    /// Retires a delivered packet. Serial cores free into their own
-    /// arena; window-mode cores are mirrors — they record the freed
-    /// slot for the coordinator's replica and retire their local copy
-    /// without free-list bookkeeping.
-    fn free_packet(&mut self, pkt: PacketId) -> Packet {
-        match &mut self.queue {
-            CoreQueue::Serial(_) => self.arena.free(pkt),
-            CoreQueue::Window(w) => {
-                w.freed_packets.push(pkt.index() as u32);
-                self.arena.take(pkt)
-            }
-        }
-    }
-
-    /// Retires a completed message slot — same split as
-    /// [`Core::free_packet`]: serial cores recycle locally, window-mode
-    /// cores record for the coordinator's replica.
-    fn free_message(&mut self, mid: u32) {
-        match &mut self.queue {
-            CoreQueue::Serial(_) => self.msg_free.push(mid),
-            CoreQueue::Window(w) => w.freed_messages.push(mid),
-        }
-    }
-
-    /// Handles a packet-tail arrival. The two halves touch disjoint
-    /// state: the *credit* half books the return credit on the sending
-    /// channel, the *route* half forwards (or delivers) the packet on
-    /// the receiving side. The serial engine always runs both; the
-    /// parallel engine splits a cross-shard arrival into a credit half
-    /// on the sender's shard and a route half on the receiver's.
-    pub(crate) fn on_arrive(
-        &mut self,
-        ch: ChannelId,
-        pkt: PacketId,
-        do_credit: bool,
-        do_route: bool,
-    ) {
+    /// Handles a packet-tail arrival: books the return credit on the
+    /// sending channel, then forwards (or delivers) the packet on the
+    /// receiving side.
+    fn on_arrive(&mut self, ch: ChannelId, pkt: PacketId) {
         let i = ch.index();
-        if do_credit {
-            // Credits travel back once the packet has cleared the input
-            // buffer; charging the propagation delay models the return
-            // trip. The return is bookkept on the channel and applied
-            // lazily in `try_tx` instead of costing a scheduled event
-            // per packet; an idle channel with work waiting is parked on
-            // exactly this credit, so arm its wake.
-            let bytes = self.arena.get(pkt).bytes;
-            let matures = self.now + self.channels.prop[i];
-            self.channels.push_credit(i, matures, bytes);
-            if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
-                && !self.channels.queues[i].is_empty()
-                && self.now >= self.channels.available_at[i]
-            {
-                self.channels.set_flag(i, F_CREDIT_WAKE);
-                if self.inst.on(TraceCategory::Credit) {
-                    let needed = self.channels.queues[i]
-                        .front()
-                        .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
-                    let credits = u64::from(self.channels.credits[i]);
-                    self.inst
-                        .tracer()
-                        .credit(self.now.as_ps(), ch.raw(), "block", needed, credits);
-                }
-                self.schedule(matures, Event::CreditWake { channel: ch });
+        // Credits travel back once the packet has cleared the input
+        // buffer; charging the propagation delay models the return
+        // trip. The return is bookkept on the channel and applied
+        // lazily in `try_tx` instead of costing a scheduled event
+        // per packet; an idle channel with work waiting is parked on
+        // exactly this credit, so arm its wake.
+        let bytes = self.arena.get(pkt).bytes;
+        let matures = self.now + self.channels.prop[i];
+        self.channels.push_credit(i, matures, bytes);
+        if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
+            && !self.channels.queues[i].is_empty()
+            && self.now >= self.channels.available_at[i]
+        {
+            self.channels.set_flag(i, F_CREDIT_WAKE);
+            if self.inst.on(TraceCategory::Credit) {
+                let needed = self.channels.queues[i]
+                    .front()
+                    .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
+                let credits = u64::from(self.channels.credits[i]);
+                self.inst
+                    .tracer()
+                    .credit(self.now.as_ps(), ch.raw(), "block", needed, credits);
             }
+            self.queue.schedule(matures, Event::CreditWake { channel: ch });
         }
-        if do_route {
-            match self.targets[i] {
-                PortTarget::Host(h) => {
-                    debug_assert_eq!(self.arena.get(pkt).dst, h, "misrouted packet");
-                    let packet = self.free_packet(pkt);
-                    self.stats
-                        .record_packet(packet.created, self.now, packet.bytes);
-                    if !self.pod_bytes.is_empty() {
-                        self.pod_bytes[self.pod_of_host[h.index()] as usize] +=
-                            u64::from(packet.bytes);
-                    }
-                    let mi = packet.message.index();
-                    let rec = &mut self.messages[mi];
-                    rec.remaining -= 1;
-                    if rec.remaining == 0 {
-                        self.stats.record_message(rec.offered_at, self.now);
-                        self.free_message(packet.message.raw());
-                    }
+        match self.targets[i] {
+            PortTarget::Host(h) => {
+                debug_assert_eq!(self.arena.get(pkt).dst, h, "misrouted packet");
+                let packet = self.arena.free(pkt);
+                self.stats
+                    .record_packet(packet.created, self.now, packet.bytes);
+                if !self.pod_bytes.is_empty() {
+                    self.pod_bytes[self.pod_of_host[h.index()] as usize] +=
+                        u64::from(packet.bytes);
                 }
-                PortTarget::Switch { switch, .. } => self.route(switch, pkt),
+                let mi = packet.message.index();
+                let rec = &mut self.messages[mi];
+                rec.remaining -= 1;
+                if rec.remaining == 0 {
+                    self.stats.record_message(rec.offered_at, self.now);
+                    self.msg_free.push(packet.message.raw());
+                }
             }
+            PortTarget::Switch { switch, .. } => self.route(switch, pkt),
         }
     }
 
@@ -1290,7 +1095,7 @@ impl Core {
     /// channel instead. Controller tracing forces the sweep:
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
-    pub(crate) fn on_epoch(&mut self) {
+    fn on_epoch(&mut self) {
         // Fluid flows advance before the controller reads per-channel
         // utilization: the epoch's busy picoseconds then include fluid
         // movement exactly as they would packet serialization, keeping
@@ -1420,7 +1225,7 @@ impl Core {
         let next = self.now + epoch;
         self.epoch_end = next;
         if next <= self.end {
-            self.schedule(next, Event::EpochTick);
+            self.queue.schedule(next, Event::EpochTick);
         }
         self.stats.epoch_ticks += 1;
         self.inst

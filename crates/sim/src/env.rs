@@ -2,8 +2,8 @@
 //! environment.
 //!
 //! [`RunOptions`] carries every execution choice of one run: the
-//! simulation model, the parallel width, the route and epoch-tick
-//! implementations, and the trace destination. The library takes it
+//! simulation model, the route and epoch-tick implementations, and the
+//! trace destination. The library takes it
 //! explicitly ([`Simulator::with_options`](crate::Simulator::with_options)),
 //! so two configurations can be compared inside one process without
 //! touching process-global state. [`RunOptions::from_env`] parses the
@@ -18,13 +18,16 @@
 //! | Variable | Values | Default |
 //! |---|---|---|
 //! | `EPNET_MODEL` | `packet`, `hybrid` | `packet` |
-//! | `EPNET_PAR` | a positive integer, `off`, `0` | serial |
 //! | `EPNET_THREADS` | a positive integer, `off`, `0` | machine parallelism |
 //! | `EPNET_TRACE` | a file path | no trace |
 //! | `EPNET_TRACE_FILTER` | comma-separated trace categories | all |
 //!
 //! `EPNET_THREADS` sizes the sweep/campaign job pool of `epnet::exp`
 //! and is read through [`env_threads`]; the rest fill [`RunOptions`].
+//!
+//! `EPNET_PAR` used to select a sharded parallel engine, which has been
+//! removed. Setting it prints one line saying so, and the run goes ahead
+//! on the one serial engine.
 
 use std::path::PathBuf;
 
@@ -65,9 +68,8 @@ pub enum Routes {
 /// The default visits only the *active set* — channels that
 /// transmitted, queued, blocked, drained, changed power state, or sit
 /// above the floor rate — making epoch ticks O(touched). The sweep
-/// visits every channel and link every tick; the parallel engine's
-/// master core always sweeps its gathered state, and controller
-/// tracing forces it so traced holds still emit a line.
+/// visits every channel and link every tick; controller tracing forces
+/// it so traced holds still emit a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EpochMode {
     /// Visit only channels in the active set (the default).
@@ -147,17 +149,12 @@ pub struct TraceOptions {
 /// Every execution choice of one run.
 ///
 /// [`RunOptions::default`] is the library default and ignores the
-/// environment: packet model, serial engine, route tables, active-set
-/// epochs, no trace. Explicit options always win over the environment;
-/// the one deferral is `par: None`, which reads `EPNET_PAR` when
-/// [`Simulator::run_until`](crate::Simulator::run_until) starts.
+/// environment: packet model, route tables, active-set epochs, no
+/// trace. Explicit options always win over the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Simulation regime.
     pub model: SimModel,
-    /// Parallel-engine width: `Some(0)` is the serial engine, `Some(n)`
-    /// runs `n` shards, `None` defers to `EPNET_PAR` at run start.
-    pub par: Option<usize>,
     /// Route lookup (the hybrid model forces [`Routes::Dynamic`]).
     pub routes: Routes,
     /// Epoch-tick implementation.
@@ -170,7 +167,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             model: SimModel::Packet,
-            par: Some(0),
             routes: Routes::Table,
             epoch: EpochMode::ActiveSet,
             trace: None,
@@ -179,13 +175,13 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `EPNET_MODEL`, `EPNET_PAR`, `EPNET_TRACE` and
-    /// `EPNET_TRACE_FILTER` from the process environment.
+    /// Parses `EPNET_MODEL`, `EPNET_TRACE` and `EPNET_TRACE_FILTER` from
+    /// the process environment.
     ///
-    /// An unset `EPNET_PAR` leaves `par` as `None`, so the width is read
-    /// again when the run starts. Bad values follow the module's rule:
-    /// a stderr message naming the valid forms, then the default (a
-    /// bad trace filter disables tracing rather than narrowing it).
+    /// Bad values follow the module's rule: a stderr message naming the
+    /// valid forms, then the default (a bad trace filter disables
+    /// tracing rather than narrowing it). A set `EPNET_PAR` prints one
+    /// line saying the sharded engine is gone, and changes nothing.
     pub fn from_env() -> Self {
         Self::from_vars(|var| std::env::var(var).ok())
     }
@@ -199,7 +195,9 @@ impl RunOptions {
                 SimModel::Packet
             })
         });
-        let par = var("EPNET_PAR").map(|raw| width_or_warn("EPNET_PAR", &raw).unwrap_or(0));
+        if let Some(raw) = var("EPNET_PAR") {
+            eprintln!("epnet: {}", par_retired(&raw));
+        }
         let trace = var("EPNET_TRACE")
             .filter(|path| !path.is_empty())
             .and_then(|path| {
@@ -220,7 +218,6 @@ impl RunOptions {
             });
         Self {
             model,
-            par,
             trace,
             ..Self::default()
         }
@@ -254,8 +251,16 @@ pub fn parse_model(raw: &str) -> Result<SimModel, String> {
     })
 }
 
-/// Parses a worker-width value of the switch `var` (`EPNET_PAR` or
-/// `EPNET_THREADS`).
+/// The message a set `EPNET_PAR` prints: the switch outlived the
+/// sharded parallel engine it selected, and the run is serial.
+fn par_retired(raw: &str) -> String {
+    format!(
+        "EPNET_PAR='{}' ignored: the sharded parallel engine was removed; running serially",
+        raw.trim()
+    )
+}
+
+/// Parses a worker-width value of the switch `var` (`EPNET_THREADS`).
 ///
 /// A positive integer `n` is `Some(n)`; `off`, `0` and an empty value
 /// are `None` (feature off). Anything else is an error naming the
@@ -317,33 +322,48 @@ mod tests {
             ("", None),
         ] {
             assert_eq!(
-                parse_width("EPNET_PAR", value),
+                parse_width("EPNET_THREADS", value),
                 Ok(expect),
                 "value {value:?}"
             );
         }
-        for (var, value) in [("EPNET_PAR", "many"), ("EPNET_THREADS", "-2")] {
+        for value in ["many", "-2"] {
             assert_eq!(
-                parse_width(var, value),
+                parse_width("EPNET_THREADS", value),
                 Err(format!(
-                    "invalid width '{value}' in {var}; valid values: a positive integer, off, 0"
+                    "invalid width '{value}' in EPNET_THREADS; valid values: a positive integer, off, 0"
                 )),
             );
         }
-        // A malformed width falls back to serial, never to "unset".
+    }
+
+    #[test]
+    fn retired_par_switch_warns_and_runs_serially() {
         assert_eq!(
-            RunOptions::from_vars(vars(&[("EPNET_PAR", "many")])).par,
-            Some(0)
+            par_retired(" 2 "),
+            "EPNET_PAR='2' ignored: the sharded parallel engine was removed; running serially"
         );
-        assert_eq!(
-            RunOptions::from_vars(vars(&[("EPNET_PAR", "3")])).par,
-            Some(3)
-        );
-        assert_eq!(
-            RunOptions::from_vars(vars(&[("EPNET_PAR", "off")])).par,
-            Some(0)
-        );
-        assert_eq!(RunOptions::from_vars(vars(&[])).par, None);
+        for value in ["2", "off", "many"] {
+            assert_eq!(
+                RunOptions::from_vars(vars(&[("EPNET_PAR", value)])),
+                RunOptions::default(),
+                "EPNET_PAR={value}"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_parallel_trace_category_is_an_unknown_name() {
+        let msg = parse_filter("controller,parallel").unwrap_err();
+        assert!(msg.contains("'parallel'"), "{msg}");
+        for cat in TraceCategory::ALL {
+            assert!(msg.contains(cat.name()), "{msg} lists {}", cat.name());
+        }
+        let traced = RunOptions::from_vars(vars(&[
+            ("EPNET_TRACE", "t.jsonl"),
+            ("EPNET_TRACE_FILTER", "parallel"),
+        ]));
+        assert_eq!(traced.trace, None, "a bad filter disables tracing");
     }
 
     #[test]
@@ -429,14 +449,8 @@ mod tests {
     fn defaults_are_the_serial_packet_engine() {
         let d = RunOptions::default();
         assert_eq!(
-            (d.model, d.par, d.routes, d.epoch, d.trace),
-            (
-                SimModel::Packet,
-                Some(0),
-                Routes::Table,
-                EpochMode::ActiveSet,
-                None
-            )
+            (d.model, d.routes, d.epoch, d.trace),
+            (SimModel::Packet, Routes::Table, EpochMode::ActiveSet, None)
         );
     }
 }

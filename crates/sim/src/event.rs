@@ -1,10 +1,8 @@
-//! The engine's event queue: a thin, event-typed wrapper over the
-//! calendar-queue [`crate::sched::Scheduler`] (ascending time, FIFO
-//! among simultaneous events).
+//! The engine's events. They queue in a
+//! [`Scheduler<Event>`](crate::sched::Scheduler): ascending time, FIFO
+//! among simultaneous events.
 
 use crate::packet::PacketId;
-use crate::sched::Scheduler;
-use crate::SimTime;
 use epnet_topology::ChannelId;
 
 /// Events processed by the simulator engine.
@@ -32,69 +30,15 @@ pub(crate) enum Event {
     EpochTick,
 }
 
-/// The event queue.
-#[derive(Debug)]
-pub(crate) struct EventQueue {
-    sched: Scheduler<Event>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::with_hint(0)
-    }
-
-    /// An empty queue pre-sized for a topology of `num_channels`
-    /// channels (each busy channel keeps one or two events in flight).
-    /// Sizing never changes pop order — see [`Scheduler::with_hint`].
-    pub fn with_hint(num_channels: usize) -> Self {
-        Self {
-            sched: Scheduler::with_hint(num_channels),
-        }
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        self.sched.schedule(at, event);
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.sched.pop()
-    }
-
-    /// Earliest scheduled time, if any (`&mut`: the calendar may
-    /// advance its day cursor while peeking).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.sched.peek_time()
-    }
-
-    /// Number of pending events.
-    #[allow(dead_code)] // diagnostic surface, exercised in tests
-    pub fn len(&self) -> usize {
-        self.sched.len()
-    }
-
-    /// Whether the queue is empty.
-    #[allow(dead_code)] // diagnostic surface, exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.sched.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Scheduler;
+    use crate::SimTime;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         q.schedule(SimTime::from_ns(30), Event::EpochTick);
         q.schedule(SimTime::from_ns(10), Event::Workload);
         q.schedule(SimTime::from_ns(20), Event::EpochTick);
@@ -106,7 +50,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_are_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let t = SimTime::from_ns(5);
         q.schedule(
             t,
@@ -137,7 +81,7 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_ns(7), Event::Workload);

@@ -173,17 +173,14 @@ impl FlowTable {
 impl Core {
     /// Standing-queue bytes beyond which a channel is "congestion
     /// onset" for regime decisions.
-    pub(crate) fn flow_congestion_limit(&self) -> u64 {
+    fn flow_congestion_limit(&self) -> u64 {
         CONGESTION_PACKETS * u64::from(self.config.packet_bytes)
     }
 
     /// The greedy minimal path `m` would pin if absorbed — injection
-    /// channel, switch hops, ejection channel. Reads only the fabric
-    /// and the dyntopo mask (never live channel state), so the parallel
-    /// coordinator can run it on the master core and apply the
-    /// steadiness gate against shard-owned channel copies. `None` when
-    /// the walk exceeds [`MAX_FLOW_HOPS`] or dead-ends under the mask.
-    pub(crate) fn flow_path(&mut self, m: &Message) -> Option<([u32; MAX_FLOW_HOPS], u8)> {
+    /// channel, switch hops, ejection channel. `None` when the walk
+    /// exceeds [`MAX_FLOW_HOPS`] or dead-ends under the dyntopo mask.
+    fn flow_path(&mut self, m: &Message) -> Option<([u32; MAX_FLOW_HOPS], u8)> {
         let dst_switch = self.host_switch[m.dst.index()];
         let mut path = [0u32; MAX_FLOW_HOPS];
         path[0] = self.fabric.injection_channel(m.src).raw();
@@ -222,29 +219,6 @@ impl Core {
         Some((path, (len + 1) as u8))
     }
 
-    /// Steadiness gate over this core's channel state: any interesting
-    /// dynamics on the path keep the message at packet fidelity.
-    pub(crate) fn flow_path_is_steady(&self, path: &[u32]) -> bool {
-        let limit = self.flow_congestion_limit();
-        path.iter().all(|&c| {
-            let i = c as usize;
-            self.channels.flags[i] & F_UNSTEADY == 0 && self.channels.occupancy[i] <= limit
-        })
-    }
-
-    /// Commits `m` into the flow table on an already-validated path.
-    pub(crate) fn absorb_flow(&mut self, m: &Message, path: [u32; MAX_FLOW_HOPS], len: u8) {
-        self.flows.alloc(Flow {
-            remaining: m.bytes,
-            offered_at: m.at,
-            last_advance: m.at,
-            dst: m.dst.raw(),
-            path,
-            path_len: len,
-        });
-        self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
-    }
-
     /// Attempts to absorb `m` into the fluid regime. Returns `false` —
     /// send it down the packet path — when the greedy minimal path
     /// exceeds [`MAX_FLOW_HOPS`] or crosses a channel that is powered
@@ -254,10 +228,25 @@ impl Core {
         let Some((path, len)) = self.flow_path(m) else {
             return false;
         };
-        if !self.flow_path_is_steady(&path[..len as usize]) {
+        // Steadiness gate: any interesting dynamics on the path keep
+        // the message at packet fidelity.
+        let limit = self.flow_congestion_limit();
+        let steady = path[..len as usize].iter().all(|&c| {
+            let i = c as usize;
+            self.channels.flags[i] & F_UNSTEADY == 0 && self.channels.occupancy[i] <= limit
+        });
+        if !steady {
             return false;
         }
-        self.absorb_flow(m, path, len);
+        self.flows.alloc(Flow {
+            remaining: m.bytes,
+            offered_at: m.at,
+            last_advance: m.at,
+            dst: m.dst.raw(),
+            path,
+            path_len: len,
+        });
+        self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
         true
     }
 

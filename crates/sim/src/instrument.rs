@@ -2,9 +2,8 @@
 //!
 //! Everything the hot path needs is condensed into one cached bitmask
 //! check ([`Instruments::on`]) so an untraced run pays a
-//! single predictable branch per potential trace point — including the
-//! parallel engine's per-window `parallel` records, whose emitter is
-//! guarded by the same mask. The metrics registry is always on — its
+//! single predictable branch per potential trace point. The metrics
+//! registry is always on — its
 //! counters are plain array adds and feed `SimReport.metrics`
 //! unconditionally — while trace emission and the wall-clock profiler
 //! only spend effort when enabled or at run granularity.
@@ -17,8 +16,7 @@ use crate::env::TraceOptions;
 ///
 /// Registered once at simulator construction; all values are derived
 /// purely from simulated behavior, so the snapshot is byte-identical
-/// across route modes, epoch modes, parallel widths, and tracing
-/// on/off — the determinism tests compare full serialized reports,
+/// across route modes, epoch modes, and tracing on/off — the determinism tests compare full serialized reports,
 /// metrics included.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MetricIds {
@@ -57,31 +55,6 @@ pub(crate) struct MetricIds {
     pub residency_ps: [CounterId; 5],
     /// Channel-time powered off, picoseconds.
     pub residency_off_ps: CounterId,
-    // ---- parallel-engine diagnostics ----
-    // Registered as *diagnostic* metrics: they describe how the run
-    // executed (window shapes vary with the parallel width), so they
-    // live in `SimReport::diagnostics`, never in the
-    // byte-identical serialized metrics snapshot.
-    /// Lookahead windows executed by the parallel engine.
-    pub par_windows: CounterId,
-    /// Events executed inside windows (mean window length in events =
-    /// `par_window_events / par_windows`).
-    pub par_window_events: CounterId,
-    /// Execution records walked by the barrier merge (cross-shard
-    /// events contribute one per half).
-    pub par_replay_events: CounterId,
-    /// Batched cross-shard mirror messages (one per active
-    /// (sender, receiver) shard pair per window).
-    pub par_cross_batches: CounterId,
-    /// Cross-shard arrivals carried by those batches.
-    pub par_cross_events: CounterId,
-    /// Effective window-lookahead floor, picoseconds: the minimum
-    /// cross-shard arrival bound (0 when a single shard runs
-    /// unbounded).
-    pub par_lookahead_ps: CounterId,
-    /// 1 when the parallel engine was requested but the run fell back to the
-    /// serial loop (zero lookahead or zero reactivation latency).
-    pub par_fallback_serial: CounterId,
     // ---- hybrid-model diagnostics ----
     // Also diagnostic: they are zero in packet mode, and a new *counter*
     // would change the serialized metrics map and break packet-mode
@@ -126,13 +99,6 @@ impl MetricIds {
                 m.counter("residency_ps_40000mbps"),
             ],
             residency_off_ps: m.counter("residency_ps_off"),
-            par_windows: m.diagnostic("par_windows"),
-            par_window_events: m.diagnostic("par_window_events"),
-            par_replay_events: m.diagnostic("par_replay_events"),
-            par_cross_batches: m.diagnostic("par_cross_batches"),
-            par_cross_events: m.diagnostic("par_cross_events"),
-            par_lookahead_ps: m.diagnostic("par_lookahead_ps"),
-            par_fallback_serial: m.diagnostic("par_fallback_serial"),
             flows_absorbed: m.diagnostic("flows_absorbed"),
             flows_demoted: m.diagnostic("flows_demoted"),
             flows_completed: m.diagnostic("flows_completed"),
@@ -190,15 +156,6 @@ impl Instruments {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.mask = tracer.mask();
         self.tracer = Some(tracer);
-    }
-
-    /// Removes and returns the tracer, deliberately leaving the cached
-    /// mask alone so [`Instruments::on`] keeps gating identically. The
-    /// parallel engine swaps the real tracer out for per-core memory
-    /// sinks (installed via [`Instruments::set_tracer`] before any
-    /// `on()`-gated code runs) and restores it at finalization.
-    pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.tracer.take()
     }
 
     /// Whether `cat` is traced — the hot-path gate.

@@ -20,17 +20,16 @@
 //!   [`LinkPowerProfile`](epnet_power::LinkPowerProfile) (Figure 8).
 //! * [`DynamicTopology`] — the §5.2 extension: powering whole links off
 //!   to morph the butterfly into a torus or mesh, and back.
-//! * [`Scheduler`] — the pending-event set: a calendar queue popping
-//!   in deterministic `(time, seq)` order.
+//! * [`Scheduler`] — the pending-event set: a binary heap popping in
+//!   deterministic `(time, insertion seq)` order. There is one engine
+//!   and it is serial.
 //! * [`RunOptions`] — the per-run execution choices, passed explicitly
 //!   to [`Simulator::with_options`] or parsed from the `EPNET_*`
 //!   environment switches by [`RunOptions::from_env`] (the only
 //!   environment reader in this crate). None of them changes a
-//!   report except the model: route tables vs per-hop routing,
-//!   active-set vs sweep epoch ticks, and the serial vs the sharded
-//!   parallel engine (`par`, see the module docs of `par.rs`) are all
-//!   byte-identical, enforced by `tests/tests/par_modes.rs` and
-//!   `tests/tests/epoch_modes.rs`.
+//!   report except the model: route tables vs per-hop routing and
+//!   active-set vs sweep epoch ticks are byte-identical, enforced by
+//!   `tests/tests/run_modes.rs` and `tests/tests/epoch_modes.rs`.
 //!
 //! # Example
 //!
@@ -65,7 +64,6 @@ mod event;
 mod flows;
 mod instrument;
 mod packet;
-mod par;
 pub mod sched;
 mod stats;
 mod time;

@@ -80,27 +80,6 @@ pub enum TraceRecord {
         /// Queue occupancy of the best minimal port (bytes).
         minimal_occupancy: u64,
     },
-    /// One parallel-engine lookahead window (`EPNET_PAR`), emitted at
-    /// its barrier. Execution-shape only: serial runs emit none, and
-    /// the records vary with worker width and lookahead mode.
-    Parallel {
-        /// Exclusive close of the window, picoseconds (emission time).
-        at_ps: u64,
-        /// Simulated time of the window's first event.
-        start_ps: u64,
-        /// Shards touched by the window.
-        shards: u32,
-        /// Events executed inside the window.
-        events: u64,
-        /// Execution records walked by the barrier merge (cross-shard
-        /// arrivals contribute one per half).
-        replay_events: u64,
-        /// Batched cross-shard mirror messages, one per active
-        /// (sender, receiver) shard pair.
-        cross_batches: u64,
-        /// Cross-shard arrivals carried by those batches.
-        cross_events: u64,
-    },
 }
 
 impl TraceRecord {
@@ -111,8 +90,7 @@ impl TraceRecord {
             | TraceRecord::Reactivation { at_ps, .. }
             | TraceRecord::Credit { at_ps, .. }
             | TraceRecord::Routes { at_ps, .. }
-            | TraceRecord::Detour { at_ps, .. }
-            | TraceRecord::Parallel { at_ps, .. } => at_ps,
+            | TraceRecord::Detour { at_ps, .. } => at_ps,
         }
     }
 
@@ -124,7 +102,6 @@ impl TraceRecord {
             TraceRecord::Credit { .. } => TraceCategory::Credit,
             TraceRecord::Routes { .. } => TraceCategory::Routes,
             TraceRecord::Detour { .. } => TraceCategory::Detour,
-            TraceRecord::Parallel { .. } => TraceCategory::Parallel,
         }
     }
 }
@@ -237,15 +214,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
                 detour_occupancy: req_u64(&v, line_no, "detour_occupancy")?,
                 minimal_occupancy: req_u64(&v, line_no, "minimal_occupancy")?,
             },
-            TraceCategory::Parallel => TraceRecord::Parallel {
-                at_ps,
-                start_ps: req_u64(&v, line_no, "start_ps")?,
-                shards: req_u32(&v, line_no, "shards")?,
-                events: req_u64(&v, line_no, "events")?,
-                replay_events: req_u64(&v, line_no, "replay_events")?,
-                cross_batches: req_u64(&v, line_no, "cross_batches")?,
-                cross_events: req_u64(&v, line_no, "cross_events")?,
-            },
         };
         records.push(record);
     }
@@ -288,7 +256,6 @@ mod tests {
         t.credit(1_700, 4, "unblock", 2048, 4096);
         t.routes(0, 1, 42_000, 1024);
         t.detour(1_800, 3, 5, 100, 900);
-        t.parallel_window(2_100, 1_900, 4, 128, 132, 3, 9);
         sink.contents()
     }
 
@@ -296,7 +263,7 @@ mod tests {
     fn emitted_records_round_trip_through_the_parser() {
         let text = sample_trace();
         let records = parse_jsonl(&text).expect("emitter output validates");
-        assert_eq!(records.len(), 8);
+        assert_eq!(records.len(), 7);
         assert_eq!(
             records[0],
             TraceRecord::Controller {
@@ -369,15 +336,6 @@ mod tests {
                 detour_occupancy: 100,
                 minimal_occupancy: 900,
             },
-            TraceRecord::Parallel {
-                at_ps: 2_100,
-                start_ps: 1_900,
-                shards: 4,
-                events: 128,
-                replay_events: 132,
-                cross_batches: 3,
-                cross_events: 9,
-            },
         ];
         let parsed = parse_jsonl(&sample_trace()).expect("emitter output validates");
         assert_eq!(parsed, expected, "emitters and schema drifted apart");
@@ -390,7 +348,6 @@ mod tests {
             TraceCategory::Credit,
             TraceCategory::Routes,
             TraceCategory::Detour,
-            TraceCategory::Parallel,
         ]) {
             assert_eq!(r.category(), cat);
         }
@@ -401,13 +358,12 @@ mod tests {
         let mut text = sample_trace();
         text.push('\n');
         let stats = validate_jsonl(&text).expect("validates");
-        assert_eq!(stats.lines, 8);
+        assert_eq!(stats.lines, 7);
         assert_eq!(stats.count(TraceCategory::Controller), 1);
         assert_eq!(stats.count(TraceCategory::Reactivation), 2);
         assert_eq!(stats.count(TraceCategory::Credit), 2);
         assert_eq!(stats.count(TraceCategory::Routes), 1);
         assert_eq!(stats.count(TraceCategory::Detour), 1);
-        assert_eq!(stats.count(TraceCategory::Parallel), 1);
         assert_eq!(validate_jsonl("").expect("empty is valid").lines, 0);
     }
 
@@ -431,11 +387,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("expected one of"), "{err}");
-        // A parallel window record missing a counter must fail.
+        // The retired parallel-engine window records are not in the
+        // vocabulary.
         let err = validate_jsonl(
-            r#"{"at_ps":5,"cat":"parallel","start_ps":1,"shards":2,"events":3,"cross_batches":0,"cross_events":0}"#,
+            r#"{"at_ps":5,"cat":"parallel","start_ps":1,"shards":2,"events":3}"#,
         )
         .unwrap_err();
-        assert!(err.contains("replay_events"), "{err}");
+        assert!(err.contains("unknown category"), "{err}");
     }
 }

@@ -33,24 +33,16 @@ pub enum TraceCategory {
     Routes,
     /// Adaptive-routing (UGAL) detours chosen over the minimal path.
     Detour,
-    /// Parallel-engine execution shape (`EPNET_PAR`): one record per
-    /// coordinator lookahead window, carrying the window span and its
-    /// event / replay / cross-shard batch counts. Serial runs emit
-    /// none, and the records vary with the worker width, so — like
-    /// `routes` — the category is exempt from the serial↔parallel
-    /// trace byte-identity contract.
-    Parallel,
 }
 
 impl TraceCategory {
     /// Every category, in mask-bit order.
-    pub const ALL: [TraceCategory; 6] = [
+    pub const ALL: [TraceCategory; 5] = [
         TraceCategory::Controller,
         TraceCategory::Reactivation,
         TraceCategory::Credit,
         TraceCategory::Routes,
         TraceCategory::Detour,
-        TraceCategory::Parallel,
     ];
 
     /// Mask with every category enabled.
@@ -71,7 +63,6 @@ impl TraceCategory {
             TraceCategory::Credit => "credit",
             TraceCategory::Routes => "routes",
             TraceCategory::Detour => "detour",
-            TraceCategory::Parallel => "parallel",
         }
     }
 
@@ -189,32 +180,6 @@ impl MemorySink {
         self.buf.lock().expect("trace buffer lock").clone()
     }
 
-    /// Bytes written so far. The parallel engine samples this after
-    /// every event dispatch to attribute trace records to the dispatch
-    /// that emitted them.
-    pub fn len(&self) -> usize {
-        self.buf.lock().expect("trace buffer lock").len()
-    }
-
-    /// Whether nothing has been written (or everything was taken).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the buffer, returning everything written since the last
-    /// take. The parallel engine empties each worker's sink at every
-    /// window barrier, so recorded byte offsets are window-relative.
-    pub fn take_contents(&self) -> String {
-        std::mem::take(&mut *self.buf.lock().expect("trace buffer lock"))
-    }
-
-    /// Drains the buffer into `out`, swapping storage so both the sink
-    /// and the caller's buffer keep their capacity — the allocation-free
-    /// form of [`MemorySink::take_contents`] for per-window draining.
-    pub fn take_into(&self, out: &mut String) {
-        out.clear();
-        std::mem::swap(&mut *self.buf.lock().expect("trace buffer lock"), out);
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -261,17 +226,6 @@ impl Tracer {
     /// Flushes the underlying sink.
     pub fn flush(&mut self) {
         self.sink.flush();
-    }
-
-    /// Writes one pre-rendered JSONL record straight to the sink,
-    /// bypassing the category filter.
-    ///
-    /// The parallel simulation engine captures each worker's records in
-    /// per-shard [`MemorySink`]s (already filtered at emission time),
-    /// merges them deterministically by event key, and replays the
-    /// merged stream through the user's real tracer with this method.
-    pub fn write_line(&mut self, line: &str) {
-        self.sink.line(line);
     }
 
     fn emit(&mut self, cat: TraceCategory, at_ps: u64, fields: Vec<(String, Value)>) {
@@ -360,38 +314,6 @@ impl Tracer {
         );
     }
 
-    /// Records one parallel-engine lookahead window, emitted at the
-    /// window's barrier: `at_ps` is the window's (exclusive) close,
-    /// `start_ps` the time of its first event, and the counters cover
-    /// only this window — shards touched, events executed, merge
-    /// records walked, cross-shard batches and the arrivals they
-    /// carried. Emitted at close time so a merged parallel trace stays
-    /// time-monotone.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_window(
-        &mut self,
-        at_ps: u64,
-        start_ps: u64,
-        shards: u32,
-        events: u64,
-        replay_events: u64,
-        cross_batches: u64,
-        cross_events: u64,
-    ) {
-        self.emit(
-            TraceCategory::Parallel,
-            at_ps,
-            vec![
-                ("start_ps".into(), Value::U64(start_ps)),
-                ("shards".into(), Value::U64(shards as u64)),
-                ("events".into(), Value::U64(events)),
-                ("replay_events".into(), Value::U64(replay_events)),
-                ("cross_batches".into(), Value::U64(cross_batches)),
-                ("cross_events".into(), Value::U64(cross_events)),
-            ],
-        );
-    }
-
     /// Records an adaptive-routing detour: the switch where it was
     /// taken, the output port chosen, and the occupancies that tipped
     /// the UGAL comparison.
@@ -432,7 +354,6 @@ mod tests {
             parse_filter("controller, reactivation"),
             Ok(TraceCategory::Controller.bit() | TraceCategory::Reactivation.bit())
         );
-        assert_eq!(parse_filter("parallel"), Ok(TraceCategory::Parallel.bit()));
     }
 
     /// An unknown name must be rejected with a message naming the
@@ -444,7 +365,7 @@ mod tests {
         assert_eq!(
             err,
             "unknown trace category 'bogus' in EPNET_TRACE_FILTER; valid categories: \
-             controller, reactivation, credit, routes, detour, parallel"
+             controller, reactivation, credit, routes, detour"
         );
         // Valid names before the offender don't rescue the parse, and
         // case matters (names are stable lowercase identifiers).
@@ -482,9 +403,8 @@ mod tests {
         tracer.credit(3, 7, "block", 2048, 100);
         tracer.routes(4, 2, 1234, 512);
         tracer.detour(5, 3, 1, 4, 9);
-        tracer.parallel_window(6, 2, 3, 40, 44, 2, 5);
         let text = sink.contents();
-        assert_eq!(text.lines().count(), 7);
+        assert_eq!(text.lines().count(), 6);
         for line in text.lines() {
             let v: serde::Value = serde_json::from_str(line).expect("line parses");
             assert!(v.get("at_ps").and_then(serde::Value::as_u64).is_some());

@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
-# Benchmark smoke: the scheduler hold-model microbenchmark (calendar
-# queue vs its binary-heap oracle at 100k pending events), one traced
-# canonical run validated against the documented trace schema plus a
-# line-identical width-4 parallel re-run of it, a Perfetto export and
-# every trace-analysis command over that capture, the reduced run of
-# every benchmark axis (its threads axes run the 2^20-host flat in
-# parallel, so this takes minutes), and a rustdoc build with warnings
-# denied.
+# Benchmark smoke: one traced canonical run validated against the
+# documented trace schema, a Perfetto export and every trace-analysis
+# command over that capture, the reduced run of every benchmark axis
+# (its scale axis runs the 2^20-host flat, so this takes minutes), and
+# a rustdoc build with warnings denied.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
 # exports, `benchrun` validates its document before writing it, and
@@ -18,16 +15,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo bench --offline -p epnet-bench --bench scheduler -- smoke
-
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events
-# present. The bin then re-runs the scenario at parallel width 4 and
-# exits non-zero unless the merged parallel trace is line-identical to
-# the serial one (the full width × mode matrix lives in
-# tests/tests/par_modes.rs), and finishes by chrome-trace-exporting
-# both captures: counts must match the TraceStats and the
-# behavior-only exports must be byte-identical.
+# present. The bin finishes by chrome-trace-exporting the capture,
+# whose per-category counts must match the TraceStats.
 cargo run --offline --release -p epnet-bench --bin tracesmoke -- target/tracesmoke.jsonl
 
 # The trace tools over that capture: the Perfetto export with the
