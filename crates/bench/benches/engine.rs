@@ -1,7 +1,7 @@
 //! Microbenches of the simulator's building blocks: topology
 //! elaboration, routing, workload generation, and raw event throughput.
-//! The canonical engine scenario is measured by the `engine` axis of
-//! the `benchrun` binary instead.
+//! The canonical engine scenario is measured by the `scale` axis of
+//! the `benchrun` binary instead (its `fbfly_2x8x2` point).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use epnet::prelude::*;

@@ -16,20 +16,19 @@
 //! [`validate`] is the only checker of a benchmark document. The
 //! `benchcheck` binary, the `benchrun` binary before it writes, and the
 //! in-process twin `tests/tests/bench_smoke.rs` all call it. It holds
-//! every record to the schema, every identity axis to one report
-//! digest across its variants, and the budgets below to their bounds:
+//! every record to the schema, the `load` axis to one report digest
+//! across its variants, and the budgets below to their bounds:
 //!
 //! | Axis | Points | Variants | Held to |
 //! |---|---|---|---|
-//! | `engine` | canonical FBFLY(2,8,2) | route table, per-hop routes | one digest |
 //! | `load` | uniform 512 KiB, 2.5–100% load | epoch sweep, active set | one digest; activity bound at low load |
 //! | `scale` | FBFLY and Clos up to 2^20 hosts | the point's model | allocation, heap and wall budgets |
 //! | `models` | small packet points | packet, hybrid model | [`HYBRID_TOLERANCE`] |
 
-use crate::{enginebench, loadbench, scalebench};
+use crate::{loadbench, scalebench};
 use epnet_power::LinkPowerProfile;
 use epnet_sim::{
-    EpochMode, MergedSource, Message, Routes, RunOptions, SimConfig, SimModel, SimReport, SimTime,
+    EpochMode, MergedSource, Message, RunOptions, SimConfig, SimModel, SimReport, SimTime,
     Simulator, TrafficSource,
 };
 use epnet_topology::{FabricGraph, FlattenedButterfly, RoutingTopology, TwoTierClos};
@@ -39,10 +38,10 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Schema tag of every document [`render`] writes.
-pub const SCHEMA: &str = "epnet-bench/v2";
+pub const SCHEMA: &str = "epnet-bench/v3";
 
 /// Every axis, in the order `benchrun` measures them.
-pub const AXES: [&str; 4] = ["engine", "load", "scale", "models"];
+pub const AXES: [&str; 3] = ["load", "scale", "models"];
 
 /// Repeats per (point, variant) of a full run: enough for a median
 /// and a range on a host that drifts ±20–40% between runs.
@@ -318,7 +317,6 @@ pub struct Axis {
 pub fn axes(reduced: bool) -> Vec<Axis> {
     let points = scalebench::sweep(reduced);
     vec![
-        enginebench::axis(),
         loadbench::axis(reduced),
         scalebench::scale_axis(&points),
         scalebench::models_axis(&points),
@@ -432,9 +430,6 @@ macro_rules! counting_allocator {
 pub struct Options {
     /// Simulation model.
     pub model: SimModel,
-    /// The route lookup that ran: always `dynamic` under the hybrid
-    /// model.
-    pub routes: Routes,
     /// The epoch-tick implementation requested.
     pub epoch: EpochMode,
 }
@@ -443,7 +438,6 @@ impl Options {
     fn of(o: &RunOptions) -> Self {
         Self {
             model: o.model,
-            routes: o.routes_used(),
             epoch: o.epoch,
         }
     }
@@ -820,11 +814,7 @@ fn check_record(r: &Record, repeats: usize) -> Result<(), String> {
     if Spread::of(w.samples.clone()) != *w {
         return Err(format!("{id}: median/min/max disagree with the samples"));
     }
-    let o = &r.options;
-    let hybrid = o.model == SimModel::Hybrid;
-    if hybrid && o.routes != Routes::Dynamic {
-        return Err(format!("{id}: a hybrid run always routes dynamically"));
-    }
+    let hybrid = r.options.model == SimModel::Hybrid;
     if r.hosts == 0 || r.channels == 0 || r.events == 0 {
         return Err(format!("{id}: empty fabric or no events simulated"));
     }
@@ -874,22 +864,17 @@ fn check_group(group: &[&Record]) -> Result<(), String> {
             .copied()
             .ok_or_else(|| format!("{axis}/{point}: no {what} variant"))
     };
-    if matches!(axis, "engine" | "load") {
-        if group.len() < 2 {
-            return Err(format!("{axis}/{point}: needs two variants to compare"));
-        }
-        if let Some(r) = group
-            .iter()
-            .find(|r| r.report_digest != group[0].report_digest)
-        {
-            return Err(format!(
-                "{axis}/{point}: variant '{}' serialized a different report than '{}'",
-                r.variant, group[0].variant
-            ));
-        }
-    }
     match axis {
         "load" => {
+            if let Some(r) = group
+                .iter()
+                .find(|r| r.report_digest != group[0].report_digest)
+            {
+                return Err(format!(
+                    "{axis}/{point}: variant '{}' serialized a different report than '{}'",
+                    r.variant, group[0].variant
+                ));
+            }
             let sweep = find(&|o| o.epoch == EpochMode::Sweep, "epoch-sweep")?;
             let active = find(&|o| o.epoch == EpochMode::ActiveSet, "active-set")?;
             if sweep.epoch_ticks == 0 {
@@ -1013,9 +998,16 @@ mod tests {
         assert_eq!(Spread::of(vec![4.0, 1.0, 2.0, 3.0]).median, 2.5);
     }
 
+    /// One `load` point under both epoch modes, agreeing on the report.
+    fn load_pair() -> [Record; 2] {
+        let mut sweep = sample("load", "p", "a");
+        sweep.options.epoch = EpochMode::Sweep;
+        [sweep, sample("load", "p", "b")]
+    }
+
     #[test]
     fn validate_checks_the_record_shape() {
-        let good = render_sample(&[sample("engine", "p", "a"), sample("engine", "p", "b")]);
+        let good = render_sample(&load_pair());
         validate(&good).expect("sample document validates");
         for (from, to, why) in [
             (
@@ -1029,13 +1021,13 @@ mod tests {
                 "sample count off repeats",
             ),
             (
-                "\"routes\": \"table\"",
-                "\"routes\": \"hash\"",
+                "\"epoch\": \"sweep\"",
+                "\"epoch\": \"lazy\"",
                 "unknown option",
             ),
             (
+                "\"axes\": [\n    \"load\"",
                 "\"axes\": [\n    \"engine\"",
-                "\"axes\": [\n    \"engines\"",
                 "unknown axis",
             ),
             (
@@ -1050,7 +1042,31 @@ mod tests {
             assert!(validate(&bad).is_err(), "{why} must be rejected");
         }
         // A listed axis without records.
-        let doc = render(&["engine", "load"], 1, &[sample("engine", "p", "a")]);
-        assert!(validate(&doc).unwrap_err().contains("missing 'load'"));
+        let doc = render(&["load", "scale"], 1, &load_pair());
+        assert!(validate(&doc).unwrap_err().contains("missing 'scale'"));
+    }
+
+    #[test]
+    fn validate_rejects_malformed_documents() {
+        assert!(validate("not json").is_err());
+        assert!(validate("{}").is_err());
+        // Earlier schemas are not this one: v2 still carried the
+        // `engine` axis and a `routes` option per record.
+        for old in [
+            r#"{"schema": "epnet-bench/v1"}"#,
+            r#"{"schema": "epnet-bench/v2", "axes": ["engine"], "records": []}"#,
+            r#"{"schema": "epnet-bench-engine/v1", "benches": []}"#,
+        ] {
+            assert!(validate(old).unwrap_err().contains("unexpected schema"));
+        }
+        assert!(
+            validate(&render_sample(&[])).is_err(),
+            "a document without axes must be rejected"
+        );
+        // Epoch modes that disagree on the report break the contract.
+        let [sweep, mut active] = load_pair();
+        active.report_digest = "00000000000000bb".into();
+        let split = render_sample(&[sweep, active]);
+        assert!(validate(&split).unwrap_err().contains("different report"));
     }
 }

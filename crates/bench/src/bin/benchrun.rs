@@ -1,9 +1,9 @@
 //! The benchmark runner: measures the axes of `epnet_bench::axis` and
-//! writes one `epnet-bench/v2` document.
+//! writes one `epnet-bench/v3` document.
 //!
 //! ```text
 //! cargo run --release -p epnet-bench --bin benchrun -- \
-//!     [--reduced] [--axes engine,load,...] [--out PATH|-]
+//!     [--reduced] [--axes load,scale,...] [--out PATH|-]
 //! ```
 //!
 //! Every (point, variant) runs three times, interleaved with the

@@ -14,7 +14,7 @@
 //! <https://ui.perfetto.dev> (or `chrome://tracing`). `--layout`
 //! supplies the fabric's host count and ports-per-switch so channel
 //! tracks group into one process per switch — for the canonical
-//! tracesmoke fabric that is `--layout 16,8`.
+//! tracesmoke fabric that is `--layout 16,9`.
 //!
 //! The analysis commands print a table to stdout, or CSV with `--csv`
 //! (headers pinned by `epnet-bench::csv` unit tests, so downstream

@@ -139,13 +139,11 @@ mod tests {
         render_sample, sample, validate, Alloc, Record, Spread, HYBRID_PEAK_HEAP_PER_CHANNEL,
         HYBRID_TOLERANCE, MILLION_HOSTS, MILLION_HOST_WALL_BUDGET_MS,
     };
-    use epnet_sim::Routes;
 
     /// A scale record of a hybrid point at `hosts`, inside every budget.
     fn hybrid_scale(point: &str, hosts: u64) -> Record {
         let mut r = sample("scale", point, "hybrid");
         r.options.model = SimModel::Hybrid;
-        r.options.routes = Routes::Dynamic;
         r.hosts = hosts;
         r.channels = hosts * 5;
         r.wall_ms = Spread::of(vec![20_000.0]);
@@ -164,7 +162,6 @@ mod tests {
     fn models() -> Vec<Record> {
         let mut hybrid = sample("models", "fbfly_2x8x2", "hybrid");
         hybrid.options.model = SimModel::Hybrid;
-        hybrid.options.routes = Routes::Dynamic;
         hybrid.delivered_bytes = 63_000;
         hybrid.relative_power = 0.58;
         vec![sample("models", "fbfly_2x8x2", "packet"), hybrid]
@@ -247,12 +244,6 @@ mod tests {
         clos.channels = 4096 * 32;
         clos.alloc.as_mut().unwrap().peak_bytes = 4096 * 7_700;
         assert!(validate(&render_sample(&document(vec![clos, million()]))).is_ok());
-        // A hybrid record that claims route tables misreports its run.
-        let mut tabled = million();
-        tabled.options.routes = Routes::Table;
-        let err = validate(&render_sample(&document(vec![tabled]))).unwrap_err();
-        assert!(err.contains("routes dynamically"), "{err}");
-
         // Median wall clock over the pinned budget.
         let mut slow = million();
         slow.wall_ms = Spread::of(vec![MILLION_HOST_WALL_BUDGET_MS * 2.0]);

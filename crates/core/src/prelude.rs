@@ -8,8 +8,8 @@ pub use epnet_power::{
 };
 pub use epnet_sim::{
     ControlMode, DynamicTopology, DynamicTopologyConfig, EpochMode, Message, RatePolicy,
-    ReactivationModel, ReactivationStrategy, ReplaySource, Routes, RoutingPolicy, RunOptions,
-    SimConfig, SimModel, SimReport, SimTime, Simulator, TrafficSource,
+    ReactivationModel, ReactivationStrategy, ReplaySource, RoutingPolicy, RunOptions, SimConfig,
+    SimModel, SimReport, SimTime, Simulator, TrafficSource,
 };
 pub use epnet_topology::{
     BillOfMaterials, FabricGraph, FabricKind, FlattenedButterfly, FoldedClos, HostId, LinkMask,

@@ -39,7 +39,7 @@ use crate::channels::{
 use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
-use crate::env::{EpochMode, Routes, RunOptions, SimModel};
+use crate::env::{EpochMode, RunOptions, SimModel};
 use crate::event::Event;
 use crate::flows::FlowTable;
 use crate::instrument::Instruments;
@@ -51,8 +51,7 @@ use crate::SimTime;
 use epnet_power::{LinkRate, RATE_LADDER};
 use epnet_telemetry::{TraceCategory, Tracer};
 use epnet_topology::{
-    ChannelId, FabricGraph, LinkMask, Medium, PortIndex, PortTarget, RouteTable, RoutingTopology,
-    SwitchId,
+    ChannelId, FabricGraph, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology, SwitchId,
 };
 use std::time::Instant;
 
@@ -87,20 +86,6 @@ const PLAN_CHUNK: usize = 4096;
 /// One controller decision: channel, measured utilization, decided
 /// rate.
 type PlannedDecision = (ChannelId, f64, LinkRate);
-
-/// How `route()` obtains its candidate-port sets.
-///
-/// The default is a precomputed [`RouteTable`] indexed per hop and
-/// rebuilt lazily when the link mask's generation moves.
-/// [`Routes::Dynamic`] selects the on-the-fly coordinate computation
-/// instead, which must produce byte-identical reports.
-#[derive(Debug)]
-pub(crate) enum RouteMode {
-    /// Indexed lookups in a precomputed table.
-    Table(RouteTable),
-    /// Per-hop recomputation into a reused scratch buffer.
-    Dynamic { scratch: Vec<PortIndex> },
-}
 
 /// The event-driven network simulator (§4.1: "an in-house event-driven
 /// network simulator, which has been heavily modified to support future
@@ -174,7 +159,8 @@ pub(crate) struct Core {
     pub(crate) stats: Stats,
     pub(crate) mask: Option<LinkMask>,
     pub(crate) dyntopo: Option<DynamicTopology>,
-    pub(crate) routes: RouteMode,
+    /// `route()`'s reused candidate-port buffer.
+    pub(crate) scratch: Vec<PortIndex>,
     /// Which epoch-tick implementation runs ([`RunOptions::epoch`]; see
     /// [`Core::on_epoch`]).
     pub(crate) epoch_mode: EpochMode,
@@ -252,7 +238,7 @@ impl Core {
     fn build(
         fabric: FabricGraph,
         config: SimConfig,
-        mut inst: Instruments,
+        inst: Instruments,
         options: &RunOptions,
     ) -> Self {
         config.validate();
@@ -314,30 +300,6 @@ impl Core {
         } else {
             (Vec::new(), Vec::new())
         };
-        // A precomputed route table is O(switch-pairs) memory —
-        // prohibitive at the hybrid model's 10^5-host targets — and
-        // hybrid routes only the demoted packet residue, so it always
-        // uses the per-hop computation. Route mode never changes output.
-        let routes = if options.routes_used() == Routes::Dynamic {
-            RouteMode::Dynamic {
-                scratch: Vec::new(),
-            }
-        } else {
-            let start = Instant::now();
-            let table = RouteTable::build(&fabric, None);
-            let wall = start.elapsed();
-            inst.profiler.record("route_table_build", wall);
-            if inst.on(TraceCategory::Routes) {
-                let build_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-                inst.tracer().routes(
-                    0,
-                    table.generation(),
-                    build_ns,
-                    table.num_port_entries() as u64,
-                );
-            }
-            RouteMode::Table(table)
-        };
         Self {
             queue: Scheduler::new(),
             fabric,
@@ -355,7 +317,7 @@ impl Core {
             stats: Stats::new(warmup),
             mask: None,
             dyntopo: None,
-            routes,
+            scratch: Vec::new(),
             epoch_mode: options.epoch,
             link_of,
             link_bits: vec![0; num_links.div_ceil(64)],
@@ -375,10 +337,7 @@ impl Core {
 impl<S: TrafficSource> Simulator<S> {
     /// Replaces the trace destination for this run (programmatic
     /// alternative to [`RunOptions::trace`]; see
-    /// [`epnet_telemetry::MemorySink`]). Events emitted during
-    /// construction — the initial route-table build — are only
-    /// captured when tracing was already configured through the run
-    /// options.
+    /// [`epnet_telemetry::MemorySink`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.core.inst.set_tracer(tracer);
     }
@@ -394,8 +353,6 @@ impl<S: TrafficSource> Simulator<S> {
     /// mesh tier may be powered off entirely under low load and
     /// re-enabled as demand grows.
     pub fn enable_dynamic_topology(&mut self, dt: DynamicTopology) {
-        // A fresh all-enabled mask is generation 0 and routes exactly
-        // like no mask at all, so a table built maskless stays current.
         self.core.mask = Some(LinkMask::all_enabled(&self.core.fabric));
         self.core.dyntopo = Some(dt);
     }
@@ -904,11 +861,8 @@ impl Core {
     /// [`RoutingPolicy::Ugal`] a congested minimal set may instead yield
     /// a detour through an intermediate switch.
     ///
-    /// Candidate sets come from the precomputed [`RouteTable`] (rebuilt
-    /// lazily when the link mask's generation moves) or, under
-    /// [`Routes::Dynamic`], from the per-hop coordinate
-    /// computation; both paths enumerate candidates in the identical
-    /// order, so the choice never changes simulation output.
+    /// Candidate sets are enumerated per hop from the switch
+    /// coordinates and the current link mask.
     fn route(&mut self, at: SwitchId, pkt: PacketId) {
         let (dst, bytes, hops, misroutes_left) = {
             let p = self.arena.get(pkt);
@@ -916,8 +870,8 @@ impl Core {
         };
         let dst_switch = self.host_switch[dst.index()];
         if at == dst_switch {
-            // Local delivery: the ejection port depends on the host, not
-            // the switch, and is the sole candidate — no table row.
+            // Local delivery: the precomputed ejection channel is the
+            // sole candidate.
             let p = self.arena.get_mut(pkt);
             p.hops = hops.saturating_add(1);
             let out = self.eject_channel[dst.index()];
@@ -925,67 +879,28 @@ impl Core {
             self.try_tx(out);
             return;
         }
-        if let RouteMode::Table(t) = &self.routes {
-            if !t.is_current(self.mask.as_ref()) {
-                let start = Instant::now();
-                let table = RouteTable::build(&self.fabric, self.mask.as_ref());
-                let wall = start.elapsed();
-                self.inst.profiler.record("route_table_build", wall);
-                if self.inst.on(TraceCategory::Routes) {
-                    let build_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-                    self.inst.tracer().routes(
-                        self.now.as_ps(),
-                        table.generation(),
-                        build_ns,
-                        table.num_port_entries() as u64,
-                    );
-                }
-                self.routes = RouteMode::Table(table);
-            }
-        }
         // Rotating start index de-correlates tie-breaks between switches
         // and packets while staying deterministic.
         let start_key = usize::from(hops) + at.index() + pkt.index();
-        let (mut best, best_occ) = match &mut self.routes {
-            RouteMode::Table(t) => {
-                let cands = t.candidates(at, dst_switch);
-                assert!(
-                    !cands.is_empty(),
-                    "no route from {at} toward {dst}: fabric partitioned by link mask"
-                );
-                Self::pick_minimal(&self.channels, &self.fabric, at, start_key, cands)
-            }
-            RouteMode::Dynamic { scratch } => {
-                self.fabric
-                    .candidate_ports_masked(at, dst, self.mask.as_ref(), scratch);
-                assert!(
-                    !scratch.is_empty(),
-                    "no route from {at} toward {dst}: fabric partitioned by link mask"
-                );
-                Self::pick_minimal(&self.channels, &self.fabric, at, start_key, scratch)
-            }
-        };
+        self.fabric
+            .candidate_ports_masked(at, dst, self.mask.as_ref(), &mut self.scratch);
+        assert!(
+            !self.scratch.is_empty(),
+            "no route from {at} toward {dst}: fabric partitioned by link mask"
+        );
+        let (mut best, best_occ) =
+            Self::pick_minimal(&self.channels, &self.fabric, at, start_key, &self.scratch);
 
         let mut misrouted = false;
         if let RoutingPolicy::Ugal { bias_bytes, .. } = self.config.routing {
             if misroutes_left > 0 {
-                let detour = match &mut self.routes {
-                    RouteMode::Table(t) => Self::pick_detour(
-                        &self.channels,
-                        &self.fabric,
-                        at,
-                        t.detours(at, dst_switch),
-                    ),
-                    RouteMode::Dynamic { scratch } => {
-                        self.fabric.detour_ports_masked(
-                            at,
-                            dst_switch,
-                            self.mask.as_ref(),
-                            scratch,
-                        );
-                        Self::pick_detour(&self.channels, &self.fabric, at, scratch)
-                    }
-                };
+                self.fabric.detour_ports_masked(
+                    at,
+                    dst_switch,
+                    self.mask.as_ref(),
+                    &mut self.scratch,
+                );
+                let detour = Self::pick_detour(&self.channels, &self.fabric, at, &self.scratch);
                 if let Some((port, occ)) = detour {
                     // UGAL: take the detour only when it looks at least
                     // twice as cheap (the detour path is two hops long).

@@ -2,8 +2,8 @@
 //! environment.
 //!
 //! [`RunOptions`] carries every execution choice of one run: the
-//! simulation model, the route and epoch-tick implementations, and the
-//! trace destination. The library takes it
+//! simulation model, the epoch-tick implementation, and the trace
+//! destination. The library takes it
 //! explicitly ([`Simulator::with_options`](crate::Simulator::with_options)),
 //! so two configurations can be compared inside one process without
 //! touching process-global state. [`RunOptions::from_env`] parses the
@@ -47,19 +47,6 @@ pub enum SimModel {
     Packet,
     /// Flow-level aggregation for steady traffic, packets elsewhere.
     Hybrid,
-}
-
-/// How the engine finds each hop's candidate ports. Both produce
-/// byte-identical reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routes {
-    /// A precomputed [`RouteTable`](epnet_topology::RouteTable),
-    /// rebuilt lazily when the link mask changes (the default).
-    #[default]
-    Table,
-    /// Per-hop coordinate computation. The hybrid model always routes
-    /// this way: a table is O(switch pairs) memory at its scale.
-    Dynamic,
 }
 
 /// Which epoch-tick implementation the engine runs. Both produce
@@ -133,7 +120,6 @@ macro_rules! named {
 }
 
 named!(SimModel { Packet => "packet", Hybrid => "hybrid" });
-named!(Routes { Table => "table", Dynamic => "dynamic" });
 named!(EpochMode { ActiveSet => "active", Sweep => "sweep" });
 
 /// A trace destination: a JSONL file and the categories written to it
@@ -149,14 +135,12 @@ pub struct TraceOptions {
 /// Every execution choice of one run.
 ///
 /// [`RunOptions::default`] is the library default and ignores the
-/// environment: packet model, route tables, active-set epochs, no
-/// trace. Explicit options always win over the environment.
+/// environment: packet model, active-set epochs, no trace. Explicit
+/// options always win over the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Simulation regime.
     pub model: SimModel,
-    /// Route lookup (the hybrid model forces [`Routes::Dynamic`]).
-    pub routes: Routes,
     /// Epoch-tick implementation.
     pub epoch: EpochMode,
     /// Where to write a JSONL trace, if anywhere.
@@ -167,7 +151,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             model: SimModel::Packet,
-            routes: Routes::Table,
             epoch: EpochMode::ActiveSet,
             trace: None,
         }
@@ -220,15 +203,6 @@ impl RunOptions {
             model,
             trace,
             ..Self::default()
-        }
-    }
-
-    /// The route lookup the run actually uses: [`Routes::Dynamic`]
-    /// under the hybrid model, `routes` otherwise.
-    pub fn routes_used(&self) -> Routes {
-        match self.model {
-            SimModel::Hybrid => Routes::Dynamic,
-            SimModel::Packet => self.routes,
         }
     }
 }
@@ -354,16 +328,18 @@ mod tests {
 
     #[test]
     fn retired_parallel_trace_category_is_an_unknown_name() {
-        let msg = parse_filter("controller,parallel").unwrap_err();
-        assert!(msg.contains("'parallel'"), "{msg}");
-        for cat in TraceCategory::ALL {
-            assert!(msg.contains(cat.name()), "{msg} lists {}", cat.name());
+        for retired in ["parallel", "routes"] {
+            let msg = parse_filter(&format!("controller,{retired}")).unwrap_err();
+            assert!(msg.contains(&format!("'{retired}'")), "{msg}");
+            for cat in TraceCategory::ALL {
+                assert!(msg.contains(cat.name()), "{msg} lists {}", cat.name());
+            }
+            let traced = RunOptions::from_vars(vars(&[
+                ("EPNET_TRACE", "t.jsonl"),
+                ("EPNET_TRACE_FILTER", retired),
+            ]));
+            assert_eq!(traced.trace, None, "a bad filter disables tracing");
         }
-        let traced = RunOptions::from_vars(vars(&[
-            ("EPNET_TRACE", "t.jsonl"),
-            ("EPNET_TRACE_FILTER", "parallel"),
-        ]));
-        assert_eq!(traced.trace, None, "a bad filter disables tracing");
     }
 
     #[test]
@@ -420,37 +396,35 @@ mod tests {
     }
 
     #[test]
-    fn option_names_round_trip_and_hybrid_routes_dynamically() {
+    fn option_names_round_trip() {
         use serde::{Deserialize, Serialize, Value};
-        for (name, route) in [("table", Routes::Table), ("dynamic", Routes::Dynamic)] {
-            assert_eq!((route.name(), Routes::from_name(name)), (name, Some(route)));
+        for (name, epoch) in [
+            ("active", EpochMode::ActiveSet),
+            ("sweep", EpochMode::Sweep),
+        ] {
+            assert_eq!(
+                (epoch.name(), EpochMode::from_name(name)),
+                (name, Some(epoch))
+            );
         }
         assert_eq!(EpochMode::from_name(" Active "), Some(EpochMode::ActiveSet));
-        assert_eq!(EpochMode::Sweep.name(), "sweep");
-        assert_eq!(Routes::from_name("hash"), None);
+        assert_eq!(EpochMode::from_name("lazy"), None);
         let json = SimModel::Hybrid.to_value();
         assert_eq!(json, Value::Str("hybrid".into()));
         assert_eq!(SimModel::from_value(&json).ok(), Some(SimModel::Hybrid));
-        let err = Routes::from_value(&Value::Str("hash".into())).unwrap_err();
+        let err = EpochMode::from_value(&Value::Str("lazy".into())).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unknown Routes 'hash'; valid: table, dynamic"
+            "unknown EpochMode 'lazy'; valid: active, sweep"
         );
-
-        let hybrid = RunOptions {
-            model: SimModel::Hybrid,
-            ..RunOptions::default()
-        };
-        assert_eq!(hybrid.routes_used(), Routes::Dynamic);
-        assert_eq!(RunOptions::default().routes_used(), Routes::Table);
     }
 
     #[test]
     fn defaults_are_the_serial_packet_engine() {
         let d = RunOptions::default();
         assert_eq!(
-            (d.model, d.routes, d.epoch, d.trace),
-            (SimModel::Packet, Routes::Table, EpochMode::ActiveSet, None)
+            (d.model, d.epoch, d.trace),
+            (SimModel::Packet, EpochMode::ActiveSet, None)
         );
     }
 }

@@ -27,9 +27,9 @@
 //!   to [`Simulator::with_options`] or parsed from the `EPNET_*`
 //!   environment switches by [`RunOptions::from_env`] (the only
 //!   environment reader in this crate). None of them changes a
-//!   report except the model: route tables vs per-hop routing and
-//!   active-set vs sweep epoch ticks are byte-identical, enforced by
-//!   `tests/tests/run_modes.rs` and `tests/tests/epoch_modes.rs`.
+//!   report except the model: active-set vs sweep epoch ticks are
+//!   byte-identical, enforced by `tests/tests/run_modes.rs` and
+//!   `tests/tests/epoch_modes.rs`.
 //!
 //! # Example
 //!
@@ -75,7 +75,7 @@ pub use config::{
 };
 pub use dyntopo::{DynamicTopology, DynamicTopologyConfig};
 pub use engine::Simulator;
-pub use env::{env_threads, parse_model, EpochMode, Routes, RunOptions, SimModel, TraceOptions};
+pub use env::{env_threads, parse_model, EpochMode, RunOptions, SimModel, TraceOptions};
 pub use packet::MessageId;
 pub use sched::Scheduler;
 pub use stats::{LatencyHistogram, RateResidency, SimReport, TimelineEvent};

@@ -280,10 +280,10 @@ pub struct SimReport {
     /// per kind, credit-wake fires, TxDone batch sizes, per-rate
     /// residency, epoch-sampled queue depths). Every value derives
     /// purely from simulated behavior, so the map is identical across
-    /// scheduler backends, route modes, and tracing on/off.
+    /// epoch modes and tracing on/off.
     pub metrics: BTreeMap<String, u64>,
-    /// Wall-clock phase breakdown of the run (route-table build,
-    /// warmup, measurement, finalize). Host-time diagnostics only —
+    /// Wall-clock phase breakdown of the run (warmup, measurement,
+    /// controller, fluid advance, finalize). Host-time diagnostics only —
     /// never serialized, so reports stay byte-identical across hosts
     /// and runs.
     pub phases: Vec<Phase>,

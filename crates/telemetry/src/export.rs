@@ -16,7 +16,6 @@
 //! | `controller` | counter sample (`ph:"C"`) `ch<N> Gb/s` = new rate | owning channel's process |
 //! | `reactivation` `start`→`end` | duration slice (`ph:"X"`) `reactivation` | channel's thread |
 //! | `credit` `block`→`unblock` | duration slice (`ph:"X"`) `credit stall` | channel's thread |
-//! | `routes` | instant `route rebuild` | `engine` / `route rebuilds` |
 //! | `detour` | instant `detour` | switch process / `detours` (or `engine` / `detours` without a layout) |
 //!
 //! Channels are grouped into one process per switch when a
@@ -42,7 +41,7 @@ use crate::schema::TraceRecord;
 use serde::Value;
 use std::collections::{BTreeMap, HashSet};
 
-/// Process id for controller decisions and route rebuilds.
+/// Process id for controller decisions.
 const PID_ENGINE: u64 = 1;
 /// Process id for host injection channels (with a layout) or for the
 /// single flat channel group (without one).
@@ -352,25 +351,6 @@ pub fn chrome_trace(records: &[TraceRecord], layout: Option<TrackLayout>) -> Chr
                     }
                 }
             }
-            TraceRecord::Routes {
-                at_ps,
-                generation,
-                build_ns,
-                entries,
-            } => {
-                b.name_track(PID_ENGINE, 2, "engine", "route rebuilds");
-                b.instant(
-                    "route rebuild",
-                    *at_ps,
-                    PID_ENGINE,
-                    2,
-                    vec![
-                        ("generation".into(), Value::U64(*generation)),
-                        ("build_ns".into(), Value::U64(*build_ns)),
-                        ("entries".into(), Value::U64(*entries)),
-                    ],
-                );
-            }
             TraceRecord::Detour {
                 at_ps,
                 switch,
@@ -506,7 +486,6 @@ mod tests {
     fn sample_records() -> Vec<TraceRecord> {
         let sink = MemorySink::new();
         let mut t = Tracer::new(sink.clone(), TraceCategory::ALL_MASK);
-        t.routes(0, 1, 42_000, 1024);
         t.controller(1_000, 2, 0.82, "10 Gb/s", "20 Gb/s", "upshift");
         t.reactivation(1_000, 2, "start", "20 Gb/s", Some(2_000));
         t.credit(1_500, 4, "block", 2048, 512);

@@ -5,7 +5,7 @@
 //!
 //! - [`trace`] — a structured trace layer: typed, sim-timestamped
 //!   events (controller decisions, link reactivations, credit
-//!   block/unblock, route-table rebuilds, adaptive-routing detours)
+//!   block/unblock, adaptive-routing detours)
 //!   written as JSONL through a pluggable [`trace::TraceSink`].
 //!   Enabled per run by `EPNET_TRACE=<path>` and narrowed with
 //!   `EPNET_TRACE_FILTER=<cat>,<cat>,...` (parsed by the simulator's
@@ -15,7 +15,7 @@
 //!   the final report as a sorted name→value map.
 //! - [`profile`] — wall-clock phase timers (RAII or explicit) that
 //!   attribute host time to the coarse phases of a run: topology
-//!   build, route-table construction, warmup, measurement, report
+//!   build, warmup, measurement, controller, fluid advance, report
 //!   finalization.
 //!
 //! [`schema`] validates trace files against the documented per-category

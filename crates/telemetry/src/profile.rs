@@ -1,7 +1,7 @@
 //! Wall-clock phase profiling.
 //!
 //! A [`Profiler`] accumulates host time by phase name — topology
-//! build, route-table construction, warmup, measurement, report
+//! build, warmup, measurement, controller, fluid advance, report
 //! finalization — either through the RAII [`PhaseTimer`] guard or by
 //! recording an explicitly measured [`std::time::Duration`] (the run
 //! loop straddles the warmup/measurement boundary, so the engine
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 /// One named phase and its accumulated wall time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
-    /// Phase name, e.g. `route_table_build`.
+    /// Phase name, e.g. `fluid_advance`.
     pub name: &'static str,
     /// Accumulated wall-clock nanoseconds.
     pub wall_ns: u64,

@@ -56,17 +56,6 @@ pub enum TraceRecord {
         /// Credits available when the record was emitted.
         credits: u64,
     },
-    /// A route-table (re)build.
-    Routes {
-        /// Simulated time, picoseconds.
-        at_ps: u64,
-        /// Link-mask generation the table was built against.
-        generation: u64,
-        /// Wall-clock nanoseconds spent building.
-        build_ns: u64,
-        /// Total port entries in the rebuilt table.
-        entries: u64,
-    },
     /// An adaptive-routing detour.
     Detour {
         /// Simulated time, picoseconds.
@@ -89,7 +78,6 @@ impl TraceRecord {
             TraceRecord::Controller { at_ps, .. }
             | TraceRecord::Reactivation { at_ps, .. }
             | TraceRecord::Credit { at_ps, .. }
-            | TraceRecord::Routes { at_ps, .. }
             | TraceRecord::Detour { at_ps, .. } => at_ps,
         }
     }
@@ -100,7 +88,6 @@ impl TraceRecord {
             TraceRecord::Controller { .. } => TraceCategory::Controller,
             TraceRecord::Reactivation { .. } => TraceCategory::Reactivation,
             TraceRecord::Credit { .. } => TraceCategory::Credit,
-            TraceRecord::Routes { .. } => TraceCategory::Routes,
             TraceRecord::Detour { .. } => TraceCategory::Detour,
         }
     }
@@ -201,12 +188,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
                 needed: req_u64(&v, line_no, "needed")?,
                 credits: req_u64(&v, line_no, "credits")?,
             },
-            TraceCategory::Routes => TraceRecord::Routes {
-                at_ps,
-                generation: req_u64(&v, line_no, "generation")?,
-                build_ns: req_u64(&v, line_no, "build_ns")?,
-                entries: req_u64(&v, line_no, "entries")?,
-            },
             TraceCategory::Detour => TraceRecord::Detour {
                 at_ps,
                 switch: req_u32(&v, line_no, "switch")?,
@@ -254,7 +235,6 @@ mod tests {
         t.reactivation(2_000, 2, "end", "20 Gb/s", None);
         t.credit(1_500, 4, "block", 2048, 512);
         t.credit(1_700, 4, "unblock", 2048, 4096);
-        t.routes(0, 1, 42_000, 1024);
         t.detour(1_800, 3, 5, 100, 900);
         sink.contents()
     }
@@ -263,7 +243,7 @@ mod tests {
     fn emitted_records_round_trip_through_the_parser() {
         let text = sample_trace();
         let records = parse_jsonl(&text).expect("emitter output validates");
-        assert_eq!(records.len(), 7);
+        assert_eq!(records.len(), 6);
         assert_eq!(
             records[0],
             TraceRecord::Controller {
@@ -323,12 +303,6 @@ mod tests {
                 needed: 2048,
                 credits: 4096,
             },
-            TraceRecord::Routes {
-                at_ps: 0,
-                generation: 1,
-                build_ns: 42_000,
-                entries: 1024,
-            },
             TraceRecord::Detour {
                 at_ps: 1_800,
                 switch: 3,
@@ -346,7 +320,6 @@ mod tests {
             TraceCategory::Reactivation,
             TraceCategory::Credit,
             TraceCategory::Credit,
-            TraceCategory::Routes,
             TraceCategory::Detour,
         ]) {
             assert_eq!(r.category(), cat);
@@ -358,11 +331,10 @@ mod tests {
         let mut text = sample_trace();
         text.push('\n');
         let stats = validate_jsonl(&text).expect("validates");
-        assert_eq!(stats.lines, 7);
+        assert_eq!(stats.lines, 6);
         assert_eq!(stats.count(TraceCategory::Controller), 1);
         assert_eq!(stats.count(TraceCategory::Reactivation), 2);
         assert_eq!(stats.count(TraceCategory::Credit), 2);
-        assert_eq!(stats.count(TraceCategory::Routes), 1);
         assert_eq!(stats.count(TraceCategory::Detour), 1);
         assert_eq!(validate_jsonl("").expect("empty is valid").lines, 0);
     }
@@ -387,12 +359,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("expected one of"), "{err}");
-        // The retired parallel-engine window records are not in the
-        // vocabulary.
-        let err = validate_jsonl(
+        // The retired parallel-engine window and route-table rebuild
+        // records are not in the vocabulary.
+        for retired in [
             r#"{"at_ps":5,"cat":"parallel","start_ps":1,"shards":2,"events":3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown category"), "{err}");
+            r#"{"at_ps":0,"cat":"routes","generation":0,"build_ns":1,"entries":2}"#,
+        ] {
+            let err = validate_jsonl(retired).unwrap_err();
+            assert!(err.contains("unknown category"), "{err}");
+        }
     }
 }

@@ -29,19 +29,16 @@ pub enum TraceCategory {
     /// Channel flow control: `block` when a packet stalls on credits,
     /// `unblock` when the credit wake fires.
     Credit,
-    /// Route-table (re)builds after a topology-mask invalidation.
-    Routes,
     /// Adaptive-routing (UGAL) detours chosen over the minimal path.
     Detour,
 }
 
 impl TraceCategory {
     /// Every category, in mask-bit order.
-    pub const ALL: [TraceCategory; 5] = [
+    pub const ALL: [TraceCategory; 4] = [
         TraceCategory::Controller,
         TraceCategory::Reactivation,
         TraceCategory::Credit,
-        TraceCategory::Routes,
         TraceCategory::Detour,
     ];
 
@@ -61,7 +58,6 @@ impl TraceCategory {
             TraceCategory::Controller => "controller",
             TraceCategory::Reactivation => "reactivation",
             TraceCategory::Credit => "credit",
-            TraceCategory::Routes => "routes",
             TraceCategory::Detour => "detour",
         }
     }
@@ -300,20 +296,6 @@ impl Tracer {
         );
     }
 
-    /// Records a route-table (re)build: the new generation, wall time
-    /// spent building, and total port entries in the table.
-    pub fn routes(&mut self, at_ps: u64, generation: u64, build_ns: u64, entries: u64) {
-        self.emit(
-            TraceCategory::Routes,
-            at_ps,
-            vec![
-                ("generation".into(), Value::U64(generation)),
-                ("build_ns".into(), Value::U64(build_ns)),
-                ("entries".into(), Value::U64(entries)),
-            ],
-        );
-    }
-
     /// Records an adaptive-routing detour: the switch where it was
     /// taken, the output port chosen, and the occupancies that tipped
     /// the UGAL comparison.
@@ -365,7 +347,7 @@ mod tests {
         assert_eq!(
             err,
             "unknown trace category 'bogus' in EPNET_TRACE_FILTER; valid categories: \
-             controller, reactivation, credit, routes, detour"
+             controller, reactivation, credit, detour"
         );
         // Valid names before the offender don't rescue the parse, and
         // case matters (names are stable lowercase identifiers).
@@ -401,10 +383,9 @@ mod tests {
         tracer.reactivation(2, 0, "start", "5 Gb/s", Some(12));
         tracer.reactivation(12, 0, "end", "5 Gb/s", None);
         tracer.credit(3, 7, "block", 2048, 100);
-        tracer.routes(4, 2, 1234, 512);
         tracer.detour(5, 3, 1, 4, 9);
         let text = sink.contents();
-        assert_eq!(text.lines().count(), 6);
+        assert_eq!(text.lines().count(), 5);
         for line in text.lines() {
             let v: serde::Value = serde_json::from_str(line).expect("line parses");
             assert!(v.get("at_ps").and_then(serde::Value::as_u64).is_some());

@@ -45,7 +45,6 @@ mod error;
 mod fabric;
 mod fbfly;
 mod ids;
-mod route_table;
 mod routes;
 mod subtopology;
 mod twotier;
@@ -57,7 +56,6 @@ pub use error::TopologyError;
 pub use fabric::{FabricGraph, FabricKind, Medium, PortTarget, RoutingTopology};
 pub use fbfly::FlattenedButterfly;
 pub use ids::{ChannelId, HostId, LinkId, PortIndex, SwitchId};
-pub use route_table::RouteTable;
 pub use routes::HopHistogram;
 pub use subtopology::{LinkMask, SubtopologyKind};
 pub use twotier::TwoTierClos;

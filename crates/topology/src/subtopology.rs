@@ -38,32 +38,16 @@ pub enum SubtopologyKind {
 /// );
 /// # Ok::<(), epnet_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkMask {
     enabled: Vec<bool>,
-    /// Change stamp: bumped on every [`enable`](Self::enable) /
-    /// [`disable`](Self::disable) so derived structures (e.g. a
-    /// [`RouteTable`](crate::RouteTable)) can detect staleness without
-    /// comparing the whole bit-vector. Not part of equality.
-    generation: u64,
 }
-
-/// Equality compares the enabled bits only — two masks describing the
-/// same subtopology are equal regardless of their edit histories.
-impl PartialEq for LinkMask {
-    fn eq(&self, other: &Self) -> bool {
-        self.enabled == other.enabled
-    }
-}
-
-impl Eq for LinkMask {}
 
 impl LinkMask {
     /// A mask with every link enabled.
     pub fn all_enabled(graph: &FabricGraph) -> Self {
         Self {
             enabled: vec![true; graph.num_links()],
-            generation: 0,
         }
     }
 
@@ -125,25 +109,14 @@ impl LinkMask {
         self.enabled[link.index()]
     }
 
-    /// Enables a link, bumping the change [`generation`](Self::generation).
+    /// Enables a link.
     pub fn enable(&mut self, link: LinkId) {
         self.enabled[link.index()] = true;
-        self.generation += 1;
     }
 
-    /// Disables a link, bumping the change [`generation`](Self::generation).
+    /// Disables a link.
     pub fn disable(&mut self, link: LinkId) {
         self.enabled[link.index()] = false;
-        self.generation += 1;
-    }
-
-    /// The change stamp — strictly increases across every mutation.
-    ///
-    /// Consumers that precompute over a mask (route tables) record the
-    /// generation at build time and rebuild lazily when it moves.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of enabled links.
@@ -272,17 +245,5 @@ mod tests {
         assert_eq!(m.enabled_links(), g.num_links());
         assert_eq!(m.iter().count(), g.num_links());
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn generation_tracks_mutations_but_not_equality() {
-        let g = graph();
-        let mut m = LinkMask::all_enabled(&g);
-        assert_eq!(m.generation(), 0);
-        m.disable(LinkId::new(3));
-        m.enable(LinkId::new(3));
-        assert_eq!(m.generation(), 2);
-        // Content-equal to a fresh mask despite the edit history.
-        assert_eq!(m, LinkMask::all_enabled(&g));
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests over topology invariants.
 
 use epnet_topology::{
-    FabricGraph, FlattenedButterfly, HostId, LinkId, LinkMask, Medium, PortIndex, PortTarget,
-    RouteTable, RoutingTopology, SubtopologyKind, SwitchId, TwoTierClos,
+    FlattenedButterfly, HostId, LinkId, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology,
+    SubtopologyKind, SwitchId,
 };
 use proptest::prelude::*;
 
@@ -10,57 +10,6 @@ use proptest::prelude::*;
 fn fbfly_strategy() -> impl Strategy<Value = FlattenedButterfly> {
     (1u16..6, 2u16..7, 2usize..5)
         .prop_map(|(c, k, n)| FlattenedButterfly::new(c, k, n).expect("params in valid range"))
-}
-
-/// Deterministic SplitMix64 for seed-derived masks and destinations.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Disables ~1/4 of the links of `g`, derived from `seed`.
-fn random_mask(g: &FabricGraph, seed: u64) -> LinkMask {
-    let mut rng = seed;
-    let mut mask = LinkMask::all_enabled(g);
-    for l in 0..g.num_links() {
-        if splitmix(&mut rng) % 4 == 0 {
-            mask.disable(LinkId::new(l as u32));
-        }
-    }
-    mask
-}
-
-/// Every `RouteTable` row must equal the on-the-fly enumeration for a
-/// handful of seed-derived destinations, from every switch.
-fn assert_table_matches(g: &FabricGraph, mask: Option<&LinkMask>, dst_seed: u64) {
-    let table = RouteTable::build(g, mask);
-    let mut rng = dst_seed;
-    let mut dynamic = Vec::new();
-    for _ in 0..8 {
-        let dest = HostId::new((splitmix(&mut rng) % g.num_hosts() as u64) as u32);
-        let dst_switch = g.host_switch(dest);
-        for at in 0..g.num_switches() {
-            let at = SwitchId::new(at as u32);
-            if at == dst_switch {
-                continue;
-            }
-            g.candidate_ports_masked(at, dest, mask, &mut dynamic);
-            assert_eq!(
-                table.candidates(at, dst_switch),
-                &dynamic[..],
-                "minimal candidates diverge at {at} toward {dst_switch}"
-            );
-            g.detour_ports_masked(at, dst_switch, mask, &mut dynamic);
-            assert_eq!(
-                table.detours(at, dst_switch),
-                &dynamic[..],
-                "detour candidates diverge at {at} toward {dst_switch}"
-            );
-        }
-    }
 }
 
 proptest! {
@@ -242,42 +191,5 @@ proptest! {
             prop_assert_eq!(g.link_of(a), link);
             prop_assert_eq!(g.link_of(b), link);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn route_table_matches_dynamic_routing(
-        f in fbfly_strategy(),
-        mask_seed in any::<u64>(),
-        dst_seed in any::<u64>(),
-    ) {
-        let g = f.build_fabric();
-        // Maskless and randomly-degraded tables both agree with the
-        // on-the-fly enumeration.
-        assert_table_matches(&g, None, dst_seed);
-        let mut mask = random_mask(&g, mask_seed);
-        assert_table_matches(&g, Some(&mask), dst_seed);
-
-        // Mutating the mask bumps its generation, staling any table
-        // built against the old one; a rebuild must agree again.
-        let table = RouteTable::build(&g, Some(&mask));
-        prop_assert!(table.is_current(Some(&mask)));
-        mask.enable(LinkId::new(0));
-        prop_assert!(!table.is_current(Some(&mask)));
-        assert_table_matches(&g, Some(&mask), dst_seed ^ 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn clos_route_table_matches_dynamic_routing(
-        c in 1u16..5,
-        s in 1u32..5,
-        dst_seed in any::<u64>(),
-    ) {
-        let clos = TwoTierClos::new(c, s, u32::from(c) + s).expect("leaves = conc + spines");
-        let g = clos.build_fabric();
-        assert_table_matches(&g, None, dst_seed);
     }
 }

@@ -43,24 +43,6 @@ fn measure(axes: &[Axis]) -> Document {
     axis::validate(&axis::render(&names, 1, &records)).expect("measured document validates")
 }
 
-#[test]
-fn engine_bench_document_is_well_formed() {
-    let doc = measure(&[enginebench::axis()]);
-    let variants: Vec<&str> = doc.records.iter().map(|r| r.variant.as_str()).collect();
-    assert_eq!(variants, vec!["route_table", "dynamic_routes"]);
-    for r in &doc.records {
-        assert!(
-            r.events > 0 && r.packets > 0,
-            "{}: nothing simulated",
-            r.variant
-        );
-        assert!(r.alloc.is_none(), "no counting allocator in this process");
-    }
-    // Both route modes simulate the identical run.
-    assert_eq!(doc.records[0].report_digest, doc.records[1].report_digest);
-    assert_eq!(doc.records[0].events, doc.records[1].events);
-}
-
 /// The reduced load sweep's low-load point: both epoch modes serialize
 /// one report, and the active set does strictly less controller work
 /// per tick than the channel count — the activity-proportional bound

@@ -1,8 +1,7 @@
-//! Run-option cross-check: route lookup and the epoch-tick
-//! implementation are execution details, never behaviors. Every
-//! configuration must serialize a byte-identical `SimReport` under the
-//! defaults, per-hop routing and the full epoch sweep, for both
-//! simulation models. All options are passed as `RunOptions` values;
+//! Run-option cross-check: the epoch-tick implementation is an
+//! execution detail, never a behavior. Every configuration must
+//! serialize a byte-identical `SimReport` under the defaults and the
+//! full epoch sweep, for both simulation models. All options are passed as `RunOptions` values;
 //! the one test that touches the process environment pins how
 //! `EPNET_MODEL` and the retired `EPNET_PAR` interact with them.
 //!
@@ -12,23 +11,21 @@
 
 use epnet::prelude::*;
 
-/// Execution options compared against the defaults: per-hop routing
-/// and the full epoch sweep.
-const MODES: [(&str, Routes, EpochMode); 3] = [
-    ("defaults", Routes::Table, EpochMode::ActiveSet),
-    ("routes=dynamic", Routes::Dynamic, EpochMode::ActiveSet),
-    ("epoch=sweep", Routes::Table, EpochMode::Sweep),
+/// Execution options compared against the defaults: the full epoch
+/// sweep.
+const MODES: [(&str, EpochMode); 2] = [
+    ("defaults", EpochMode::ActiveSet),
+    ("epoch=sweep", EpochMode::Sweep),
 ];
 
 /// Simulation models composed with every mode.
 const MODELS: [SimModel; 2] = [SimModel::Packet, SimModel::Hybrid];
 
 /// The run options for `model` under `mode`.
-fn options(model: SimModel, mode: (&str, Routes, EpochMode)) -> RunOptions {
-    let (_, routes, epoch) = mode;
+fn options(model: SimModel, mode: (&str, EpochMode)) -> RunOptions {
+    let (_, epoch) = mode;
     RunOptions {
         model,
-        routes,
         epoch,
         trace: None,
     }

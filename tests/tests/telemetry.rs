@@ -2,13 +2,14 @@
 //! simulation without perturbing it.
 //!
 //! The load-bearing guarantee is byte-identical serialized reports —
-//! metrics map included — across every combination of route mode,
-//! epoch mode, and tracing on/off. Wall-clock phase timings are exempt
-//! by construction: the report serializer excludes them.
+//! metrics map included — across every combination of epoch mode and
+//! tracing on/off, and byte-identical trace files across repeated runs.
+//! Wall-clock phase timings are exempt by construction: the report
+//! serializer excludes them.
 
 use epnet::exp::{EvalScale, WorkloadKind};
 use epnet::prelude::*;
-use epnet::sim::{MemorySink, TraceCategory, Tracer};
+use epnet::sim::{MemorySink, TraceCategory, TraceOptions, Tracer};
 use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
 
 fn tiny() -> EvalScale {
@@ -56,18 +57,15 @@ fn run_traced(options: RunOptions, traced: bool) -> (String, String) {
 #[test]
 fn reports_are_byte_identical_across_modes_and_tracing() {
     let mut reports = Vec::new();
-    for routes in [Routes::Table, Routes::Dynamic] {
-        for epoch in [EpochMode::ActiveSet, EpochMode::Sweep] {
-            for traced in [false, true] {
-                let options = RunOptions {
-                    routes,
-                    epoch,
-                    ..RunOptions::default()
-                };
-                let (report, trace) = run_traced(options, traced);
-                assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
-                reports.push((format!("{routes:?}/{epoch:?}/traced={traced}"), report));
-            }
+    for epoch in [EpochMode::ActiveSet, EpochMode::Sweep] {
+        for traced in [false, true] {
+            let options = RunOptions {
+                epoch,
+                ..RunOptions::default()
+            };
+            let (report, trace) = run_traced(options, traced);
+            assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
+            reports.push((format!("{epoch:?}/traced={traced}"), report));
         }
     }
     let (base_label, base) = &reports[0];
@@ -81,20 +79,20 @@ fn reports_are_byte_identical_across_modes_and_tracing() {
 
 /// The same guarantee beyond the toy fabric: an FBFLY(4,16,2) — 64
 /// hosts, 16 switches, large enough to exercise multi-candidate
-/// adaptive routing, credit backpressure, and calendar-queue resizes —
-/// must also serialize byte-identically across route modes. Guards the
-/// struct-of-arrays hot-state layout and the free-list recycling at a
-/// scale where their bugs would actually surface.
+/// adaptive routing and credit backpressure — must also serialize
+/// byte-identically across epoch modes. Guards the struct-of-arrays
+/// hot-state layout and the free-list recycling at a scale where their
+/// bugs would actually surface.
 #[test]
 fn reports_are_byte_identical_across_modes_at_scale() {
     let horizon = SimTime::from_ms(2);
-    let run = |routes| {
+    let run = |epoch| {
         let fabric = epnet::topology::FlattenedButterfly::new(4, 16, 2)
             .expect("valid shape")
             .build_fabric();
         let hosts = fabric.num_hosts() as u32;
         let options = RunOptions {
-            routes,
+            epoch,
             ..RunOptions::default()
         };
         let sim = Simulator::with_options(
@@ -107,9 +105,41 @@ fn reports_are_byte_identical_across_modes_at_scale() {
         serde_json::to_string_pretty(&report).expect("report serializes")
     };
     assert_eq!(
-        run(Routes::Table),
-        run(Routes::Dynamic),
-        "serialized report differs between route modes"
+        run(EpochMode::ActiveSet),
+        run(EpochMode::Sweep),
+        "serialized report differs between epoch modes"
+    );
+}
+
+/// Traces hold simulated quantities only, so two runs of one scenario
+/// write byte-identical files — every category on, traced through the
+/// run options from construction onward, with the dynamic topology
+/// mutating the link mask mid-run.
+#[test]
+fn trace_files_are_byte_identical_across_runs() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let run = |name: &str| {
+        let path = dir.join(name);
+        let mut sim = tiny_sim(RunOptions {
+            trace: Some(TraceOptions {
+                path: path.clone(),
+                mask: TraceCategory::ALL_MASK,
+            }),
+            ..RunOptions::default()
+        });
+        sim.enable_dynamic_topology(DynamicTopology::new(
+            sim.fabric(),
+            DynamicTopologyConfig::default(),
+        ));
+        sim.run_until(tiny().duration);
+        std::fs::read_to_string(&path).expect("trace written")
+    };
+    let first = run("telemetry_trace_a.jsonl");
+    assert!(!first.is_empty(), "the traced run emitted records");
+    assert_eq!(
+        first,
+        run("telemetry_trace_b.jsonl"),
+        "two runs of one scenario must write the same trace"
     );
 }
 
