@@ -8,7 +8,7 @@
 //!         figure9a figure9b costs   (default: all)
 //! ```
 //!
-//! `--scale quick` (default) runs a 512-host 8-ary 3-flat for 5 ms per
+//! `--scale quick` (default) runs a 512-host 8-ary 3-flat for 8 ms per
 //! experiment; `--scale paper` runs the paper's 15-ary 3-flat (3,375
 //! hosts, 20 ms per run — budget roughly an hour for the full suite).
 

@@ -43,7 +43,7 @@ impl EvalScale {
         }
     }
 
-    /// A 512-host 8-ary 3-flat over 5 ms — minutes instead of hours for
+    /// A 512-host 8-ary 3-flat over 8 ms — minutes instead of hours for
     /// the full suite, same qualitative shapes.
     pub fn quick() -> Self {
         Self {

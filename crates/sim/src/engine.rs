@@ -190,7 +190,7 @@ pub(crate) struct Core {
     /// Delivered bytes per pod (hybrid model only; empty in packet
     /// mode, which keeps packet-mode reports byte-identical).
     pub(crate) pod_bytes: Vec<u64>,
-    /// Telemetry: tracer, metrics registry, phase profiler.
+    /// Telemetry: tracer and phase profiler.
     pub(crate) inst: Instruments,
 }
 
@@ -423,18 +423,16 @@ impl<S: TrafficSource> Simulator<S> {
         //
         // The warmup/measurement wall-clock split costs one predictable
         // branch per pop until the warmup boundary passes, then nothing.
-        let ids = self.core.inst.ids;
         let warmup_end = self.core.config.warmup;
-        // Event-kind counters accumulate in registers and flush into the
-        // metrics registry once per `advance_until` — totals (and thus
-        // the serialized report) are identical, without an indexed
-        // read-modify-write inside the pop loop.
+        // Event-kind counts accumulate in registers and flush into
+        // `stats.counters` once per call: incrementing the fields in
+        // the pop loop ran ~5% slower on the reference benchmark's
+        // packet workload (EXPERIMENTS.md "One counter store").
         let mut n_workload = 0u64;
         let mut n_tx_done = 0u64;
         let mut n_arrive = 0u64;
         let mut n_credit_wake = 0u64;
         let mut n_retry = 0u64;
-        let mut n_epoch_tick = 0u64;
         while let Some(t) = self.core.queue.peek_time() {
             if t > cap {
                 break;
@@ -451,6 +449,7 @@ impl<S: TrafficSource> Simulator<S> {
             let (t, ev) = self.core.queue.pop().expect("peeked event vanished");
             self.core.now = t;
             self.core.stats.events += 1;
+            // `on_epoch` counts its own ticks (`stats.epoch_ticks`).
             match ev {
                 Event::Workload => {
                     n_workload += 1;
@@ -472,21 +471,15 @@ impl<S: TrafficSource> Simulator<S> {
                     n_retry += 1;
                     self.core.on_retry(channel);
                 }
-                Event::EpochTick => {
-                    n_epoch_tick += 1;
-                    self.core.on_epoch();
-                }
+                Event::EpochTick => self.core.on_epoch(),
             }
         }
-        self.core.inst.metrics.add(ids.ev_workload, n_workload);
-        self.core.inst.metrics.add(ids.ev_tx_done, n_tx_done);
-        self.core.inst.metrics.add(ids.ev_arrive, n_arrive);
-        self.core
-            .inst
-            .metrics
-            .add(ids.ev_credit_wake, n_credit_wake);
-        self.core.inst.metrics.add(ids.ev_retry, n_retry);
-        self.core.inst.metrics.add(ids.ev_epoch_tick, n_epoch_tick);
+        let counters = &mut self.core.stats.counters;
+        counters.ev_workload += n_workload;
+        counters.ev_tx_done += n_tx_done;
+        counters.ev_arrive += n_arrive;
+        counters.ev_credit_wake += n_credit_wake;
+        counters.ev_retry += n_retry;
     }
 
     /// Closes the run at the horizon and produces the report. Consumes
@@ -655,7 +648,7 @@ impl Core {
                 .apply_matured_credits(i, now, self.config.input_buffer_bytes);
         let head_bytes = self.arena.get(head).bytes;
         if credits < head_bytes {
-            self.inst.metrics.add(self.inst.ids.credit_blocked_tries, 1);
+            self.stats.counters.credit_blocked_tries += 1;
             // Blocked on credits: wake exactly when the next pending
             // return matures. If none is booked yet, the arrival that
             // books one re-arms the wake (`on_arrive`).
@@ -750,11 +743,10 @@ impl Core {
         let train_len = self.channels.train_len[i];
         debug_assert!(train_len >= 1, "TxDone without a train");
         let train = u64::from(train_len);
-        self.inst.metrics.add(self.inst.ids.tx_trains, 1);
-        self.inst.metrics.add(self.inst.ids.tx_train_packets, train);
-        self.inst
-            .metrics
-            .observe_max(self.inst.ids.tx_train_max_packets, train);
+        let counters = &mut self.stats.counters;
+        counters.tx_trains += 1;
+        counters.tx_train_packets += train;
+        counters.tx_train_max_packets = counters.tx_train_max_packets.max(train);
         let q = &mut self.channels.queues[i];
         for _ in 0..train_len {
             q.pop_front().expect("TxDone with empty queue");
@@ -907,7 +899,7 @@ impl Core {
                     if 2 * occ + u64::from(bias_bytes) < best_occ {
                         best = port;
                         misrouted = true;
-                        self.inst.metrics.add(self.inst.ids.detours_taken, 1);
+                        self.stats.counters.detours_taken += 1;
                         if self.inst.on(TraceCategory::Detour) {
                             self.inst.tracer().detour(
                                 self.now.as_ps(),
@@ -1129,14 +1121,10 @@ impl Core {
                 decisions_enabled,
             )
         };
-        let ids = self.inst.ids;
-        self.inst
-            .metrics
-            .add(ids.epoch_queue_samples, self.channels.len() as u64);
-        self.inst.metrics.add(ids.epoch_queue_bytes_sum, queued_sum);
-        self.inst
-            .metrics
-            .observe_max(ids.epoch_queue_bytes_peak, queued_peak);
+        let counters = &mut self.stats.counters;
+        counters.epoch_queue_samples += self.channels.len() as u64;
+        counters.epoch_queue_bytes_sum += queued_sum;
+        counters.epoch_queue_bytes_peak = counters.epoch_queue_bytes_peak.max(queued_peak);
         let next = self.now + epoch;
         self.epoch_end = next;
         if next <= self.end {
@@ -1340,8 +1328,6 @@ impl Core {
     /// [`ReactivationStrategy::DrainFirst`]: crate::config::ReactivationStrategy::DrainFirst
     fn apply_rate(&mut self, ch: ChannelId, rate: LinkRate) -> RateOutcome {
         let i = ch.index();
-        let now = self.now;
-        let model = self.config.reactivation;
         let strategy = self.config.reactivation_strategy;
         // The F_DRAINING mirror gates the cold-table take: the common
         // hold/no-drain decision — the bulk of every epoch sweep —
@@ -1367,23 +1353,7 @@ impl Core {
             self.channels.set_pending_rate(i, Some(rate));
             return RateOutcome::DrainDeferred;
         }
-        let latency = model.latency(self.channels.rate[i], rate);
-        self.channels.note_interval(i, now);
-        self.channels.set_rate(i, rate);
-        let until = now + latency;
-        self.channels.available_at[i] = until;
-        self.stats.reconfigurations += 1;
-        self.stats.record_rate(now, ch.raw(), Some(rate));
-        if self.inst.on(TraceCategory::Reactivation) {
-            let rate = rate.to_string();
-            self.inst.tracer().reactivation(
-                now.as_ps(),
-                ch.raw(),
-                "start",
-                &rate,
-                Some(until.as_ps()),
-            );
-        }
+        self.commit_rate(ch, rate);
         // If traffic is waiting, make sure it resumes once the channel
         // relocks (the serializing packet, if any, completes at the old
         // timing — the change takes effect for subsequent packets). An
@@ -1398,8 +1368,6 @@ impl Core {
     /// Completes a drain-first rate change once the queue has emptied.
     fn finish_pending_rate(&mut self, ch: ChannelId) {
         let i = ch.index();
-        let now = self.now;
-        let model = self.config.reactivation;
         let Some(rate) = self.channels.take_pending_rate(i) else {
             return;
         };
@@ -1410,6 +1378,16 @@ impl Core {
             self.channels.set_pending_rate(i, Some(rate));
             return;
         }
+        self.commit_rate(ch, rate);
+    }
+
+    /// Switches `ch` to `rate` now: the channel is unavailable for the
+    /// reactivation latency, and the change is counted, recorded on the
+    /// timeline and traced.
+    fn commit_rate(&mut self, ch: ChannelId, rate: LinkRate) {
+        let i = ch.index();
+        let now = self.now;
+        let model = self.config.reactivation;
         let latency = model.latency(self.channels.rate[i], rate);
         self.channels.note_interval(i, now);
         self.channels.set_rate(i, rate);
@@ -1477,30 +1455,7 @@ impl Core {
         };
         let num_channels = self.channels.len();
         let peak_live_packets = self.arena.capacity();
-        // Residency gauges are set once here: they are pure
-        // simulation-time totals, so the metrics map stays identical
-        // across scheduler/route modes and tracing on/off.
-        let ids = self.inst.ids;
-        let clamp = |ps: u128| u64::try_from(ps).unwrap_or(u64::MAX);
-        for r in RATE_LADDER {
-            self.inst.metrics.set(
-                ids.residency_ps[r.index()],
-                clamp(residency.at_rate_ps[r.index()]),
-            );
-        }
-        self.inst
-            .metrics
-            .set(ids.residency_off_ps, clamp(residency.off_ps));
-        // Flow-table high-water diagnostics (hybrid model; zero in
-        // packet mode, where the table is never consulted).
-        self.inst
-            .metrics
-            .set(ids.flow_table_peak, self.flows.peak_live() as u64);
-        self.inst
-            .metrics
-            .set(ids.flow_table_capacity, self.flows.capacity() as u64);
-        let metrics = self.inst.metrics.snapshot();
-        let diagnostics = self.inst.metrics.diagnostics_snapshot();
+        let (metrics, diagnostics) = s.metric_maps(&residency, &self.flows);
         self.inst
             .profiler
             .record("finalize", finalize_start.elapsed());

@@ -246,7 +246,7 @@ impl Core {
             path,
             path_len: len,
         });
-        self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
+        self.stats.counters.flows_absorbed += 1;
         true
     }
 
@@ -274,7 +274,6 @@ impl Core {
             return;
         }
         let now = self.now;
-        let ids = self.inst.ids;
         let limit = self.flow_congestion_limit();
         let mut k = 0usize;
         while k < self.flows.live.len() {
@@ -309,7 +308,7 @@ impl Core {
                 let dst = HostId::new(flow.dst);
                 let inj = ChannelId::new(flow.path[0]);
                 self.inject_packets(inj, dst, flow.remaining, flow.offered_at);
-                self.inst.metrics.add(ids.flows_demoted, 1);
+                self.stats.counters.flows_demoted += 1;
                 continue;
             }
             if budget > 0 {
@@ -321,7 +320,7 @@ impl Core {
                     self.stats.busy_ps_total += u128::from(busy);
                 }
                 self.stats.record_flow_bytes(flow.offered_at, budget);
-                self.inst.metrics.add(ids.flow_fluid_bytes, budget);
+                self.stats.counters.flow_fluid_bytes += budget;
                 if !self.pod_bytes.is_empty() {
                     let dst = flow.dst as usize;
                     self.pod_bytes[self.pod_of_host[dst] as usize] += budget;
@@ -329,7 +328,7 @@ impl Core {
             }
             if flow.remaining == budget {
                 self.stats.record_message(flow.offered_at, now);
-                self.inst.metrics.add(ids.flows_completed, 1);
+                self.stats.counters.flows_completed += 1;
                 self.flows.release(k);
                 continue;
             }

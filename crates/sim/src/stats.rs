@@ -1,7 +1,8 @@
 //! Measurement collection and the end-of-run report.
 
+use crate::flows::FlowTable;
 use crate::SimTime;
-use epnet_power::{LinkPowerProfile, LinkRate};
+use epnet_power::{LinkPowerProfile, LinkRate, RATE_LADDER};
 use epnet_telemetry::Phase;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -100,6 +101,51 @@ pub(crate) struct Stats {
     pub timeline: Vec<TimelineEvent>,
     /// Channels `0..timeline_channels` are recorded.
     pub timeline_channels: u32,
+    /// The counters behind `SimReport.metrics` and `.diagnostics`.
+    pub counters: Counters,
+}
+
+/// Engine counters, each bumped where its event happens (the per-kind
+/// event counts once per `advance_until` batch) and named only in
+/// [`Stats::metric_maps`]. Every value derives purely from simulated
+/// behavior, so the maps are identical across epoch modes and tracing
+/// on/off.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    /// `Workload` events popped.
+    pub ev_workload: u64,
+    /// `TxDone` events popped.
+    pub ev_tx_done: u64,
+    /// `Arrive` events popped.
+    pub ev_arrive: u64,
+    /// `CreditWake` events popped.
+    pub ev_credit_wake: u64,
+    /// `Retry` events popped.
+    pub ev_retry: u64,
+    /// Times `try_tx` found the head packet short on credits.
+    pub credit_blocked_tries: u64,
+    /// Transmission trains completed (`TxDone` batches).
+    pub tx_trains: u64,
+    /// Packets carried by completed trains.
+    pub tx_train_packets: u64,
+    /// Largest completed train, in packets.
+    pub tx_train_max_packets: u64,
+    /// UGAL detours actually taken.
+    pub detours_taken: u64,
+    /// Channel queue-depth samples taken at epoch boundaries.
+    pub epoch_queue_samples: u64,
+    /// Sum of sampled queue depths, bytes.
+    pub epoch_queue_bytes_sum: u64,
+    /// Largest queue depth seen at an epoch boundary, bytes.
+    pub epoch_queue_bytes_peak: u64,
+    /// Messages absorbed into the fluid regime (hybrid model).
+    pub flows_absorbed: u64,
+    /// Flows demoted back to packets at a regime boundary.
+    pub flows_demoted: u64,
+    /// Flows that completed entirely in the fluid regime.
+    pub flows_completed: u64,
+    /// Bytes delivered by fluid flow advancement.
+    pub flow_fluid_bytes: u64,
 }
 
 impl Stats {
@@ -125,7 +171,59 @@ impl Stats {
             controller_decisions: 0,
             timeline: Vec::new(),
             timeline_channels: 0,
+            counters: Counters::default(),
         }
+    }
+
+    /// Builds the report's `(metrics, diagnostics)` maps at finish.
+    /// Per-rate residency comes from the finished `residency` and the
+    /// epoch-tick count from `epoch_ticks`. The hybrid model's flow
+    /// counters are diagnostics: zero in packet mode, and kept off the
+    /// serialized map so packet-model reports stay byte-identical to
+    /// pre-hybrid ones.
+    pub fn metric_maps(
+        &self,
+        residency: &RateResidency,
+        flows: &FlowTable,
+    ) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+        let c = &self.counters;
+        let clamp = |ps: u128| u64::try_from(ps).unwrap_or(u64::MAX);
+        let mut metrics: BTreeMap<String, u64> = [
+            ("events_workload", c.ev_workload),
+            ("events_tx_done", c.ev_tx_done),
+            ("events_arrive", c.ev_arrive),
+            ("events_credit_wake", c.ev_credit_wake),
+            ("events_retry", c.ev_retry),
+            ("events_epoch_tick", self.epoch_ticks),
+            ("credit_blocked_tries", c.credit_blocked_tries),
+            ("tx_trains", c.tx_trains),
+            ("tx_train_packets", c.tx_train_packets),
+            ("tx_train_max_packets", c.tx_train_max_packets),
+            ("detours_taken", c.detours_taken),
+            ("epoch_queue_samples", c.epoch_queue_samples),
+            ("epoch_queue_bytes_sum", c.epoch_queue_bytes_sum),
+            ("epoch_queue_bytes_peak", c.epoch_queue_bytes_peak),
+            ("residency_ps_off", clamp(residency.off_ps)),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_owned(), v))
+        .collect();
+        for r in RATE_LADDER {
+            let ps = clamp(residency.at_rate_ps[r.index()]);
+            metrics.insert(format!("residency_ps_{}mbps", r.mbps()), ps);
+        }
+        let diagnostics = [
+            ("flows_absorbed", c.flows_absorbed),
+            ("flows_demoted", c.flows_demoted),
+            ("flows_completed", c.flows_completed),
+            ("flow_fluid_bytes", c.flow_fluid_bytes),
+            ("flow_table_peak", flows.peak_live() as u64),
+            ("flow_table_capacity", flows.capacity() as u64),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_owned(), v))
+        .collect();
+        (metrics, diagnostics)
     }
 
     /// Records a rate transition for channels under the timeline limit.
@@ -412,7 +510,7 @@ impl Deserialize for SimReport {
             asymmetric_link_fraction: req(v, "asymmetric_link_fraction")?,
             peak_queue_bytes: req(v, "peak_queue_bytes")?,
             timeline: req(v, "timeline")?,
-            // Absent in reports written before the metrics registry.
+            // Absent in reports written before the metrics map.
             metrics: match v.get("metrics") {
                 Some(m) => Deserialize::from_value(m)?,
                 None => BTreeMap::new(),
@@ -740,7 +838,7 @@ mod tests {
         assert_eq!(back.controller_decisions, 0);
         assert!(back.diagnostics.is_empty());
 
-        // Reports written before the metrics registry existed still
+        // Reports written before the metrics map existed still
         // deserialize, with an empty map.
         let Value::Map(mut fields) = v else {
             panic!("report serializes as a map")

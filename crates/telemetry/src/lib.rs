@@ -1,6 +1,6 @@
 //! Observability layer for the epnet simulator.
 //!
-//! Three independent facilities, designed so each costs nothing when
+//! Two independent facilities, designed so each costs nothing when
 //! unused:
 //!
 //! - [`trace`] — a structured trace layer: typed, sim-timestamped
@@ -10,13 +10,10 @@
 //!   Enabled per run by `EPNET_TRACE=<path>` and narrowed with
 //!   `EPNET_TRACE_FILTER=<cat>,<cat>,...` (parsed by the simulator's
 //!   run options, through [`trace::parse_filter`]).
-//! - [`metrics`] — a registry of monotonic counters and gauges,
-//!   registered once at simulator construction and snapshotted into
-//!   the final report as a sorted name→value map.
-//! - [`profile`] — wall-clock phase timers (RAII or explicit) that
-//!   attribute host time to the coarse phases of a run: topology
-//!   build, warmup, measurement, controller, fluid advance, report
-//!   finalization.
+//! - [`profile`] — a wall-clock phase profiler that accumulates
+//!   explicitly measured durations by phase name, attributing host
+//!   time to the coarse phases of a run: warmup, measurement,
+//!   controller, fluid advance, report finalization.
 //!
 //! [`schema`] validates trace files against the documented per-category
 //! key sets (see DESIGN.md "Observability"), [`export`] converts parsed
@@ -29,15 +26,13 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod export;
-pub mod metrics;
 pub mod profile;
 pub mod schema;
 pub mod summary;
 pub mod trace;
 
 pub use export::{chrome_trace, chrome_trace_from_jsonl, ChromeTrace, TrackLayout};
-pub use metrics::{CounterId, MetricsRegistry};
-pub use profile::{Phase, PhaseTimer, Profiler};
+pub use profile::{Phase, Profiler};
 pub use schema::{parse_jsonl, validate_jsonl, TraceRecord, TraceStats};
 pub use summary::RunTotals;
 pub use trace::{FileSink, MemorySink, TraceCategory, TraceSink, Tracer};

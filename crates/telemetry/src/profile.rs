@@ -1,18 +1,17 @@
 //! Wall-clock phase profiling.
 //!
-//! A [`Profiler`] accumulates host time by phase name — topology
-//! build, warmup, measurement, controller, fluid advance, report
-//! finalization — either through the RAII [`PhaseTimer`] guard or by
-//! recording an explicitly measured [`std::time::Duration`] (the run
-//! loop straddles the warmup/measurement boundary, so the engine
-//! times those phases itself and records the split). Phases keep
-//! registration order, which matches a run's chronology.
+//! A [`Profiler`] accumulates host time by phase name — warmup,
+//! measurement, controller, fluid advance, report finalization — from
+//! explicitly measured [`std::time::Duration`]s (the run loop
+//! straddles the warmup/measurement boundary, so the engine times its
+//! phases itself and records them). Phases keep first-use order,
+//! which matches a run's chronology.
 //!
 //! Wall-clock numbers are inherently nondeterministic, so phase
 //! breakdowns are *excluded* from serialized reports; they surface
 //! only through binaries' stderr summaries and bench output.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One named phase and its accumulated wall time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,23 +50,6 @@ impl Profiler {
         }
     }
 
-    /// Starts an RAII timer that records into this profiler on drop.
-    pub fn scope(&mut self, name: &'static str) -> PhaseTimer<'_> {
-        PhaseTimer {
-            profiler: self,
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    /// Times `f`, attributing its wall time to `name`.
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record(name, start.elapsed());
-        out
-    }
-
     /// Recorded phases, in first-use order.
     pub fn phases(&self) -> &[Phase] {
         &self.phases
@@ -76,21 +58,6 @@ impl Profiler {
     /// Consumes the profiler, yielding its phases.
     pub fn into_phases(self) -> Vec<Phase> {
         self.phases
-    }
-}
-
-/// RAII guard from [`Profiler::scope`]; records elapsed time on drop.
-#[derive(Debug)]
-pub struct PhaseTimer<'a> {
-    profiler: &'a mut Profiler,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        let wall = self.start.elapsed();
-        self.profiler.record(self.name, wall);
     }
 }
 
@@ -117,18 +84,6 @@ mod tests {
         assert_eq!(names, vec!["warmup", "measurement"]);
         assert_eq!(prof.phases()[0].wall_ns, 17);
         assert_eq!(prof.phases()[1].wall_ns, 5);
-    }
-
-    #[test]
-    fn scope_and_time_attribute_nonzero_wall_time() {
-        let mut prof = Profiler::new();
-        {
-            let _guard = prof.scope("build");
-            std::hint::black_box(vec![0u8; 1024]);
-        }
-        let out = prof.time("also_build", || 42);
-        assert_eq!(out, 42);
-        assert_eq!(prof.phases().len(), 2);
     }
 
     #[test]

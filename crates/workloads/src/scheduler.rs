@@ -1,72 +1,20 @@
-//! Shared machinery: a lazy, time-ordered emission queue and heavy-tail
-//! samplers.
+//! Shared machinery: the entries of a generator's emission queue and
+//! heavy-tail samplers.
 
-use epnet_sim::{Message, SimTime};
+use epnet_sim::Message;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// An entry in the generator's future list: either a concrete message
-/// ready to emit, or a wake-up for a per-host state machine.
+/// An entry in a generator's emission queue — the engine's
+/// [`Scheduler`](epnet_sim::Scheduler), which pops in ascending
+/// (time, insertion) order: either a concrete message ready to emit,
+/// or a wake-up for a per-host state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Item {
     /// Advance host `h`'s state machine.
     Wake(u32),
     /// Emit this message.
     Emit(Message),
-}
-
-/// Time-ordered queue with FIFO tie-breaking, mirroring the engine's
-/// event queue.
-#[derive(Debug, Default)]
-pub(crate) struct FutureList {
-    heap: BinaryHeap<Reverse<(SimTime, u64, ItemKey)>>,
-    items: Vec<Item>,
-    /// Slots in `items` freed by pops, reused by pushes, so the side
-    /// table stays bounded by the peak pending count instead of growing
-    /// one slot per item over the whole run. Reuse cannot perturb heap
-    /// order: `seq` is unique, so comparison never reaches the key.
-    free: Vec<u32>,
-    seq: u64,
-}
-
-/// Indirection so the heap key stays `Ord` without requiring it of
-/// `Item`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ItemKey(u32);
-
-impl FutureList {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, at: SimTime, item: Item) {
-        let key = match self.free.pop() {
-            Some(slot) => {
-                self.items[slot as usize] = item;
-                ItemKey(slot)
-            }
-            None => {
-                let slot = self.items.len() as u32;
-                self.items.push(item);
-                ItemKey(slot)
-            }
-        };
-        self.heap.push(Reverse((at, self.seq, key)));
-        self.seq += 1;
-    }
-
-    pub fn pop(&mut self) -> Option<(SimTime, Item)> {
-        let Reverse((at, _, key)) = self.heap.pop()?;
-        self.free.push(key.0);
-        Some((at, self.items[key.0 as usize]))
-    }
-
-    #[allow(dead_code)] // diagnostic surface, exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Samples an exponential inter-arrival with the given mean, in
@@ -107,58 +55,7 @@ fn la(alpha: f64, min: f64, max: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epnet_topology::HostId;
     use rand::SeedableRng;
-
-    #[test]
-    fn future_list_orders_by_time_then_fifo() {
-        let mut fl = FutureList::new();
-        fl.push(SimTime::from_ns(20), Item::Wake(2));
-        fl.push(SimTime::from_ns(10), Item::Wake(1));
-        fl.push(SimTime::from_ns(10), Item::Wake(3));
-        let order: Vec<u32> = std::iter::from_fn(|| fl.pop())
-            .map(|(_, i)| match i {
-                Item::Wake(h) => h,
-                Item::Emit(_) => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![1, 3, 2]);
-        assert!(fl.is_empty());
-    }
-
-    #[test]
-    fn future_list_carries_messages() {
-        let mut fl = FutureList::new();
-        let m = Message {
-            at: SimTime::from_ns(5),
-            src: HostId::new(0),
-            dst: HostId::new(1),
-            bytes: 42,
-        };
-        fl.push(m.at, Item::Emit(m));
-        let (at, item) = fl.pop().unwrap();
-        assert_eq!(at, m.at);
-        assert_eq!(item, Item::Emit(m));
-    }
-
-    #[test]
-    fn future_list_slot_table_is_bounded_by_peak_pending() {
-        let mut fl = FutureList::new();
-        // Steady state of 4 pending across many push/pop cycles: the
-        // side table must stop growing at the high-water mark.
-        for h in 0..4u32 {
-            fl.push(SimTime::from_ns(u64::from(h)), Item::Wake(h));
-        }
-        for round in 4..10_000u32 {
-            fl.push(SimTime::from_ns(u64::from(round)), Item::Wake(round));
-            let _ = fl.pop();
-        }
-        assert!(
-            fl.items.len() <= 5,
-            "slot table grew to {} for 5 peak pending",
-            fl.items.len()
-        );
-    }
 
     #[test]
     fn exponential_mean_is_close() {

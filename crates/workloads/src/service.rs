@@ -21,8 +21,8 @@
 //! "capture emerging trends such as cluster virtualization".
 
 use crate::load_to_bytes_per_sec;
-use crate::scheduler::{bounded_pareto, bounded_pareto_mean, exp_ps, FutureList, Item};
-use epnet_sim::{Message, SimTime, TrafficSource};
+use crate::scheduler::{bounded_pareto, bounded_pareto_mean, exp_ps, Item};
+use epnet_sim::{Message, Scheduler, SimTime, TrafficSource};
 use epnet_topology::HostId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -179,7 +179,7 @@ pub struct ServiceTrace {
     think_mean_ps: f64,
     horizon: Option<SimTime>,
     rng: SmallRng,
-    future: FutureList,
+    future: Scheduler<Item>,
     /// Cluster-wide load-spike state (true while in a peak).
     peak: bool,
     /// When the current peak/off-peak episode ends.
@@ -210,7 +210,7 @@ impl ServiceTrace {
                 return;
             }
         }
-        self.future.push(m.at, Item::Emit(m));
+        self.future.schedule(m.at, Item::Emit(m));
     }
 
     fn schedule_wake(&mut self, client_idx: u32, at: SimTime) {
@@ -219,7 +219,7 @@ impl ServiceTrace {
                 return;
             }
         }
-        self.future.push(at, Item::Wake(client_idx));
+        self.future.schedule(at, Item::Wake(client_idx));
     }
 
     fn random_server(&mut self, not: HostId) -> HostId {
@@ -471,7 +471,7 @@ impl ServiceTraceBuilder {
             think_mean_ps,
             horizon: self.horizon,
             rng,
-            future: FutureList::new(),
+            future: Scheduler::new(),
             peak: false,
             peak_until: SimTime::ZERO,
         };

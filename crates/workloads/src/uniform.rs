@@ -2,8 +2,8 @@
 //! 512k message to a new random destination."
 
 use crate::load_to_bytes_per_sec;
-use crate::scheduler::{exp_ps, FutureList, Item};
-use epnet_sim::{Message, SimTime, TrafficSource};
+use crate::scheduler::{exp_ps, Item};
+use epnet_sim::{Message, Scheduler, SimTime, TrafficSource};
 use epnet_topology::HostId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +25,7 @@ pub struct UniformRandom {
     mean_gap_ps: f64,
     horizon: Option<SimTime>,
     rng: SmallRng,
-    future: FutureList,
+    future: Scheduler<Item>,
     clock: Vec<SimTime>,
 }
 
@@ -51,7 +51,7 @@ impl UniformRandom {
             }
         }
         self.clock[host as usize] = at;
-        self.future.push(at, Item::Wake(host));
+        self.future.schedule(at, Item::Wake(host));
     }
 
     fn emit(&mut self, host: u32) -> Message {
@@ -147,7 +147,7 @@ impl UniformRandomBuilder {
             mean_gap_ps,
             horizon: self.horizon,
             rng: SmallRng::seed_from_u64(self.seed),
-            future: FutureList::new(),
+            future: Scheduler::new(),
             clock: vec![SimTime::ZERO; self.hosts as usize],
         };
         for h in 0..self.hosts {

@@ -2,8 +2,9 @@
 # Benchmark smoke: one traced canonical run validated against the
 # documented trace schema, a Perfetto export and every trace-analysis
 # command over that capture, the reduced run of every benchmark axis
-# (its scale axis runs the 2^20-host flat, so this takes minutes), and
-# a rustdoc build with warnings denied.
+# (its scale axis runs the 2^20-host flat, so this takes minutes), a
+# rustdoc build with warnings denied, and the reference benchmark
+# package's tests.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
 # exports, `benchrun` validates its document before writing it, and
@@ -41,3 +42,8 @@ cargo run --offline --release -p epnet-bench --bin benchcheck -- \
 
 # Docs must build clean — the observability docs are part of the API.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
+
+# The reference benchmark is its own Cargo package (its own workspace),
+# so the workspace's `cargo test` never compiles it: build and test it
+# here so a library API change cannot silently break the measuring tool.
+cargo test --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml

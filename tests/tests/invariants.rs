@@ -61,6 +61,14 @@ proptest! {
             .run_until(end);
         prop_assert_eq!(report.offered_bytes, offered);
         prop_assert_eq!(report.delivered_bytes, offered, "all traffic must drain");
+        // Every popped event is counted by exactly one per-kind metric.
+        let per_kind: u64 = report
+            .metrics
+            .iter()
+            .filter(|(name, _)| name.starts_with("events_"))
+            .map(|(_, &n)| n)
+            .sum();
+        prop_assert_eq!(per_kind, report.events_processed);
     }
 
     #[test]
