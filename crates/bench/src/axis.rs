@@ -13,9 +13,10 @@
 //! allocator ([`counting_allocator!`](crate::counting_allocator)) — the
 //! steady-state allocation meter.
 //!
-//! [`validate`] is the only checker of a benchmark document. The
-//! `benchcheck` binary, the `benchrun` binary before it writes, and the
-//! in-process twin `tests/tests/bench_smoke.rs` all call it. It holds
+//! [`validate`] is the only checker of a benchmark document. Two
+//! callers run it: the `benchrun` binary before it writes, and the
+//! in-process twin `tests/tests/bench_smoke.rs` on the committed
+//! `BENCH.json`. It holds
 //! every record to the schema, the `load` axis to one report digest
 //! across its variants, and the budgets below to their bounds:
 //!

@@ -2,15 +2,21 @@
 //! Datacenter Networks* (ISCA 2010).
 //!
 //! ```text
-//! repro [--scale tiny|quick|paper] [--json FILE] [TARGET...]
+//! repro [--scale tiny|quick|paper] [--json FILE] [--csv-dir DIR] [TARGET...]
 //!
 //! TARGET: table1 table2 figure1 figure5 figure6 figure7 figure8
-//!         figure9a figure9b costs   (default: all)
+//!         figure9a figure9b costs topology-sim sensitivity
+//!         (default: all)
 //! ```
+//!
+//! `--json` writes every target's data to one file; `--csv-dir` also
+//! writes one CSV per series into that directory.
 //!
 //! `--scale quick` (default) runs a 512-host 8-ary 3-flat for 8 ms per
 //! experiment; `--scale paper` runs the paper's 15-ary 3-flat (3,375
-//! hosts, 20 ms per run — budget roughly an hour for the full suite).
+//! hosts, 20 ms per run). A full `--scale paper all` has not been
+//! timed; the two paper-scale Figure 7 runs together take about 30 s
+//! on two hardware threads, and Figure 9(b) alone about 400 s.
 
 use epnet::exp::{figures, EvalScale};
 use epnet_bench::{parse_scale, TARGETS};

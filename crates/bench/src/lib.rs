@@ -1,5 +1,5 @@
-//! Shared helpers for the `repro` harness, the benchmark axes behind
-//! `benchrun`/`benchcheck`, and the Criterion benches.
+//! Shared helpers for the `repro` harness and the benchmark axes behind
+//! `benchrun`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

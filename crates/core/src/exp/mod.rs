@@ -227,7 +227,7 @@ impl Experiment {
 /// parallel output byte for byte). [`epnet_sim::env_threads`] parses
 /// the value and prints the stderr message for a malformed one.
 pub fn worker_threads() -> usize {
-    epnet_sim::env_threads("EPNET_THREADS").unwrap_or_else(|| {
+    epnet_sim::env_threads().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)

@@ -638,7 +638,8 @@ impl Core {
         if now < available_at {
             if flags & F_RETRY == 0 {
                 self.channels.set_flag(i, F_RETRY);
-                self.queue.schedule(available_at, Event::Retry { channel: ch });
+                self.queue
+                    .schedule(available_at, Event::Retry { channel: ch });
             }
             return;
         }
@@ -824,7 +825,8 @@ impl Core {
                     .tracer()
                     .credit(self.now.as_ps(), ch.raw(), "block", needed, credits);
             }
-            self.queue.schedule(matures, Event::CreditWake { channel: ch });
+            self.queue
+                .schedule(matures, Event::CreditWake { channel: ch });
         }
         match self.targets[i] {
             PortTarget::Host(h) => {
@@ -833,8 +835,7 @@ impl Core {
                 self.stats
                     .record_packet(packet.created, self.now, packet.bytes);
                 if !self.pod_bytes.is_empty() {
-                    self.pod_bytes[self.pod_of_host[h.index()] as usize] +=
-                        u64::from(packet.bytes);
+                    self.pod_bytes[self.pod_of_host[h.index()] as usize] += u64::from(packet.bytes);
                 }
                 let mi = packet.message.index();
                 let rec = &mut self.messages[mi];

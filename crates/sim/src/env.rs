@@ -18,7 +18,7 @@
 //! | Variable | Values | Default |
 //! |---|---|---|
 //! | `EPNET_MODEL` | `packet`, `hybrid` | `packet` |
-//! | `EPNET_THREADS` | a positive integer, `off`, `0` | machine parallelism |
+//! | `EPNET_THREADS` | a positive integer | machine parallelism |
 //! | `EPNET_TRACE` | a file path | no trace |
 //! | `EPNET_TRACE_FILTER` | comma-separated trace categories | all |
 //!
@@ -234,41 +234,36 @@ fn par_retired(raw: &str) -> String {
     )
 }
 
-/// Parses a worker-width value of the switch `var` (`EPNET_THREADS`).
+/// Parses an `EPNET_THREADS` value.
 ///
-/// A positive integer `n` is `Some(n)`; `off`, `0` and an empty value
-/// are `None` (feature off). Anything else is an error naming the
-/// offending value and the valid forms.
-fn parse_width(var: &str, raw: &str) -> Result<Option<usize>, String> {
+/// A positive integer `n` (surrounding whitespace ignored) is
+/// `Some(n)`; an empty value is `None`, the default. Anything else,
+/// `0` included, is an error naming the offending value and the one
+/// valid form.
+fn parse_threads(raw: &str) -> Result<Option<usize>, String> {
     let v = raw.trim();
-    if v.is_empty() || v.eq_ignore_ascii_case("off") {
+    if v.is_empty() {
         return Ok(None);
     }
     match v.parse::<usize>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "invalid width '{v}' in {var}; valid values: a positive integer, off, 0"
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "invalid width '{v}' in EPNET_THREADS; valid values: a positive integer"
         )),
     }
 }
 
-fn width_or_warn(var: &str, raw: &str) -> Option<usize> {
-    parse_width(var, raw).unwrap_or_else(|msg| {
+/// Reads `EPNET_THREADS` from the process environment.
+///
+/// A positive integer `n` is `Some(n)`. Unset and empty are `None`; any
+/// other value prints an error naming the valid form to stderr and is
+/// also `None`. The caller (the sweep worker pool) layers the machine's
+/// parallelism on top of the `None` case.
+pub fn env_threads() -> Option<usize> {
+    parse_threads(&std::env::var("EPNET_THREADS").ok()?).unwrap_or_else(|msg| {
         eprintln!("epnet: {msg}");
         None
     })
-}
-
-/// Reads a worker-width switch from the process environment.
-///
-/// A positive integer `n` is `Some(n)`. Unset, empty, `off` and `0` are
-/// `None`; a malformed value prints an error naming the valid forms to
-/// stderr and is also `None`. Callers that need a machine-derived
-/// default (like the sweep worker pool) layer it on top of the `None`
-/// case.
-pub fn env_threads(var: &str) -> Option<usize> {
-    width_or_warn(var, &std::env::var(var).ok()?)
 }
 
 #[cfg(test)]
@@ -286,26 +281,14 @@ mod tests {
 
     #[test]
     fn parses_positive_widths_and_rejects_everything_else() {
-        for (value, expect) in [
-            ("4", Some(4)),
-            ("1", Some(1)),
-            (" 8 ", Some(8)),
-            ("off", None),
-            ("OFF", None),
-            ("0", None),
-            ("", None),
-        ] {
-            assert_eq!(
-                parse_width("EPNET_THREADS", value),
-                Ok(expect),
-                "value {value:?}"
-            );
+        for (value, expect) in [("4", Some(4)), ("1", Some(1)), (" 8 ", Some(8)), ("", None)] {
+            assert_eq!(parse_threads(value), Ok(expect), "value {value:?}");
         }
-        for value in ["many", "-2"] {
+        for value in ["many", "-2", "off", "OFF", "0"] {
             assert_eq!(
-                parse_width("EPNET_THREADS", value),
+                parse_threads(value),
                 Err(format!(
-                    "invalid width '{value}' in EPNET_THREADS; valid values: a positive integer, off, 0"
+                    "invalid width '{value}' in EPNET_THREADS; valid values: a positive integer"
                 )),
             );
         }

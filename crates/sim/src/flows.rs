@@ -125,13 +125,6 @@ impl FlowTable {
         self.peak_live
     }
 
-    /// Rows ever needed: released rows are reused before the table
-    /// grows, so this is the live high-water mark — pinned by the
-    /// recycle test below.
-    pub(crate) fn capacity(&self) -> usize {
-        self.peak_live
-    }
-
     fn alloc(&mut self, flow: Flow) {
         for &c in flow.path() {
             self.per_channel[c as usize] += 1;
@@ -480,16 +473,14 @@ mod tests {
         sim.advance_until(SimTime::from_us(1001));
         assert_eq!(sim.core.flows.live_count(), 1, "second flow absorbed");
         assert_eq!(
-            sim.core.flows.capacity(),
+            sim.core.flows.peak_live(),
             1,
             "the released row must be reused, not the table grown"
         );
-        assert_eq!(sim.core.flows.peak_live(), 1);
         sim.advance_until(SimTime::from_ms(2));
         let report = sim.finalize();
         assert_eq!(report.diagnostics["flows_absorbed"], 2);
         assert_eq!(report.diagnostics["flow_table_peak"], 1);
-        assert_eq!(report.diagnostics["flow_table_capacity"], 1);
         assert!(report.delivered_bytes >= 2 * 256 * 1024);
     }
 

@@ -218,7 +218,6 @@ impl Stats {
             ("flows_completed", c.flows_completed),
             ("flow_fluid_bytes", c.flow_fluid_bytes),
             ("flow_table_peak", flows.peak_live() as u64),
-            ("flow_table_capacity", flows.capacity() as u64),
         ]
         .into_iter()
         .map(|(name, v)| (name.to_owned(), v))

@@ -175,7 +175,6 @@ impl MemorySink {
     pub fn contents(&self) -> String {
         self.buf.lock().expect("trace buffer lock").clone()
     }
-
 }
 
 impl TraceSink for MemorySink {

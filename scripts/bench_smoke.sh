@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Benchmark smoke: one traced canonical run validated against the
-# documented trace schema, a Perfetto export and every trace-analysis
-# command over that capture, the reduced run of every benchmark axis
-# (its scale axis runs the 2^20-host flat, so this takes minutes), a
-# rustdoc build with warnings denied, and the reference benchmark
-# package's tests.
+# Benchmark smoke: a rustfmt check, one traced canonical run validated
+# against the documented trace schema, a Perfetto export and every
+# trace-analysis command over that capture, the reduced run of every
+# benchmark axis (its scale axis runs the 2^20-host flat, so this takes
+# minutes), a rustdoc build with warnings denied, and the reference
+# benchmark package's tests.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
-# exports, `benchrun` validates its document before writing it, and
-# `benchcheck` re-validates that document and the committed
-# BENCH.json with the same `epnet_bench::axis::validate`. The in-process
-# twin, tests/tests/bench_smoke.rs, calls that validator too, so
-# `cargo test` keeps these paths honest without nesting cargo
-# invocations.
+# exports, and `benchrun` validates its document with
+# `epnet_bench::axis::validate` before writing it. The in-process twin,
+# tests/tests/bench_smoke.rs, runs that validator on the committed
+# BENCH.json, so `cargo test` keeps the record honest without nesting
+# cargo invocations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting first: it is the cheapest check and nothing else runs it.
+cargo fmt --all --check
 
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events
@@ -37,8 +39,6 @@ done
 # runner refuses to write a document that fails validation.
 cargo run --offline --release -p epnet-bench --bin benchrun -- \
     --reduced --out target/bench_smoke.json
-cargo run --offline --release -p epnet-bench --bin benchcheck -- \
-    target/bench_smoke.json BENCH.json
 
 # Docs must build clean — the observability docs are part of the API.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet

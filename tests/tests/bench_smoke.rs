@@ -1,6 +1,7 @@
 //! In-process twin of `scripts/bench_smoke.sh`: exercises one small
 //! parallel sweep, reduced benchmark axes held to the same validator
-//! the `benchrun`/`benchcheck` binaries use, and the traced canonical
+//! the `benchrun` binary uses (also run here on the committed
+//! `BENCH.json`, every axis required), and the traced canonical
 //! run, asserting correctness (well-formed cells, schema validity)
 //! rather than speed — wall-clock assertions
 //! would flake on loaded machines, so the perf claims live in

@@ -126,3 +126,46 @@ fn raising_target_utilization_raises_latency() {
         "75% target ({high}) should cost more latency than 25% ({low})"
     );
 }
+
+/// Ideal-channel relative power of one EP run at the tiny scale, cut to
+/// 1 ms.
+fn one_ms_ideal_power(kind: WorkloadKind, config: SimConfig) -> f64 {
+    let mut scale = EvalScale::tiny();
+    scale.duration = SimTime::from_ms(1);
+    Experiment::new(scale, kind)
+        .with_config(config)
+        .run_ep()
+        .relative_power(&LinkPowerProfile::Ideal)
+}
+
+#[test]
+fn every_rate_heuristic_saves_power() {
+    // §3.3's halve/double and §5.1's alternatives each turn links down
+    // on a low-utilization trace.
+    for policy in [
+        RatePolicy::HalveDouble,
+        RatePolicy::JumpToExtremes,
+        RatePolicy::Hysteresis {
+            low: 0.2,
+            high: 0.8,
+        },
+        RatePolicy::LaneAware,
+    ] {
+        let mut cfg = SimConfig::builder();
+        cfg.policy(policy);
+        let p = one_ms_ideal_power(WorkloadKind::Search, cfg.build());
+        assert!(p < 1.0, "{policy:?} must save power, got {p:.4}");
+    }
+}
+
+#[test]
+fn independent_channels_save_power_on_every_workload() {
+    // Figure 8: with independent channel control every workload draws
+    // less than the always-full-rate network.
+    for kind in WorkloadKind::ALL {
+        let mut cfg = SimConfig::builder();
+        cfg.control(ControlMode::IndependentChannel);
+        let p = one_ms_ideal_power(kind, cfg.build());
+        assert!(p < 1.0, "{} must save power, got {p:.4}", kind.name());
+    }
+}
