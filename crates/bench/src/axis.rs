@@ -943,6 +943,40 @@ fn check_scale_reach(records: &[Record]) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks that every hybrid `scale` record of `measured` carries the
+/// report digest of the `reference` record for the same point and
+/// variant: the exactness guard at the 2^17- and 2^20-host points,
+/// which `cargo test` cannot reach. Returns the number compared.
+///
+/// # Errors
+///
+/// Names the first record whose digest differs, or says that no record
+/// could be compared, so the guard cannot lapse unnoticed.
+pub fn check_digests(measured: &Document, reference: &Document) -> Result<usize, String> {
+    let mut compared = 0;
+    let hybrid_scale = |r: &&Record| r.axis == "scale" && r.options.model == SimModel::Hybrid;
+    for r in measured.records.iter().filter(hybrid_scale) {
+        let Some(old) = reference
+            .records
+            .iter()
+            .find(|o| o.axis == r.axis && o.point == r.point && o.variant == r.variant)
+        else {
+            continue;
+        };
+        if old.report_digest != r.report_digest {
+            return Err(format!(
+                "{}/{}/{}: report digest {} differs from the reference's {}",
+                r.axis, r.point, r.variant, r.report_digest, old.report_digest
+            ));
+        }
+        compared += 1;
+    }
+    if compared == 0 {
+        return Err("no hybrid scale record has a reference to compare with".to_string());
+    }
+    Ok(compared)
+}
+
 /// A synthetic record for validator tests: a 16-host packet point with
 /// one 10 ms wall sample, metered.
 #[cfg(test)]
@@ -1069,5 +1103,38 @@ mod tests {
         active.report_digest = "00000000000000bb".into();
         let split = render_sample(&[sweep, active]);
         assert!(validate(&split).unwrap_err().contains("different report"));
+    }
+
+    #[test]
+    fn check_digests_compares_hybrid_scale_records_by_point_and_variant() {
+        let hybrid = |point: &str, digest: &str| {
+            let mut r = sample("scale", point, "hybrid");
+            r.options.model = SimModel::Hybrid;
+            r.report_digest = digest.into();
+            r
+        };
+        let doc = |records: Vec<Record>| Document {
+            schema: SCHEMA.into(),
+            hw_threads: 2,
+            repeats: 1,
+            axes: vec!["scale".into()],
+            records,
+        };
+        let reference = doc(vec![
+            hybrid("a", "00000000000000aa"),
+            hybrid("b", "00000000000000bb"),
+        ]);
+        // A reduced run measures a subset of the reference's points.
+        let same = doc(vec![hybrid("b", "00000000000000bb")]);
+        assert_eq!(check_digests(&same, &reference), Ok(1));
+        let drifted = doc(vec![hybrid("b", "00000000000000cc")]);
+        let err = check_digests(&drifted, &reference).unwrap_err();
+        assert!(err.contains("scale/b/hybrid"), "{err}");
+        // Packet scale records and unmatched points are not compared;
+        // comparing nothing is an error.
+        let mut packet = sample("scale", "a", "hybrid");
+        packet.report_digest = "00000000000000cc".into();
+        let unmatched = doc(vec![packet, hybrid("z", "00000000000000cc")]);
+        assert!(check_digests(&unmatched, &reference).is_err());
     }
 }

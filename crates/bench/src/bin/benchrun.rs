@@ -12,9 +12,13 @@
 //! allocation meter. The document is validated before it is written;
 //! a document that fails (a variant whose report diverged, a budget
 //! overrun) is printed to stderr with the reason and not written, and
-//! the exit status is 1. `--reduced` trims every axis for smoke runs;
-//! `--out` defaults to `BENCH.json` at the repository root, and `-`
-//! prints to stdout.
+//! the exit status is 1. `--reduced` trims every axis for smoke runs,
+//! and also fails unless every hybrid `scale` record it measured
+//! reproduces the report digest of the same point and variant in the
+//! committed `BENCH.json` (`axis::check_digests`): those points run the
+//! same horizon in both sweeps, and the 2^17- and 2^20-host ones are
+//! beyond `cargo test`'s reach. `--out` defaults to `BENCH.json` at the
+//! repository root, and `-` prints to stdout.
 
 use epnet_bench::axis::{self, AXES};
 use std::process::ExitCode;
@@ -67,9 +71,26 @@ fn main() -> ExitCode {
     }
     let names: Vec<&str> = axes.iter().map(|a| a.name).collect();
     let doc = axis::render(&names, repeats, &records);
-    if let Err(e) = axis::validate(&doc) {
-        eprintln!("{doc}benchrun: the measured document fails validation: {e}");
-        return ExitCode::FAILURE;
+    let measured = match axis::validate(&doc) {
+        Ok(measured) => measured,
+        Err(e) => {
+            eprintln!("{doc}benchrun: the measured document fails validation: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if reduced && names.contains(&"scale") {
+        let committed = axis::output_path();
+        let checked = std::fs::read_to_string(&committed)
+            .map_err(|e| format!("cannot read {}: {e}", committed.display()))
+            .and_then(|text| axis::validate(&text))
+            .and_then(|reference| axis::check_digests(&measured, &reference));
+        match checked {
+            Ok(n) => eprintln!("{n} hybrid scale digests match the committed BENCH.json"),
+            Err(e) => {
+                eprintln!("benchrun: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     if out == "-" {
         print!("{doc}");

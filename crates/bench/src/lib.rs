@@ -21,7 +21,7 @@ pub fn parse_scale(name: &str) -> Result<EvalScale, String> {
     match name {
         "tiny" => Ok(EvalScale::tiny()),
         "quick" => Ok(EvalScale::quick()),
-        "paper" | "full" => Ok(EvalScale::paper()),
+        "paper" => Ok(EvalScale::paper()),
         other => Err(format!("unknown scale '{other}' (tiny|quick|paper)")),
     }
 }
@@ -51,8 +51,10 @@ mod tests {
         assert_eq!(parse_scale("tiny").unwrap().hosts(), 64);
         assert_eq!(parse_scale("quick").unwrap().hosts(), 512);
         assert_eq!(parse_scale("paper").unwrap().hosts(), 3375);
-        assert_eq!(parse_scale("full").unwrap().hosts(), 3375);
-        assert!(parse_scale("nope").is_err());
+        for bad in ["full", "nope"] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.contains("tiny|quick|paper"), "{err}");
+        }
     }
 
     #[test]

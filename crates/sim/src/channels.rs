@@ -22,21 +22,37 @@
 //!
 //! # The active set
 //!
-//! Epoch ticks are O(touched), not O(topology): a membership bitmap
+//! Epoch ticks are O(change), not O(topology): a membership bitmap
 //! (one bit per channel) tracks every channel that might need the
 //! controller's attention — it transmitted, queued, blocked, drained,
-//! powered on/off, or sits above the floor rate. A channel outside the
-//! set is *resting*: idle at the floor with an empty queue, which
-//! provably decides "hold" under every rate policy (the
-//! `idle_at_floor_always_holds` invariant in `controller.rs`), so the
-//! per-epoch sweep skips it entirely — decision, queue-depth sample,
-//! and overhang pre-charge alike. Channels enter the set at the
-//! mutation sites (`enqueue`, rate writes, power transitions, fluid
-//! busy charges) with one OR, and retire only at epoch ticks once
-//! resting again, when the sampling pass clears their bit. The bitmap
-//! is the whole set: scanning it word by word yields the members in
-//! ascending channel order without duplicates in O(words + members),
-//! which is the order controller decisions must run in.
+//! powered on/off, its fluid load changed, or it sits above the floor
+//! rate with inputs that changed since its last decision. A channel
+//! outside the set is *resting*, in one of two ways:
+//!
+//! * idle at the floor with an empty queue and no fluid load, which
+//!   provably decides "hold" under every rate policy (the
+//!   `idle_at_floor_always_holds` invariant in `controller.rs`);
+//! * *resting after a hold* (hybrid model): its decision unit decided
+//!   hold with no queued bytes and no transient busy time, and nothing
+//!   has marked it since. `desired_rate` is pure in the rate, flags and
+//!   utilization, all of which change only at marking sites, so it
+//!   decides hold again. These channels carry a bit in a steady bitmap
+//!   whose count the engine adds to `controller_decisions` each tick.
+//!
+//! The per-epoch sweep skips resting channels entirely — decision,
+//! queue-depth sample, and overhang pre-charge alike. Channels enter
+//! the set at the mutation sites (`enqueue`, rate writes, power
+//! transitions, fluid load changes) with one OR, and retire only at
+//! epoch ticks once resting again, when the sampling pass clears their
+//! bit. The bitmap is the whole set: scanning it word by word yields
+//! the members in ascending channel order without duplicates in
+//! O(words + members), which is the order controller decisions must
+//! run in.
+//!
+//! The hybrid model adds three per-channel arrays, allocated only in
+//! that mode: the fluid load, the change bitmap that invalidates the
+//! flows' cached budgets (written in the same rate funnel that marks
+//! the active set), and the steady bitmap.
 //!
 //! The same mutation sites maintain three network-wide counters, so
 //! per-epoch questions about the whole fabric are counter reads:
@@ -48,7 +64,7 @@
 //! * [`Channels::unsteady`], the channels powered off or draining.
 //!
 //! `EpochMode::Sweep` keeps the full sweep alive and cross-checks all
-//! three against a recount (see `engine.rs`).
+//! three, and the steady count, against a recount (see `engine.rs`).
 
 use crate::packet::PacketId;
 use crate::SimTime;
@@ -159,6 +175,21 @@ pub(crate) struct Channels {
     /// state — maintained incrementally at every rate/`F_OFF` write, so
     /// `asymmetric_link_samples` no longer needs a per-epoch link sweep.
     asym_links: u64,
+    // ---- hybrid model only: empty in packet mode ----
+    /// Fluid bytes per epoch on each channel: the sum of the budgets the
+    /// fluid flows crossing it moved at the last advancement pass
+    /// (flows released by that pass included). Written only by the
+    /// fluid advance, which marks the channel active on every change.
+    pub fluid: Vec<u64>,
+    /// Channels whose rate, `available_at` or fluid sharer count changed
+    /// since the last advancement pass: the flows crossing them must
+    /// recompute their cached budgets.
+    changed_bits: Vec<u64>,
+    /// Channels resting after a hold (see the module docs): outside the
+    /// active set, yet each decides "hold" once per tick.
+    steady_bits: Vec<u64>,
+    /// Set bits in `steady_bits`.
+    steady: u64,
     // ---- cold ----
     pub cold: Vec<ChannelCold>,
 }
@@ -184,8 +215,21 @@ impl Channels {
             unsteady: 0,
             peer: Vec::with_capacity(n),
             asym_links: 0,
+            fluid: Vec::new(),
+            changed_bits: Vec::new(),
+            steady_bits: Vec::new(),
+            steady: 0,
             cold: Vec::with_capacity(n),
         }
+    }
+
+    /// Allocates the hybrid model's per-channel state (fluid load,
+    /// change and steady bitmaps) for the channels pushed so far.
+    pub fn enable_fluid(&mut self) {
+        let n = self.len();
+        self.fluid = vec![0; n];
+        self.changed_bits = vec![0; n.div_ceil(64)];
+        self.steady_bits = vec![0; n.div_ceil(64)];
     }
 
     /// Appends one channel in its initial state. New channels start in
@@ -294,6 +338,17 @@ impl Channels {
         self.queued_total
     }
 
+    /// Bytes queued on channel `i`; skips the per-channel read while
+    /// nothing is queued anywhere (the fluid-only steady state).
+    #[inline]
+    pub fn queued_at(&self, i: usize) -> u64 {
+        if self.queued_total == 0 {
+            0
+        } else {
+            self.occupancy[i]
+        }
+    }
+
     /// Channels currently powered off or draining ([`F_UNSTEADY`]).
     #[inline]
     pub fn unsteady(&self) -> u64 {
@@ -346,6 +401,117 @@ impl Channels {
             _ => {}
         }
         self.mark_active(i);
+        self.mark_changed(i);
+    }
+
+    /// Records that a fluid budget input of channel `i` (rate,
+    /// `available_at`, sharer count) changed; a no-op in packet mode.
+    #[inline]
+    pub fn mark_changed(&mut self, i: usize) {
+        if let Some(w) = self.changed_bits.get_mut(i / 64) {
+            *w |= 1u64 << (i % 64);
+        }
+    }
+
+    /// Whether a fluid budget input of channel `i` changed since the
+    /// last [`Channels::clear_changed`] (hybrid model only).
+    #[inline]
+    pub fn changed(&self, i: usize) -> bool {
+        self.changed_bits[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// Forgets every recorded change (end of an advancement pass).
+    pub fn clear_changed(&mut self) {
+        self.changed_bits.fill(0);
+    }
+
+    /// Fluid bytes per epoch on channel `i` (zero in packet mode).
+    #[inline]
+    pub fn fluid_at(&self, i: usize) -> u64 {
+        self.fluid.get(i).copied().unwrap_or(0)
+    }
+
+    /// Busy picoseconds channel `i` accumulated over the epoch that just
+    /// ended: packet serialization plus the fluid load at the rate the
+    /// advancement pass charged it at.
+    #[inline]
+    pub fn epoch_busy_ps(&self, i: usize) -> u64 {
+        match self.fluid.get(i) {
+            Some(&bytes) if bytes > 0 => {
+                let fluid = self.rate[i].serialize_ps(bytes);
+                self.busy_ps_epoch[i].wrapping_add(fluid)
+            }
+            _ => self.busy_ps_epoch[i],
+        }
+    }
+
+    /// Keeps [`Channels::epoch_busy_ps`] at the measured value when a
+    /// rate change lands mid-tick, after the fluid pass charged the old
+    /// rate: the difference moves into `busy_ps_epoch` (modulo 2^64; the
+    /// tick's recharge overwrites it before anything else reads it).
+    pub fn reprice_fluid(&mut self, i: usize, old: LinkRate, new: LinkRate) {
+        let fluid = self.fluid_at(i);
+        if fluid > 0 {
+            let busy = self.busy_ps_epoch[i].wrapping_add(old.serialize_ps(fluid));
+            self.busy_ps_epoch[i] = busy.wrapping_sub(new.serialize_ps(fluid));
+        }
+    }
+
+    /// Whether channel `i` rests after a hold.
+    #[inline]
+    pub fn is_steady(&self, i: usize) -> bool {
+        self.steady_bits
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
+    }
+
+    /// Channels resting after a hold: the holds an active-set tick adds
+    /// without visiting them.
+    #[inline]
+    pub fn steady_count(&self) -> u64 {
+        self.steady
+    }
+
+    /// Lets channel `i` rest after a hold (hybrid model only).
+    #[inline]
+    pub fn set_steady(&mut self, i: usize) {
+        let w = &mut self.steady_bits[i / 64];
+        let bit = 1u64 << (i % 64);
+        self.steady += u64::from(*w & bit == 0);
+        *w |= bit;
+    }
+
+    /// Ends channel `i`'s rest after a hold, if any; returns whether it
+    /// was resting so.
+    #[inline]
+    pub fn clear_steady(&mut self, i: usize) -> bool {
+        let Some(w) = self.steady_bits.get_mut(i / 64) else {
+            return false;
+        };
+        let bit = 1u64 << (i % 64);
+        let was = *w & bit != 0;
+        *w &= !bit;
+        self.steady -= u64::from(was);
+        was
+    }
+
+    /// Returns every channel resting after a hold to the active set, so
+    /// the next tick decides it again.
+    pub fn wake_steady(&mut self) {
+        for w in 0..self.steady_bits.len() {
+            let word = std::mem::take(&mut self.steady_bits[w]);
+            self.active_bits[w] |= word;
+        }
+        self.steady = 0;
+    }
+
+    /// Number of set bits in the steady bitmap (sweep cross-check).
+    #[cfg(debug_assertions)]
+    pub fn steady_recount(&self) -> u64 {
+        self.steady_bits
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
     }
 
     /// Sets the configured rate of channel `i`, maintaining the
@@ -358,19 +524,21 @@ impl Channels {
 
     /// Whether channel `i` may rest outside the active set: nothing
     /// queued or in flight, no busy time to account (post-recharge), no
-    /// parked drain — and no possible controller decision, because the
-    /// channel is either exempt (`!F_TUNABLE` or `F_OFF`), already at
-    /// the floor (where `idle_at_floor_always_holds` proves the
-    /// decision is "hold"), or decisions are disabled entirely
-    /// (`ControlMode::AlwaysFull`).
+    /// parked drain — and no decision that could change anything,
+    /// because the channel is either exempt (`!F_TUNABLE` or `F_OFF`),
+    /// decisions are disabled entirely (`ControlMode::AlwaysFull`), it
+    /// sits at the floor with no fluid load (where
+    /// `idle_at_floor_always_holds` proves the decision is "hold"), or
+    /// it rests after a hold whose inputs nothing has changed since.
     #[inline]
     fn is_resting(&self, i: usize, min_rate: LinkRate, decisions_enabled: bool) -> bool {
-        let resting = self.occupancy[i] == 0
+        let resting = self.queued_at(i) == 0
             && self.busy_ps_epoch[i] == 0
             && self.flags[i] & F_DRAINING == 0
             && (!decisions_enabled
                 || self.flags[i] & (F_TUNABLE | F_OFF) != F_TUNABLE
-                || self.rate[i] == min_rate);
+                || (self.rate[i] == min_rate && self.fluid_at(i) == 0)
+                || self.is_steady(i));
         debug_assert!(
             self.occupancy[i] > 0 || self.flags[i] & (F_BUSY | F_RETRY | F_CREDIT_WAKE) == 0,
             "ch{i}: wake latches without queued bytes"
@@ -394,7 +562,7 @@ impl Channels {
         let mut queued_sum = 0u64;
         let mut queued_peak = 0u64;
         self.retain_active(|c, i| {
-            let occ = c.occupancy[i];
+            let occ = c.queued_at(i);
             queued_sum += occ;
             queued_peak = queued_peak.max(occ);
             let overhang = c.busy_until[i].saturating_sub(now);
@@ -519,7 +687,7 @@ impl Channels {
 
     /// Utilization of channel `i` over the epoch that just ended.
     pub fn epoch_utilization(&self, i: usize, epoch: SimTime) -> f64 {
-        let busy = self.busy_ps_epoch[i];
+        let busy = self.epoch_busy_ps(i);
         // Idle channels dominate under light load; skipping the f64
         // divide for them is exact (0/x == 0.0), not an approximation.
         if busy == 0 {

@@ -185,7 +185,7 @@ impl DynamicTopology {
             for ch in [a, b] {
                 let i = ch.index();
                 if !channels.has_flag(i, F_OFF) {
-                    busy[slot.ring as usize] += u128::from(channels.busy_ps_epoch[i]);
+                    busy[slot.ring as usize] += u128::from(channels.epoch_busy_ps(i));
                     count[slot.ring as usize] += 1;
                 }
             }

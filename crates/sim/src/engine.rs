@@ -87,6 +87,19 @@ const PLAN_CHUNK: usize = 4096;
 /// rate.
 type PlannedDecision = (ChannelId, f64, LinkRate);
 
+/// An active-set tick's plan (see [`Core::retune_independent_active`]).
+#[derive(Debug, Default)]
+pub(crate) struct TickPlan {
+    /// Non-hold decisions awaiting [`Core::apply_plan`], in order.
+    decisions: Vec<PlannedDecision>,
+    /// Holds counted toward `controller_decisions`.
+    holds: u64,
+    /// Channels resting after a hold when the tick began.
+    resting: u64,
+    /// Of those, the ones the tick visited anyway.
+    woken: u64,
+}
+
 /// The event-driven network simulator (§4.1: "an in-house event-driven
 /// network simulator, which has been heavily modified to support future
 /// high-performance networks").
@@ -164,15 +177,11 @@ pub(crate) struct Core {
     /// Which epoch-tick implementation runs ([`RunOptions::epoch`]; see
     /// [`Core::on_epoch`]).
     pub(crate) epoch_mode: EpochMode,
-    /// Link of each channel, precomputed for the paired-link active
-    /// path (channel → link is a table lookup there, once per active
-    /// channel per tick).
-    pub(crate) link_of: Vec<u32>,
     /// The paired-link active path's per-tick link set, one bit per
     /// link: filled from the active channels, cleared as it is scanned.
     pub(crate) link_bits: Vec<u64>,
-    /// The active-set epoch paths' retained plan of non-hold decisions.
-    pub(crate) plan: Vec<PlannedDecision>,
+    /// The active-set epoch paths' retained plan.
+    pub(crate) plan: TickPlan,
     pub(crate) last_offered_at: SimTime,
     /// End of the current utilization-measurement epoch.
     pub(crate) epoch_end: SimTime,
@@ -268,12 +277,12 @@ impl Core {
         // Peer wiring: the incremental asymmetric-link counter compares
         // each channel against the opposing channel of its link.
         let num_links = fabric.num_links();
-        let mut link_of = vec![0u32; n];
         for link in 0..num_links {
             let (a, b) = fabric.link_channels(epnet_topology::LinkId::new(link as u32));
             channels.set_peers(a.index(), b.index());
-            link_of[a.index()] = link as u32;
-            link_of[b.index()] = link as u32;
+        }
+        if model == SimModel::Hybrid {
+            channels.enable_fluid();
         }
         let mut host_switch = Vec::with_capacity(fabric.num_hosts());
         let mut eject_channel = Vec::with_capacity(fabric.num_hosts());
@@ -319,9 +328,11 @@ impl Core {
             dyntopo: None,
             scratch: Vec::new(),
             epoch_mode: options.epoch,
-            link_of,
             link_bits: vec![0; num_links.div_ceil(64)],
-            plan: Vec::with_capacity(PLAN_CHUNK + 128),
+            plan: TickPlan {
+                decisions: Vec::with_capacity(PLAN_CHUNK + 128),
+                ..TickPlan::default()
+            },
             last_offered_at: SimTime::ZERO,
             epoch_end: first_epoch_end,
             controller_active: false,
@@ -353,6 +364,9 @@ impl<S: TrafficSource> Simulator<S> {
     /// mesh tier may be powered off entirely under low load and
     /// re-enabled as demand grows.
     pub fn enable_dynamic_topology(&mut self, dt: DynamicTopology) {
+        // Power transitions land between a tick's decisions and its
+        // recharge, where no rest after a hold could notice them.
+        self.core.channels.wake_steady();
         self.core.mask = Some(LinkMask::all_enabled(&self.core.fabric));
         self.core.dyntopo = Some(dt);
     }
@@ -996,18 +1010,20 @@ impl Core {
     /// Two implementations share this entry point. The default
     /// ([`EpochMode::ActiveSet`]) visits only the channels in the
     /// active set: everything outside it is *resting* — idle at the
-    /// floor with an empty queue — and provably decides "hold" under
-    /// every policy (`idle_at_floor_always_holds`), contributes zero to
-    /// every sample, and recharges zero overhang, so skipping it is
-    /// exact, not approximate. [`EpochMode::Sweep`] visits every
+    /// floor with an empty queue and no fluid load, which provably
+    /// decides "hold" under every policy (`idle_at_floor_always_holds`),
+    /// or resting after a hold whose inputs nothing has changed since
+    /// (see [`Core::hold_unit`]) — contributes zero to every sample,
+    /// and recharges zero overhang, so skipping it is exact, not
+    /// approximate. [`EpochMode::Sweep`] visits every
     /// channel instead. Controller tracing forces the sweep:
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
     fn on_epoch(&mut self) {
         // Fluid flows advance before the controller reads per-channel
-        // utilization: the epoch's busy picoseconds then include fluid
-        // movement exactly as they would packet serialization, keeping
-        // rate decisions regime-independent. The two are profiled as
+        // utilization: the epoch's busy time then includes the fluid
+        // load exactly as it would packet serialization, keeping rate
+        // decisions regime-independent. The two are profiled as
         // separate, non-overlapping spans.
         if self.model == SimModel::Hybrid {
             let start = Instant::now();
@@ -1070,8 +1086,13 @@ impl Core {
                 "off/draining channel counter drifted from the swept count"
             );
             debug_assert!(
-                self.flows.sharers_match_live(),
-                "fluid sharer counts drifted from the live flows"
+                self.flows.loads_match_live(&self.channels.fluid),
+                "fluid sharer counts or loads drifted from the live flows"
+            );
+            debug_assert_eq!(
+                self.channels.steady_recount(),
+                self.channels.steady_count(),
+                "resting-after-hold counter drifted from the swept count"
             );
         }
         if let Some(mut dt) = self.dyntopo.take() {
@@ -1140,9 +1161,10 @@ impl Core {
     fn retune_independent(&mut self) {
         for ch in 0..self.channels.len() {
             let id = ChannelId::new(ch as u32);
-            if let Some((util, rate)) = self.channel_decision(id) {
-                self.decide_rate(id, util, rate);
-            }
+            let decision = self
+                .channel_decision(id)
+                .map(|(util, rate)| (id, util, rate));
+            self.sweep_unit(&[id], &[decision]);
         }
     }
 
@@ -1161,32 +1183,29 @@ impl Core {
     /// channel's decision reads. The plan is applied every
     /// [`PLAN_CHUNK`] decisions, so its retained size stays bounded.
     fn retune_independent_active(&mut self) {
-        let mut plan = std::mem::take(&mut self.plan);
-        let mut holds = 0u64;
+        let mut plan = self.start_plan();
         for w in 0..self.channels.active_words().len() {
             let word = self.channels.active_words()[w];
             for i in set_bits(word, w * 64) {
                 let ch = ChannelId::new(i as u32);
-                if let Some((util, rate)) = self.channel_decision(ch) {
-                    self.plan_decision(&mut plan, &mut holds, ch, util, rate);
-                }
+                let decision = self
+                    .channel_decision(ch)
+                    .map(|(util, rate)| (ch, util, rate));
+                self.plan_unit(&mut plan, &[ch], &[decision]);
             }
-            if plan.len() >= PLAN_CHUNK {
+            if plan.decisions.len() >= PLAN_CHUNK {
                 self.apply_plan(&mut plan);
             }
         }
-        self.apply_plan(&mut plan);
-        self.plan = plan;
-        self.stats.controller_decisions += holds;
+        self.finish_plan(plan);
     }
 
     fn retune_paired(&mut self) {
         // "The link pair must be reconfigured together to match the
         // requirements of the channel with the highest load" (§3.3.1).
         for link in 0..self.fabric.num_links() {
-            for (ch, util, rate) in self.link_decisions(link).into_iter().flatten() {
-                self.decide_rate(ch, util, rate);
-            }
+            let (unit, decisions) = self.link_decisions(link);
+            self.sweep_unit(&unit, &decisions);
         }
     }
 
@@ -1203,56 +1222,161 @@ impl Core {
         let words = self.channels.active_words();
         for (w, &word) in words.iter().enumerate() {
             for i in set_bits(word, w * 64) {
-                let link = self.link_of[i] as usize;
+                let link = self.fabric.link_of(ChannelId::new(i as u32)).index();
                 self.link_bits[link / 64] |= 1u64 << (link % 64);
             }
         }
-        let mut plan = std::mem::take(&mut self.plan);
-        let mut holds = 0u64;
+        let mut plan = self.start_plan();
         for w in 0..self.link_bits.len() {
             let word = std::mem::take(&mut self.link_bits[w]);
             for link in set_bits(word, w * 64) {
-                for (ch, util, rate) in self.link_decisions(link).into_iter().flatten() {
-                    self.plan_decision(&mut plan, &mut holds, ch, util, rate);
-                }
+                let (unit, decisions) = self.link_decisions(link);
+                self.plan_unit(&mut plan, &unit, &decisions);
             }
-            if plan.len() >= PLAN_CHUNK {
+            if plan.decisions.len() >= PLAN_CHUNK {
                 self.apply_plan(&mut plan);
             }
         }
-        self.apply_plan(&mut plan);
-        self.plan = plan;
-        self.stats.controller_decisions += holds;
+        self.finish_plan(plan);
     }
 
-    /// Plans one decision: a hold — the rate is unchanged and no drain
-    /// is parked, so [`Core::decide_rate`] would only count it — is
-    /// counted in `holds`; anything else joins `plan`.
-    fn plan_decision(
-        &self,
-        plan: &mut Vec<PlannedDecision>,
-        holds: &mut u64,
-        ch: ChannelId,
-        util: f64,
-        rate: LinkRate,
-    ) {
+    /// Takes the retained plan for an active-set tick.
+    fn start_plan(&mut self) -> TickPlan {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.holds = 0;
+        plan.resting = self.channels.steady_count();
+        plan.woken = 0;
+        plan
+    }
+
+    /// Applies what is left of an active-set tick's plan and counts its
+    /// holds: the visited ones, plus one per channel resting after a
+    /// hold that the tick did not visit.
+    fn finish_plan(&mut self, mut plan: TickPlan) {
+        self.apply_plan(&mut plan);
+        let steady = plan.resting - plan.woken;
+        self.stats.controller_decisions += plan.holds + steady;
+        self.stats.epoch_steady_holds += steady;
+        self.plan = plan;
+    }
+
+    /// Whether decision `d` is a hold: the rate is unchanged and no
+    /// drain is parked, so [`Core::decide_rate`] would only count it.
+    fn is_hold(&self, (ch, _, rate): PlannedDecision) -> bool {
         let i = ch.index();
-        if rate == self.channels.rate[i] && self.channels.flags[i] & F_DRAINING == 0 {
-            *holds += 1;
-        } else {
-            plan.push((ch, util, rate));
+        rate == self.channels.rate[i] && self.channels.flags[i] & F_DRAINING == 0
+    }
+
+    /// Plans one decision unit — a channel, or a paired link's two
+    /// channels — that an active-set tick visits: ends its channels'
+    /// rest after a hold (the tick decides them itself), plans its
+    /// non-hold decisions and counts its holds.
+    fn plan_unit(
+        &mut self,
+        plan: &mut TickPlan,
+        unit: &[ChannelId],
+        decisions: &[Option<PlannedDecision>],
+    ) {
+        let mut holds = 0;
+        let mut all_hold = true;
+        for &d in decisions.iter().flatten() {
+            if self.is_hold(d) {
+                holds += 1;
+            } else {
+                all_hold = false;
+                plan.decisions.push(d);
+            }
+        }
+        if self.channels.fluid.is_empty() {
+            // Packet mode: no channel rests after a hold.
+            plan.holds += holds;
+            return;
+        }
+        for c in unit {
+            plan.woken += u64::from(self.channels.clear_steady(c.index()));
+        }
+        if holds > 0 && (!all_hold || self.hold_unit(unit, decisions)) {
+            plan.holds += holds;
         }
     }
 
-    /// Applies and empties a plan, in plan order.
-    fn apply_plan(&mut self, plan: &mut Vec<PlannedDecision>) {
-        for &(ch, util, rate) in plan.iter() {
+    /// The sweep's visit of one decision unit: applies its decisions in
+    /// order and keeps the rest-after-hold bookkeeping exactly as the
+    /// active-set tick does, checking that a unit nothing touched since
+    /// it came to rest decides hold again.
+    fn sweep_unit(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) {
+        if !self.channels.fluid.is_empty() {
+            self.sweep_steady(unit, decisions);
+        }
+        for &(ch, util, rate) in decisions.iter().flatten() {
             self.decide_rate(ch, util, rate);
         }
-        plan.clear();
     }
 
-    /// The §3.3.1 decisions for one link, in channel order. When both
+    /// The sweep's rest-after-hold bookkeeping for one unit (hybrid
+    /// model only), before its decisions apply.
+    fn sweep_steady(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) {
+        let all_hold = decisions.iter().flatten().all(|&d| self.is_hold(d));
+        let untouched = unit.iter().all(|c| !self.channels.is_active(c.index()));
+        for c in unit {
+            let rested = self.channels.clear_steady(c.index());
+            debug_assert!(
+                !rested || !untouched || all_hold,
+                "{c} rested after a hold, unchanged, yet decides a change"
+            );
+        }
+        if all_hold {
+            self.hold_unit(unit, decisions);
+        }
+    }
+
+    /// Bookkeeping for a visited unit whose every decision is a hold
+    /// (hybrid model only). Returns whether those holds count toward
+    /// `controller_decisions`: a unit the fluid pass marked only because a
+    /// channel's fluid load fell to zero — every channel idle at the
+    /// floor or exempt, with no fluid — is not counted, so the count
+    /// matches a tick that marks only loaded channels (every unit counts
+    /// on the first tick, when every channel starts active).
+    ///
+    /// An idle unit with load (fluid bytes, or a rate above the floor)
+    /// comes to rest after the hold: its decided channels leave the
+    /// active set at the recharge and decide "hold" each tick without a
+    /// visit until something marks one of its channels. `desired_rate`
+    /// is pure, and every input — rate, flags, transient busy time,
+    /// fluid load — changes only at sites that mark the channel active.
+    /// Not with the dynamic topology, whose power transitions land after
+    /// the decisions.
+    fn hold_unit(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) -> bool {
+        let min = self.config.min_rate;
+        let mut idle = true;
+        let mut loaded = false;
+        for (c, d) in unit.iter().zip(decisions) {
+            let i = c.index();
+            idle &= self.channels.queued_at(i) == 0
+                && self.channels.busy_ps_epoch[i] == 0
+                && self.channels.flags[i] & F_DRAINING == 0;
+            loaded |= self.channels.fluid[i] > 0 || (d.is_some() && self.channels.rate[i] != min);
+        }
+        if idle && loaded && self.dyntopo.is_none() {
+            for (c, d) in unit.iter().zip(decisions) {
+                if d.is_some() {
+                    self.channels.set_steady(c.index());
+                }
+            }
+        }
+        !idle || loaded || self.stats.epoch_ticks == 0
+    }
+
+    /// Applies and empties a plan's decisions, in plan order.
+    fn apply_plan(&mut self, plan: &mut TickPlan) {
+        for &(ch, util, rate) in plan.decisions.iter() {
+            self.decide_rate(ch, util, rate);
+        }
+        plan.decisions.clear();
+    }
+
+    /// The link's two channels and their §3.3.1 decisions, in channel
+    /// order. When both
     /// channels are tunable the pair moves together to the faster of
     /// the two desired rates.
     /// When exactly one is exempt (powered off by the dynamic-topology
@@ -1266,17 +1390,18 @@ impl Core {
     /// held, forever.) No current topology produces a half-exempt link
     /// — host exemption and power-off both apply to whole links — so
     /// this arm is pinned by a unit test rather than the golden report.
-    fn link_decisions(&self, link: usize) -> [Option<PlannedDecision>; 2] {
+    fn link_decisions(&self, link: usize) -> ([ChannelId; 2], [Option<PlannedDecision>; 2]) {
         let (a, b) = self
             .fabric
             .link_channels(epnet_topology::LinkId::new(link as u32));
-        match (self.channel_decision(a), self.channel_decision(b)) {
+        let decisions = match (self.channel_decision(a), self.channel_decision(b)) {
             (Some((ua, ra)), Some((ub, rb))) => {
                 let rate = ra.max(rb);
                 [Some((a, ua, rate)), Some((b, ub, rate))]
             }
             (da, db) => [da.map(|(u, r)| (a, u, r)), db.map(|(u, r)| (b, u, r))],
-        }
+        };
+        ([a, b], decisions)
     }
 
     /// The measured utilization and the rate the policy wants for this
@@ -1341,7 +1466,8 @@ impl Core {
             // finished; cancel the pending change.
             return RateOutcome::DrainCancelled;
         }
-        if self.channels.rate[i] == rate {
+        let old = self.channels.rate[i];
+        if old == rate {
             return RateOutcome::Unchanged;
         }
         // Drain-first only defers *downshifts*: an upshift is what a
@@ -1354,13 +1480,14 @@ impl Core {
             self.channels.set_pending_rate(i, Some(rate));
             return RateOutcome::DrainDeferred;
         }
+        self.channels.reprice_fluid(i, old, rate);
         self.commit_rate(ch, rate);
         // If traffic is waiting, make sure it resumes once the channel
         // relocks (the serializing packet, if any, completes at the old
         // timing — the change takes effect for subsequent packets). An
         // empty queue has nothing to resume, and `try_tx` would return
         // without acting.
-        if self.channels.occupancy[i] != 0 {
+        if self.channels.queued_at(i) != 0 {
             self.try_tx(ch);
         }
         RateOutcome::Applied

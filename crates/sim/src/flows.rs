@@ -11,11 +11,22 @@
 //! That is an equal split of each channel among the flows crossing it,
 //! minimised over the flow's fixed path — not a max-min fair
 //! allocation, which would hand capacity a flow bottlenecked elsewhere
-//! leaves unused to the channel's other flows. The busy picoseconds
-//! that movement implies are charged to each channel's epoch
-//! accumulator *before* the controller reads utilization, so the §3.3
+//! leaves unused to the channel's other flows. What a flow moved is
+//! its share of each path channel's fluid load (bytes per epoch, in
+//! `Channels::fluid`), which the controller reads as busy time
+//! (`Channels::epoch_busy_ps`) right after the advance, so the §3.3
 //! rate controller, the power model, and telemetry run unmodified on
 //! top of either regime.
+//!
+//! A tick pays for what changed since the last one. Each flow caches
+//! its full-epoch budget `min_over_path(epoch / (ps_per_byte ·
+//! sharers))`; a per-channel change bitmap, written wherever a rate,
+//! `available_at` or sharer count changes, tells a flow whether that
+//! cache still holds. A flow with an unchanged path moves
+//! `min(remaining, full)` without reading any channel state, and the
+//! fluid load persists across ticks: only a flow whose budget moved
+//! adjusts it on its path (marking those channels active for the
+//! controller). Per-flow statistics stay per flow and exact.
 //!
 //! Regime boundaries are explicit and conservative:
 //!
@@ -35,7 +46,7 @@
 //!   ordinary packets carrying the original offer time, so latency and
 //!   warmup accounting match a message that had always been packets.
 
-use crate::channels::F_UNSTEADY;
+use crate::channels::{Channels, F_UNSTEADY};
 use crate::engine::Core;
 use crate::traffic::Message;
 use crate::SimTime;
@@ -80,6 +91,25 @@ impl Flow {
     }
 }
 
+/// A live flow's cached fluid state, kept beside its [`Flow`] row.
+#[derive(Debug, Clone, Copy)]
+struct FlowLoad {
+    /// Bytes the flow moves in a full epoch while nothing on its path
+    /// changes: `min_over_path(epoch_ps / (ps_per_byte · sharers))`.
+    full: u64,
+    /// The budget the last pass moved: this flow's share of every path
+    /// channel's `Channels::fluid`.
+    charged: u64,
+    /// Busy picoseconds one byte costs summed over the path.
+    path_ps_per_byte: u64,
+    /// Pod of the destination host (the delivered-bytes rollup).
+    pod: u32,
+    /// Whether `full` holds at the next pass if no path channel changes:
+    /// false until the first pass, and while a path channel is still
+    /// reactivating.
+    valid: bool,
+}
+
 /// The live fluid flows, dense in live order: absorption appends and
 /// release is a `swap_remove`, so the order flows advance in is a pure
 /// function of the absorb/release sequence. Storage grows by amortized
@@ -89,15 +119,18 @@ impl Flow {
 #[derive(Debug, Default)]
 pub(crate) struct FlowTable {
     live: Vec<Flow>,
+    /// Cached fluid state, in lockstep with `live`.
+    loads: Vec<FlowLoad>,
     /// Live flows crossing each channel (indexed by channel, sized at
     /// construction in hybrid mode; empty in packet mode). Raised at
     /// absorption; a flow released during an advancement pass is still
     /// counted until the pass ends, so every flow in a pass sees the
     /// sharer counts as they stood when the pass began.
     per_channel: Vec<u32>,
-    /// Path channels of the flows released during the current pass,
-    /// whose sharer counts drop when it ends.
-    retired: Vec<u32>,
+    /// Path channels of the flows released by the last pass, each with
+    /// the bytes the flow still has charged there: the sharer counts
+    /// drop when that pass ends, the charges when the next one starts.
+    retired: Vec<(u32, u64)>,
     /// Scratch for the absorb-time greedy path walk.
     path_scratch: Vec<PortIndex>,
     /// High-water mark of `live.len()` (diagnostics).
@@ -125,41 +158,59 @@ impl FlowTable {
         self.peak_live
     }
 
-    fn alloc(&mut self, flow: Flow) {
+    fn alloc(&mut self, flow: Flow, pod: u32, channels: &mut Channels) {
         for &c in flow.path() {
             self.per_channel[c as usize] += 1;
+            channels.mark_changed(c as usize);
         }
         self.live.push(flow);
+        self.loads.push(FlowLoad {
+            full: 0,
+            charged: 0,
+            path_ps_per_byte: 0,
+            pod,
+            valid: false,
+        });
         self.peak_live = self.peak_live.max(self.live.len());
     }
 
-    /// Releases the flow at `live_idx` (the tail flow takes its place)
-    /// and defers its sharer-count drop to the end of the pass.
+    /// Releases the flow at `live_idx` (the tail flow takes its place),
+    /// deferring its sharer-count drop to the end of the pass and the
+    /// removal of its charge to the start of the next.
     fn release(&mut self, live_idx: usize) {
         let flow = self.live.swap_remove(live_idx);
-        self.retired.extend_from_slice(flow.path());
+        let charged = self.loads.swap_remove(live_idx).charged;
+        let retired = flow.path().iter().map(|&c| (c, charged));
+        self.retired.extend(retired);
     }
 
-    /// Whether every channel's sharer count equals a recount over the
-    /// live flows (the sweep-mode cross-check; true between passes).
+    /// Whether every channel's sharer count and fluid load equal a
+    /// recount over the live and just-released flows (the sweep-mode
+    /// cross-check; true between passes).
     #[cfg(debug_assertions)]
-    pub(crate) fn sharers_match_live(&self) -> bool {
+    pub(crate) fn loads_match_live(&self, fluid: &[u64]) -> bool {
         let mut count = vec![0u32; self.per_channel.len()];
-        for flow in &self.live {
+        let mut bytes = vec![0u64; fluid.len()];
+        for (flow, load) in self.live.iter().zip(&self.loads) {
             for &c in flow.path() {
                 count[c as usize] += 1;
+                bytes[c as usize] += load.charged;
             }
         }
-        count == self.per_channel
+        for &(c, charged) in &self.retired {
+            bytes[c as usize] += charged;
+        }
+        count == self.per_channel && bytes == fluid
     }
 
     /// Ends an advancement pass: drops the released flows' sharer
-    /// counts.
-    fn settle_retired(&mut self) {
-        for &c in &self.retired {
+    /// counts, which changes the budgets of the flows still sharing
+    /// those channels.
+    fn settle_retired(&mut self, channels: &mut Channels) {
+        for &(c, _) in &self.retired {
             self.per_channel[c as usize] -= 1;
+            channels.mark_changed(c as usize);
         }
-        self.retired.clear();
     }
 }
 
@@ -231,14 +282,16 @@ impl Core {
         if !steady {
             return false;
         }
-        self.flows.alloc(Flow {
+        let flow = Flow {
             remaining: m.bytes,
             offered_at: m.at,
             last_advance: m.at,
             dst: m.dst.raw(),
             path,
             path_len: len,
-        });
+        };
+        let pod = self.pod_of_host[m.dst.index()];
+        self.flows.alloc(flow, pod, &mut self.channels);
         self.stats.counters.flows_absorbed += 1;
         true
     }
@@ -252,72 +305,72 @@ impl Core {
     /// flows crossing it, limited by the tightest channel:
     /// `min_over_path(capacity_window / (ps_per_byte · sharers))`, where
     /// a channel mid-reactivation contributes only the window after
-    /// `available_at`. The implied busy picoseconds are charged per
-    /// channel exactly as packet serialization would be, so
-    /// `epoch_utilization` is regime-independent.
+    /// `available_at`. What a flow moved is its share of each path
+    /// channel's fluid load, which the controller reads as busy time
+    /// exactly as it would packet serialization, so `epoch_utilization`
+    /// is regime-independent.
     ///
-    /// One walk over each path checks steadiness and computes the
-    /// budget. While the network-wide bounds show no queue above the
-    /// congestion limit and no channel off or draining, no channel can
-    /// fail the check and its `flags`/`occupancy` reads are skipped; a
+    /// A flow whose last pass was a full epoch ago, whose cache is valid
+    /// and none of whose path channels changed since moves
+    /// `min(remaining, full)` without reading its path's channel state;
+    /// any other flow walks its path and refreshes the cache. Only a
+    /// flow whose budget differs from the last pass's touches the fluid
+    /// load, marking those channels active. While the network-wide
+    /// bounds show no queue above the congestion limit and no channel
+    /// off or draining, no channel can fail the steadiness check; a
     /// demotion earlier in the pass queues packets, so the bounds are
-    /// re-read per flow.
+    /// re-read per flow, and a flow that must check walks its path.
     pub(crate) fn advance_flows(&mut self) {
+        // The flows the last pass released leave the fluid load now.
+        for &(c, charged) in &self.flows.retired {
+            if charged > 0 {
+                self.channels.fluid[c as usize] -= charged;
+                self.channels.mark_active(c as usize);
+            }
+        }
+        self.flows.retired.clear();
         if self.flows.live.is_empty() {
             return;
         }
         let now = self.now;
+        let epoch_ps = self.config.epoch.as_ps();
         let limit = self.flow_congestion_limit();
         let mut k = 0usize;
         while k < self.flows.live.len() {
             let flow = self.flows.live[k];
             let check = self.channels.queued_total() > limit || self.channels.unsteady() > 0;
-            let mut steady = true;
-            let mut budget = flow.remaining;
-            for &c in flow.path() {
-                let i = c as usize;
-                if check
-                    && (self.channels.flags[i] & F_UNSTEADY != 0
-                        || self.channels.occupancy[i] > limit)
-                {
-                    steady = false;
-                    break;
-                }
-                if budget > 0 {
-                    let from = flow
-                        .last_advance
-                        .max(self.channels.available_at[i])
-                        .min(now);
-                    let window_ps = (now - from).as_ps();
-                    let ppb = self.channels.rate[i].serialize_ps(1);
-                    let share = u64::from(self.flows.per_channel[i]);
-                    budget = budget.min(window_ps / (ppb * share));
-                }
-            }
-            if !steady {
-                // `swap_remove` moves the tail flow into index k; do not
-                // advance k.
+            let load = self.flows.loads[k];
+            let cached = !check
+                && load.valid
+                && (now - flow.last_advance).as_ps() == epoch_ps
+                && flow
+                    .path()
+                    .iter()
+                    .all(|&c| !self.channels.changed(c as usize));
+            let budget = if cached {
+                flow.remaining.min(load.full)
+            } else if let Some(budget) = self.refresh_flow(k, check, epoch_ps, limit) {
+                budget
+            } else {
+                // Unsteady path: the flow's charge leaves now, and
+                // `swap_remove` moves the tail flow into index k, so k
+                // does not advance.
+                self.charge_flow(k, 0);
                 self.flows.release(k);
                 let dst = HostId::new(flow.dst);
                 let inj = ChannelId::new(flow.path[0]);
                 self.inject_packets(inj, dst, flow.remaining, flow.offered_at);
                 self.stats.counters.flows_demoted += 1;
                 continue;
-            }
+            };
+            self.charge_flow(k, budget);
             if budget > 0 {
-                for &c in flow.path() {
-                    let i = c as usize;
-                    let busy = budget * self.channels.rate[i].serialize_ps(1);
-                    self.channels.busy_ps_epoch[i] += busy;
-                    self.channels.mark_active(i);
-                    self.stats.busy_ps_total += u128::from(busy);
-                }
+                let load = &self.flows.loads[k];
+                let busy = u128::from(budget) * u128::from(load.path_ps_per_byte);
+                self.stats.busy_ps_total += busy;
                 self.stats.record_flow_bytes(flow.offered_at, budget);
                 self.stats.counters.flow_fluid_bytes += budget;
-                if !self.pod_bytes.is_empty() {
-                    let dst = flow.dst as usize;
-                    self.pod_bytes[self.pod_of_host[dst] as usize] += budget;
-                }
+                self.pod_bytes[load.pod as usize] += budget;
             }
             if flow.remaining == budget {
                 self.stats.record_message(flow.offered_at, now);
@@ -330,7 +383,58 @@ impl Core {
             live.last_advance = now;
             k += 1;
         }
-        self.flows.settle_retired();
+        self.channels.clear_changed();
+        self.flows.settle_retired(&mut self.channels);
+    }
+
+    /// Walks flow `k`'s path: refreshes its cached full-epoch budget,
+    /// path cost and validity, and returns this pass's budget — or
+    /// `None` when `check` is set and a path channel is powered off,
+    /// draining or congested.
+    fn refresh_flow(&mut self, k: usize, check: bool, epoch_ps: u64, limit: u64) -> Option<u64> {
+        let now = self.now;
+        let flow = self.flows.live[k];
+        let mut budget = flow.remaining;
+        let mut full = u64::MAX;
+        let mut path_ps_per_byte = 0;
+        let mut valid = true;
+        for &c in flow.path() {
+            let i = c as usize;
+            if check
+                && (self.channels.flags[i] & F_UNSTEADY != 0 || self.channels.occupancy[i] > limit)
+            {
+                return None;
+            }
+            let available_at = self.channels.available_at[i];
+            let from = flow.last_advance.max(available_at).min(now);
+            let window_ps = (now - from).as_ps();
+            let ppb = self.channels.rate[i].serialize_ps(1);
+            let split = ppb * u64::from(self.flows.per_channel[i]);
+            full = full.min(epoch_ps / split);
+            budget = budget.min(window_ps / split);
+            path_ps_per_byte += ppb;
+            valid &= available_at <= now;
+        }
+        let load = &mut self.flows.loads[k];
+        load.full = full;
+        load.path_ps_per_byte = path_ps_per_byte;
+        load.valid = valid;
+        Some(budget)
+    }
+
+    /// Sets flow `k`'s share of its path channels' fluid load to
+    /// `budget`, marking the channels active when it changes.
+    fn charge_flow(&mut self, k: usize, budget: u64) {
+        let charged = self.flows.loads[k].charged;
+        if budget == charged {
+            return;
+        }
+        for &c in self.flows.live[k].path() {
+            let i = c as usize;
+            self.channels.fluid[i] = self.channels.fluid[i] - charged + budget;
+            self.channels.mark_active(i);
+        }
+        self.flows.loads[k].charged = budget;
     }
 }
 
@@ -342,6 +446,7 @@ mod tests {
     use crate::env::SimModel;
     use crate::traffic::ReplaySource;
     use crate::Simulator;
+    use epnet_power::LinkRate;
     use epnet_topology::FlattenedButterfly;
 
     fn hybrid_sim(messages: Vec<Message>) -> Simulator<ReplaySource> {
@@ -482,6 +587,51 @@ mod tests {
         assert_eq!(report.diagnostics["flows_absorbed"], 2);
         assert_eq!(report.diagnostics["flow_table_peak"], 1);
         assert!(report.delivered_bytes >= 2 * 256 * 1024);
+    }
+
+    #[test]
+    fn cached_budget_follows_path_rate_and_sharer_changes() {
+        // Rates stay put without a controller, so every change to flow
+        // A's cached full-epoch budget below comes from the test's own
+        // rate writes and from flow B joining and leaving A's
+        // injection channel.
+        let fabric = FlattenedButterfly::new(2, 4, 2).unwrap().build_fabric();
+        let config = SimConfig::builder()
+            .control(crate::config::ControlMode::AlwaysFull)
+            .build();
+        let mk = |at_us: u64, dst: u32, bytes: u64| Message {
+            at: SimTime::from_us(at_us),
+            src: HostId::new(0),
+            dst: HostId::new(dst),
+            bytes,
+        };
+        let messages = vec![mk(0, 7, 100 * 1024 * 1024), mk(40, 6, 300_000)];
+        let source = ReplaySource::new(messages);
+        let mut sim = Simulator::with_model(fabric, config, source, SimModel::Hybrid);
+        let full_of_a = |sim: &Simulator<ReplaySource>| sim.core.flows.loads[0].full;
+        // 10 µs epoch at 40 Gb/s (200 ps/byte), path unshared.
+        let alone = 50_000;
+        sim.prime(SimTime::from_ms(1));
+        sim.advance_until(SimTime::from_us(15));
+        assert_eq!(full_of_a(&sim), alone);
+        // A path channel halves its rate: the next pass recomputes.
+        let eject = sim.core.eject_channel[7].index();
+        sim.core.channels.set_rate(eject, LinkRate::R20);
+        sim.advance_until(SimTime::from_us(25));
+        assert_eq!(full_of_a(&sim), alone / 2, "rate change ignored");
+        sim.core.channels.set_rate(eject, LinkRate::R40);
+        sim.advance_until(SimTime::from_us(35));
+        assert_eq!(full_of_a(&sim), alone);
+        // B joins A's injection channel at 40 µs...
+        sim.advance_until(SimTime::from_us(55));
+        assert_eq!(sim.core.flows.live_count(), 2);
+        assert_eq!(full_of_a(&sim), alone / 2, "sharer join ignored");
+        // ...and leaves once its 300 kB are through.
+        sim.advance_until(SimTime::from_us(400));
+        assert_eq!(sim.core.flows.live_count(), 1);
+        assert_eq!(full_of_a(&sim), alone, "sharer leave ignored");
+        let report = sim.finalize();
+        assert_eq!(report.diagnostics["flows_completed"], 1);
     }
 
     #[test]

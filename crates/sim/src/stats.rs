@@ -92,11 +92,14 @@ pub(crate) struct Stats {
     /// Epoch ticks processed.
     pub epoch_ticks: u64,
     /// Controller rate decisions taken (`decide_rate` calls). Under the
-    /// active-set epoch mode this counts only visited channels, so —
-    /// unlike every serialized quantity — it is mode-*dependent* by
-    /// design: it is the measure of controller work the load benchmark
-    /// reports.
+    /// active-set epoch mode this counts only visited channels, plus
+    /// one hold per channel resting after a hold, so — unlike every
+    /// serialized quantity — it is mode-*dependent* by design: it is
+    /// the measure of controller work the load benchmark reports.
     pub controller_decisions: u64,
+    /// Holds counted for channels resting after a hold (active-set ticks
+    /// only; a diagnostic of how much decision work those ticks skip).
+    pub epoch_steady_holds: u64,
     /// Rate timeline of recorded channels.
     pub timeline: Vec<TimelineEvent>,
     /// Channels `0..timeline_channels` are recorded.
@@ -169,6 +172,7 @@ impl Stats {
             peak_queue_bytes: 0,
             epoch_ticks: 0,
             controller_decisions: 0,
+            epoch_steady_holds: 0,
             timeline: Vec::new(),
             timeline_channels: 0,
             counters: Counters::default(),
@@ -218,6 +222,7 @@ impl Stats {
             ("flows_completed", c.flows_completed),
             ("flow_fluid_bytes", c.flow_fluid_bytes),
             ("flow_table_peak", flows.peak_live() as u64),
+            ("epoch_steady_holds", self.epoch_steady_holds),
         ]
         .into_iter()
         .map(|(name, v)| (name.to_owned(), v))
@@ -391,14 +396,17 @@ pub struct SimReport {
     pub epoch_ticks: u64,
     /// Rate decisions the controller evaluated across the run. Under
     /// the active-set epoch path (the default `EpochMode`) only channels
-    /// that did something since their last decision are visited, so
+    /// that did something since their last decision are visited (those
+    /// resting after a hold count one hold per tick unvisited), so
     /// this counter is *mode-dependent* by design and — exactly like
     /// [`phases`](Self::phases) — is never serialized. It is the
     /// controller-work numerator behind the decisions-per-tick bound of
     /// the benchmark's `load` axis.
     pub controller_decisions: u64,
     /// Diagnostics, keyed by metric name — the hybrid model's flow
-    /// counters (`flows_absorbed`, `flows_demoted`, …). Like
+    /// counters (`flows_absorbed`, `flows_demoted`, …) and
+    /// `epoch_steady_holds`, the holds counted for channels resting
+    /// after a hold (zero under `EpochMode::Sweep`). Like
     /// [`phases`](Self::phases) they are never serialized, so
     /// packet-model reports stay byte-identical to pre-hybrid ones.
     pub diagnostics: BTreeMap<String, u64>,

@@ -36,7 +36,10 @@ for cmd in residency churn reactivation credit outcomes; do
 done
 
 # Every axis, reduced, one repeat, under the counting allocator. The
-# runner refuses to write a document that fails validation.
+# runner refuses to write a document that fails validation, and fails
+# unless every hybrid scale point (up to 2^20 hosts, beyond `cargo
+# test`'s reach) reproduces its report digest in the committed
+# BENCH.json.
 cargo run --offline --release -p epnet-bench --bin benchrun -- \
     --reduced --out target/bench_smoke.json
 

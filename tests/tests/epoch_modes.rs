@@ -183,3 +183,73 @@ fn hybrid_bulk_flows_are_byte_identical_across_epoch_modes() {
         }
     }
 }
+
+/// One hybrid-model run of 4 MiB bulk flows with no dynamic topology:
+/// flows outlive many epochs, so their channels settle into holds and
+/// rest after them — the steady path of the active-set tick. With host
+/// links untuned, the injection and ejection channels carry fluid load
+/// but make no decisions.
+fn run_steady_hybrid(
+    control: ControlMode,
+    policy: RatePolicy,
+    strategy: ReactivationStrategy,
+    tune_host_links: bool,
+    epoch: EpochMode,
+) -> SimReport {
+    let fabric = FlattenedButterfly::new(4, 8, 2)
+        .expect("valid shape")
+        .build_fabric();
+    let mut b = SimConfig::builder();
+    b.control(control)
+        .policy(policy)
+        .reactivation_strategy(strategy)
+        .tune_host_links(tune_host_links);
+    let config = b.build();
+    let horizon = SimTime::from_ms(2);
+    let src = UniformRandom::builder(fabric.num_hosts() as u32)
+        .message_bytes(4 * 1024 * 1024)
+        .offered_load(0.5)
+        .seed(7)
+        .horizon(horizon)
+        .build();
+    let options = RunOptions {
+        model: SimModel::Hybrid,
+        epoch,
+        ..RunOptions::default()
+    };
+    Simulator::with_options(fabric, config, src, options).run_until(horizon)
+}
+
+/// Every rate policy under both controlled modes (and both reactivation
+/// strategies, with host links tuned or not): channels resting after a
+/// hold must leave the report byte-identical to the sweep, and the
+/// active-set tick must actually take that path.
+#[test]
+fn hybrid_steady_flows_are_byte_identical_across_epoch_modes() {
+    for control in [ControlMode::IndependentChannel, ControlMode::PairedLink] {
+        for policy in POLICIES {
+            for strategy in STRATEGIES {
+                for tune_hosts in [true, false] {
+                    let label = format!("{control:?}/{policy:?}/{strategy:?}/hosts={tune_hosts}");
+                    let run =
+                        |epoch| run_steady_hybrid(control, policy, strategy, tune_hosts, epoch);
+                    let swept = run(EpochMode::Sweep);
+                    let active = run(EpochMode::ActiveSet);
+                    assert!(
+                        active.diagnostics["flows_completed"] > 0,
+                        "{label}: no flow completed"
+                    );
+                    assert!(
+                        active.diagnostics["epoch_steady_holds"] > 0,
+                        "{label}: no channel rested after a hold"
+                    );
+                    assert_eq!(
+                        serde_json::to_string_pretty(&swept).expect("report serializes"),
+                        serde_json::to_string_pretty(&active).expect("report serializes"),
+                        "hybrid report differs between epoch modes for {label}"
+                    );
+                }
+            }
+        }
+    }
+}
