@@ -9,7 +9,7 @@
 //! can be told apart from drift. Each (point, variant) becomes one
 //! [`Record`]: the fabric, the options, the wall-clock samples with
 //! their median and min/max, the simulation counters, a digest of the
-//! serialized report, the mean phase profile, and — under a counting
+//! serialized report, the mean host time per engine layer, and — under a counting
 //! allocator ([`counting_allocator!`](crate::counting_allocator)) — the
 //! steady-state allocation meter.
 //!
@@ -17,8 +17,10 @@
 //! callers run it: the `benchrun` binary before it writes, and the
 //! in-process twin `tests/tests/bench_smoke.rs` on the committed
 //! `BENCH.json`. It holds
-//! every record to the schema, the `load` axis to one report digest
-//! across its variants, and the budgets below to their bounds:
+//! every record to the schema (its six engine layers must add up to
+//! its wall time within [`LAYER_SUM_TOLERANCE`]), the `load` axis to
+//! one report digest across its variants, and the budgets below to
+//! their bounds:
 //!
 //! | Axis | Points | Variants | Held to |
 //! |---|---|---|---|
@@ -29,7 +31,7 @@
 use crate::{loadbench, scalebench};
 use epnet_power::LinkPowerProfile;
 use epnet_sim::{
-    EpochMode, MergedSource, Message, RunOptions, SimConfig, SimModel, SimReport, SimTime,
+    EpochMode, Layer, MergedSource, Message, RunOptions, SimConfig, SimModel, SimReport, SimTime,
     Simulator, TrafficSource,
 };
 use epnet_topology::{FabricGraph, FlattenedButterfly, RoutingTopology, TwoTierClos};
@@ -39,7 +41,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Schema tag of every document [`render`] writes.
-pub const SCHEMA: &str = "epnet-bench/v3";
+pub const SCHEMA: &str = "epnet-bench/v4";
 
 /// Every axis, in the order `benchrun` measures them.
 pub const AXES: [&str; 3] = ["load", "scale", "models"];
@@ -74,8 +76,8 @@ pub const HYBRID_PEAK_HEAP_PER_CHANNEL: u64 = 512;
 pub const MILLION_HOSTS: u64 = 1 << 20;
 
 /// Median wall-clock budget of that point, milliseconds. The serial
-/// run completes its 2 ms horizon in ~25 s on a 2-vCPU VM; the budget
-/// leaves ~5× headroom while still catching a complexity regression
+/// run completes its 2 ms horizon in ~10 s on a 2-vCPU VM; the budget
+/// leaves ~10× headroom while still catching a complexity regression
 /// (a packet simulation of the same point would take hours).
 pub const MILLION_HOST_WALL_BUDGET_MS: f64 = 120_000.0;
 
@@ -94,6 +96,12 @@ pub const SOLNUSHKIN_HOSTS: u64 = 100_000;
 /// relative power ≤ 1.6 points); the bound leaves ~3× headroom. See
 /// DESIGN.md ("Hybrid flow/packet model").
 pub const HYBRID_TOLERANCE: f64 = 0.05;
+
+/// Largest relative gap between a record's summed `layers_ms` and the
+/// mean of its wall samples. The layers are exclusive and cover a run
+/// from prime to report, so they miss only the harness's own calls
+/// between the phased API's steps.
+pub const LAYER_SUM_TOLERANCE: f64 = 0.05;
 
 /// Offered load at or below which the `load` axis must show
 /// activity-proportional epoch work.
@@ -534,8 +542,9 @@ pub struct Record {
     /// FNV-1a 64 digest of the serialized report; every repeat
     /// reproduces it.
     pub report_digest: String,
-    /// Mean wall clock per engine phase across repeats, milliseconds.
-    pub phases_ms: BTreeMap<String, f64>,
+    /// Mean wall clock per engine layer across repeats, milliseconds:
+    /// one key per [`Layer`], named by [`Layer::name`].
+    pub layers_ms: BTreeMap<String, f64>,
     /// Steady-state allocation meter (serial runs under a counting
     /// allocator only).
     pub alloc: Option<Alloc>,
@@ -656,11 +665,13 @@ fn record(axis: &str, point: &Point, variant: &Variant, runs: Vec<Sample>) -> Re
         point.name,
         variant.name
     );
-    let mut phases_ms = BTreeMap::new();
-    for phase in runs.iter().flat_map(|s| &s.report.phases) {
-        *phases_ms.entry(phase.name.to_string()).or_insert(0.0) +=
-            phase.wall_ns as f64 / 1e6 / runs.len() as f64;
-    }
+    let layers_ms = Layer::ALL
+        .into_iter()
+        .map(|layer| {
+            let sum: f64 = runs.iter().map(|s| s.report.layers.ms(layer)).sum();
+            (layer.name().to_string(), sum / runs.len() as f64)
+        })
+        .collect();
     let alloc = runs
         .iter()
         .filter_map(|s| s.alloc)
@@ -692,7 +703,7 @@ fn record(axis: &str, point: &Point, variant: &Variant, runs: Vec<Sample>) -> Re
         controller_decisions: report.controller_decisions,
         relative_power: report.relative_power(&LinkPowerProfile::Measured),
         report_digest: first.digest.clone(),
-        phases_ms,
+        layers_ms,
         alloc,
     }
 }
@@ -814,6 +825,24 @@ fn check_record(r: &Record, repeats: usize) -> Result<(), String> {
     }
     if Spread::of(w.samples.clone()) != *w {
         return Err(format!("{id}: median/min/max disagree with the samples"));
+    }
+    for key in r.layers_ms.keys() {
+        if !Layer::ALL.iter().any(|l| l.name() == key) {
+            return Err(format!("{id}: unknown layer '{key}'"));
+        }
+    }
+    if let Some(l) = Layer::ALL
+        .iter()
+        .find(|l| !r.layers_ms.contains_key(l.name()))
+    {
+        return Err(format!("{id}: missing layer '{}'", l.name()));
+    }
+    let layers: f64 = r.layers_ms.values().sum();
+    let wall = w.samples.iter().sum::<f64>() / repeats as f64;
+    if (layers - wall).abs() > LAYER_SUM_TOLERANCE * wall {
+        return Err(format!(
+            "{id}: layers sum to {layers:.1} ms against a mean wall of {wall:.1} ms"
+        ));
     }
     let hybrid = r.options.model == SimModel::Hybrid;
     if r.hosts == 0 || r.channels == 0 || r.events == 0 {
@@ -1000,12 +1029,31 @@ pub(crate) fn sample(axis: &str, point: &str, variant: &str) -> Record {
         controller_decisions: 8_800,
         relative_power: 0.6,
         report_digest: "00000000000000aa".into(),
-        phases_ms: BTreeMap::new(),
+        layers_ms: BTreeMap::new(),
         alloc: Some(Alloc {
             measured_events: 500,
             measured_allocs: 0,
             peak_bytes: 1 << 20,
         }),
+    }
+    .with_wall(10.0)
+}
+
+#[cfg(test)]
+impl Record {
+    /// This record with one wall sample of `ms`, all of it events.
+    pub(crate) fn with_wall(mut self, ms: f64) -> Record {
+        self.wall_ms = Spread::of(vec![ms]);
+        self.layers_ms = Layer::ALL
+            .into_iter()
+            .map(|l| {
+                (
+                    l.name().to_string(),
+                    if l == Layer::Events { ms } else { 0.0 },
+                )
+            })
+            .collect();
+        self
     }
 }
 
@@ -1079,6 +1127,21 @@ mod tests {
         // A listed axis without records.
         let doc = render(&["load", "scale"], 1, &load_pair());
         assert!(validate(&doc).unwrap_err().contains("missing 'scale'"));
+        // The layers: all six, no others, adding up to the wall time.
+        for (key, value, why) in [
+            ("dyntopo", None, "missing layer 'dyntopo'"),
+            ("warmup", Some(0.0), "unknown layer 'warmup'"),
+            ("events", Some(10.6), "layers sum to 10.6"),
+        ] {
+            let mut pair = load_pair();
+            let layers = &mut pair[1].layers_ms;
+            match value {
+                Some(ms) => layers.insert(key.into(), ms),
+                None => layers.remove(key),
+            };
+            let err = validate(&render_sample(&pair)).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
     }
 
     #[test]
@@ -1086,9 +1149,11 @@ mod tests {
         assert!(validate("not json").is_err());
         assert!(validate("{}").is_err());
         // Earlier schemas are not this one: v2 still carried the
-        // `engine` axis and a `routes` option per record.
+        // `engine` axis and a `routes` option per record, v3 the
+        // overlapping `phases_ms`.
         for old in [
             r#"{"schema": "epnet-bench/v1"}"#,
+            r#"{"schema": "epnet-bench/v3", "axes": ["load"], "records": []}"#,
             r#"{"schema": "epnet-bench/v2", "axes": ["engine"], "records": []}"#,
             r#"{"schema": "epnet-bench-engine/v1", "benches": []}"#,
         ] {

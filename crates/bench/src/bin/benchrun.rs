@@ -1,5 +1,5 @@
 //! The benchmark runner: measures the axes of `epnet_bench::axis` and
-//! writes one `epnet-bench/v3` document.
+//! writes one `epnet-bench/v4` document.
 //!
 //! ```text
 //! cargo run --release -p epnet-bench --bin benchrun -- \

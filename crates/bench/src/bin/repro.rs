@@ -10,7 +10,9 @@
 //! ```
 //!
 //! `--json` writes every target's data to one file; `--csv-dir` also
-//! writes one CSV per series into that directory.
+//! writes one CSV per series into that directory. `EPNET_TRACE` is
+//! refused (exit 1): a target runs many simulations, and a trace
+//! belongs to one — `tracesmoke <path>` captures one.
 //!
 //! `--scale quick` (default) runs a 512-host 8-ary 3-flat for 8 ms per
 //! experiment; `--scale paper` runs the paper's 15-ary 3-flat (3,375
@@ -25,7 +27,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let started_all = Instant::now();
     let mut scale = EvalScale::quick();
     let mut json_path: Option<String> = None;
     let mut csv_dir: Option<String> = None;
@@ -70,6 +71,16 @@ fn main() -> ExitCode {
             }
             t => targets.push(t.trim_start_matches("--").to_owned()),
         }
+    }
+    // A trace belongs to one run, and a target runs many simulators
+    // (concurrently, on the worker pool), each of which would truncate
+    // and write the same file. Refuse before any of them starts.
+    if std::env::var_os("EPNET_TRACE").is_some_and(|p| !p.is_empty()) {
+        eprintln!(
+            "repro: EPNET_TRACE is set, but every simulation of a target would write \
+             that one file; capture a single-run trace with `tracesmoke <path>` instead"
+        );
+        return ExitCode::FAILURE;
     }
     if targets.is_empty() || targets.iter().any(|t| t == "all") {
         // The sensitivity grid is ~40 simulations; run it only when
@@ -124,9 +135,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    // One line of run totals on stderr (suppress with EPNET_QUIET=1);
-    // stdout stays clean for the tables and JSON above.
-    epnet_telemetry::summary::eprint_summary("repro", started_all.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }
 

@@ -17,11 +17,15 @@
 //! must be well-formed JSON whose per-category record counts match the
 //! source `TraceStats` (written to `<path>.chrome.json` for loading
 //! into Perfetto).
+//!
+//! This is also the way to capture the trace of a single run: `repro`
+//! refuses `EPNET_TRACE`, because every simulator of its sweeps would
+//! write the same file.
 
 use epnet_bench::enginebench::{canonical_layout, canonical_simulator, HORIZON};
 use epnet_sim::{RunOptions, TraceCategory, Tracer};
 use epnet_telemetry::export::chrome_trace;
-use epnet_telemetry::{parse_jsonl, summary, validate_jsonl, FileSink};
+use epnet_telemetry::{parse_jsonl, validate_jsonl, FileSink};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -135,6 +139,11 @@ fn main() -> ExitCode {
         export.trace_events, export.metadata_events
     );
 
-    summary::eprint_summary("tracesmoke", start.elapsed().as_secs_f64());
+    // Host time stays on stderr, off the machine-readable stdout.
+    eprintln!(
+        "tracesmoke: {:.2} s wall | run layers: {}",
+        start.elapsed().as_secs_f64(),
+        report.layers
+    );
     ExitCode::SUCCESS
 }

@@ -8,7 +8,6 @@
 
 use crate::axis::{self, Point, PointSource, Recipe, Topo};
 use epnet_sim::{RunOptions, SimModel, SimTime, Simulator};
-use std::time::Instant;
 
 /// Simulated horizon of the canonical run.
 pub const HORIZON: SimTime = SimTime::from_ms(10);
@@ -27,10 +26,7 @@ pub fn canonical_point() -> Point {
 /// Builds the canonical scenario under `options`, ready to run for
 /// [`HORIZON`] of simulated time.
 pub fn canonical_simulator(options: RunOptions) -> Simulator<PointSource> {
-    let build_start = Instant::now();
-    let mut sim = axis::simulator_for(&canonical_point(), options);
-    sim.record_phase("topology_build", build_start.elapsed());
-    sim
+    axis::simulator_for(&canonical_point(), options)
 }
 
 /// The canonical fabric's positional channel layout, for grouping

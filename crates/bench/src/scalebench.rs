@@ -65,8 +65,8 @@ pub fn sweep(reduced: bool) -> Vec<Point> {
     if !reduced {
         points.push(point("fbfly_8x8x2", Topo::Fbfly { c: 8, k: 8, n: 2 }));
         // The grouped 3-flat: dimension-1 links are optical while
-        // dimension 0 stays electrical — the link heterogeneity the
-        // pairwise lookahead bounds exploit.
+        // dimension 0 stays electrical, so the point mixes two
+        // propagation delays.
         points.push(point("fbfly_8x4x3", Topo::Fbfly { c: 8, k: 4, n: 3 }));
         points.push(point("clos_nb8", Topo::ClosNonBlocking { c: 8 }));
         points.push(point("fbfly_15x15x2", Topo::Fbfly { c: 15, k: 15, n: 2 }));
@@ -136,17 +136,16 @@ pub fn models_axis(points: &[Point]) -> Axis {
 mod tests {
     use super::*;
     use crate::axis::{
-        render_sample, sample, validate, Alloc, Record, Spread, HYBRID_PEAK_HEAP_PER_CHANNEL,
+        render_sample, sample, validate, Alloc, Record, HYBRID_PEAK_HEAP_PER_CHANNEL,
         HYBRID_TOLERANCE, MILLION_HOSTS, MILLION_HOST_WALL_BUDGET_MS,
     };
 
     /// A scale record of a hybrid point at `hosts`, inside every budget.
     fn hybrid_scale(point: &str, hosts: u64) -> Record {
-        let mut r = sample("scale", point, "hybrid");
+        let mut r = sample("scale", point, "hybrid").with_wall(20_000.0);
         r.options.model = SimModel::Hybrid;
         r.hosts = hosts;
         r.channels = hosts * 5;
-        r.wall_ms = Spread::of(vec![20_000.0]);
         r.alloc = Some(Alloc {
             measured_events: 500_000,
             measured_allocs: 0,
@@ -245,8 +244,7 @@ mod tests {
         clos.alloc.as_mut().unwrap().peak_bytes = 4096 * 7_700;
         assert!(validate(&render_sample(&document(vec![clos, million()]))).is_ok());
         // Median wall clock over the pinned budget.
-        let mut slow = million();
-        slow.wall_ms = Spread::of(vec![MILLION_HOST_WALL_BUDGET_MS * 2.0]);
+        let slow = million().with_wall(MILLION_HOST_WALL_BUDGET_MS * 2.0);
         let err = validate(&render_sample(&document(vec![slow]))).unwrap_err();
         assert!(err.contains("budget"), "{err}");
     }

@@ -314,9 +314,7 @@ impl SimConfigBuilder {
     }
 
     /// Sets the per-medium propagation delays explicitly (defaults:
-    /// 25 ns electrical, 50 ns optical). Zero is legal — and leaves the
-    /// parallel engine no lookahead, so it falls back to the serial
-    /// loop.
+    /// 25 ns electrical, 50 ns optical). Zero is legal.
     pub fn propagation(&mut self, electrical: SimTime, optical: SimTime) -> &mut Self {
         self.config.electrical_propagation = electrical;
         self.config.optical_propagation = optical;

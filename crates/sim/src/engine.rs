@@ -49,7 +49,7 @@ use crate::stats::{RateResidency, SimReport, Stats};
 use crate::traffic::{Message, TrafficSource};
 use crate::SimTime;
 use epnet_power::{LinkRate, RATE_LADDER};
-use epnet_telemetry::{TraceCategory, Tracer};
+use epnet_telemetry::{Layer, TraceCategory, Tracer};
 use epnet_topology::{
     ChannelId, FabricGraph, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology, SwitchId,
 };
@@ -136,11 +136,6 @@ pub struct Simulator<S> {
     pending: Option<Message>,
     /// Whether [`Simulator::prime`] has run.
     primed: bool,
-    /// The pop loop is still inside the warmup window (wall-clock
-    /// phase attribution only).
-    in_warmup: bool,
-    /// Start of the wall-clock phase currently being attributed.
-    phase_start: Instant,
 }
 
 /// The engine core: every piece of simulation state except the traffic
@@ -199,7 +194,7 @@ pub(crate) struct Core {
     /// Delivered bytes per pod (hybrid model only; empty in packet
     /// mode, which keeps packet-mode reports byte-identical).
     pub(crate) pod_bytes: Vec<u64>,
-    /// Telemetry: tracer and phase profiler.
+    /// Telemetry: tracer and layer profile.
     pub(crate) inst: Instruments,
 }
 
@@ -236,8 +231,6 @@ impl<S: TrafficSource> Simulator<S> {
             source,
             pending: None,
             primed: false,
-            in_warmup: false,
-            phase_start: Instant::now(),
         }
     }
 }
@@ -353,13 +346,6 @@ impl<S: TrafficSource> Simulator<S> {
         self.core.inst.set_tracer(tracer);
     }
 
-    /// Attributes externally measured wall time (e.g. topology
-    /// elaboration, which happens before the simulator exists) to a
-    /// named phase of this run's breakdown.
-    pub fn record_phase(&mut self, name: &'static str, wall: std::time::Duration) {
-        self.core.inst.profiler.record(name, wall);
-    }
-
     /// Enables the dynamic-topology extension (§5.2): links beyond the
     /// mesh tier may be powered off entirely under low load and
     /// re-enabled as demand grows.
@@ -395,6 +381,7 @@ impl<S: TrafficSource> Simulator<S> {
     pub fn prime(&mut self, end: SimTime) {
         assert!(!self.primed, "prime() called twice");
         self.primed = true;
+        let start = Instant::now();
         let core = &mut self.core;
         core.end = end;
         core.stats.timeline_channels = core
@@ -416,8 +403,10 @@ impl<S: TrafficSource> Simulator<S> {
             let epoch = self.core.config.epoch;
             self.core.queue.schedule(epoch, Event::EpochTick);
         }
-        self.in_warmup = self.core.config.warmup > SimTime::ZERO;
-        self.phase_start = Instant::now();
+        self.core
+            .inst
+            .profile
+            .charge(Layer::Events, start.elapsed());
     }
 
     /// Processes every event scheduled at or before
@@ -431,13 +420,13 @@ impl<S: TrafficSource> Simulator<S> {
         } else {
             self.core.end
         };
+        // The call is one `Layer::Events` span; the epoch ticks inside
+        // it charge their own layers, which the span then excludes.
+        let start = Instant::now();
+        let mark = self.core.inst.profile.mark();
         // Peek before popping: events beyond the horizon stay queued
         // (the queue is dropped wholesale with the engine) and the
         // monotonic-pop invariant is checked without consuming.
-        //
-        // The warmup/measurement wall-clock split costs one predictable
-        // branch per pop until the warmup boundary passes, then nothing.
-        let warmup_end = self.core.config.warmup;
         // Event-kind counts accumulate in registers and flush into
         // `stats.counters` once per call: incrementing the fields in
         // the pop loop ran ~5% slower on the reference benchmark's
@@ -450,14 +439,6 @@ impl<S: TrafficSource> Simulator<S> {
         while let Some(t) = self.core.queue.peek_time() {
             if t > cap {
                 break;
-            }
-            if self.in_warmup && t >= warmup_end {
-                self.core
-                    .inst
-                    .profiler
-                    .record("warmup", self.phase_start.elapsed());
-                self.phase_start = Instant::now();
-                self.in_warmup = false;
             }
             debug_assert!(t >= self.core.now, "time went backwards");
             let (t, ev) = self.core.queue.pop().expect("peeked event vanished");
@@ -494,6 +475,8 @@ impl<S: TrafficSource> Simulator<S> {
         counters.ev_arrive += n_arrive;
         counters.ev_credit_wake += n_credit_wake;
         counters.ev_retry += n_retry;
+        let profile = &mut self.core.inst.profile;
+        profile.charge_since(Layer::Events, mark, start.elapsed());
     }
 
     /// Closes the run at the horizon and produces the report. Consumes
@@ -501,16 +484,16 @@ impl<S: TrafficSource> Simulator<S> {
     /// wholesale with it.
     pub fn finalize(mut self) -> SimReport {
         assert!(self.primed, "finalize() before prime()");
-        self.core.inst.profiler.record(
-            if self.in_warmup {
-                "warmup"
-            } else {
-                "measurement"
-            },
-            self.phase_start.elapsed(),
-        );
         self.core.now = self.core.end;
-        self.core.finish()
+        // The `Layer::Finalize` span covers `finish` up to its return,
+        // which drops the engine state the report does not keep.
+        let start = Instant::now();
+        let mark = self.core.inst.profile.mark();
+        let mut report = self.core.finish();
+        report
+            .layers
+            .charge_since(Layer::Finalize, mark, start.elapsed());
+        report
     }
 
     // ------------------------------------------------------------------
@@ -1023,14 +1006,13 @@ impl Core {
         // Fluid flows advance before the controller reads per-channel
         // utilization: the epoch's busy time then includes the fluid
         // load exactly as it would packet serialization, keeping rate
-        // decisions regime-independent. The two are profiled as
-        // separate, non-overlapping spans.
+        // decisions regime-independent. Each sub-step is charged to its
+        // own layer at its boundary.
+        let mut lap = Instant::now();
         if self.model == SimModel::Hybrid {
-            let start = Instant::now();
             self.advance_flows();
-            self.inst.profiler.record("fluid_advance", start.elapsed());
+            lap = self.inst.profile.lap(Layer::FluidAdvance, lap);
         }
-        let tick_start = Instant::now();
         let sweep = self.epoch_mode == EpochMode::Sweep || self.inst.on(TraceCategory::Controller);
         let decisions_enabled = self.config.control != ControlMode::AlwaysFull;
         match self.config.control {
@@ -1040,6 +1022,7 @@ impl Core {
             ControlMode::PairedLink if sweep => self.retune_paired(),
             ControlMode::PairedLink => self.retune_paired_active(),
         }
+        lap = self.inst.profile.lap(Layer::Controller, lap);
         // Sample link asymmetry: how often do a link's two channels sit
         // at different speeds (§3.3.1)? The count is maintained
         // incrementally at every rate/F_OFF write (`Channels::set_rate`
@@ -1096,6 +1079,7 @@ impl Core {
             );
         }
         if let Some(mut dt) = self.dyntopo.take() {
+            lap = self.inst.profile.lap(Layer::EpochSample, lap);
             let mask = self.mask.as_mut().expect("dyntopo requires a mask");
             dt.on_epoch(
                 self.now,
@@ -1107,6 +1091,7 @@ impl Core {
                 &mut self.inst,
             );
             self.dyntopo = Some(dt);
+            lap = self.inst.profile.lap(Layer::Dyntopo, lap);
         }
         let epoch = self.config.epoch;
         // Queue depth is sampled here, once per channel per epoch, so
@@ -1153,9 +1138,7 @@ impl Core {
             self.queue.schedule(next, Event::EpochTick);
         }
         self.stats.epoch_ticks += 1;
-        self.inst
-            .profiler
-            .record("controller", tick_start.elapsed());
+        self.inst.profile.lap(Layer::EpochSample, lap);
     }
 
     fn retune_independent(&mut self) {
@@ -1540,11 +1523,14 @@ impl Core {
     // ------------------------------------------------------------------
 
     pub(crate) fn finish(mut self) -> SimReport {
-        let finalize_start = Instant::now();
         if self.model == SimModel::Hybrid {
             // Close the partial window between the last epoch tick and
             // the horizon so fluid movement covers the full duration.
+            let start = Instant::now();
             self.advance_flows();
+            self.inst
+                .profile
+                .charge(Layer::FluidAdvance, start.elapsed());
         }
         let end = self.now;
         let mut residency = RateResidency {
@@ -1584,15 +1570,10 @@ impl Core {
         let num_channels = self.channels.len();
         let peak_live_packets = self.arena.capacity();
         let (metrics, diagnostics) = s.metric_maps(&residency, &self.flows);
-        self.inst
-            .profiler
-            .record("finalize", finalize_start.elapsed());
-        let phases = std::mem::take(&mut self.inst.profiler).into_phases();
         self.inst.flush();
         // `finish` consumes the simulator, so the bulky per-run
         // collections (histogram, timeline) move into the report.
         let s = self.stats;
-        epnet_telemetry::summary::record_run(s.delivered_bytes, s.events, &phases);
         SimReport {
             duration: end,
             num_channels,
@@ -1612,7 +1593,7 @@ impl Core {
             peak_queue_bytes: s.peak_queue_bytes,
             timeline: s.timeline,
             metrics,
-            phases,
+            layers: self.inst.profile,
             epoch_ticks: s.epoch_ticks,
             controller_decisions: s.controller_decisions,
             diagnostics,

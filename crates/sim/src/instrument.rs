@@ -1,12 +1,13 @@
-//! The engine's telemetry bundle: tracer and phase profiler.
+//! The engine's telemetry bundle: tracer and layer profile.
 //!
 //! Everything the hot path needs is condensed into one cached bitmask
 //! check ([`Instruments::on`]) so an untraced run pays a
 //! single predictable branch per potential trace point. Trace emission
-//! and the wall-clock profiler only spend effort when enabled or at run
-//! granularity; the engine's counters are plain `Stats` fields.
+//! only spends effort when enabled, and the layer profile is charged at
+//! batch boundaries, never per event; the engine's counters are plain
+//! `Stats` fields.
 
-use epnet_telemetry::{FileSink, Profiler, TraceCategory, Tracer};
+use epnet_telemetry::{FileSink, Profile, TraceCategory, Tracer};
 
 use crate::env::TraceOptions;
 
@@ -17,7 +18,7 @@ pub(crate) struct Instruments {
     /// so `on()` is one load-and-test regardless of configuration.
     mask: u32,
     tracer: Option<Tracer>,
-    pub profiler: Profiler,
+    pub profile: Profile,
 }
 
 impl TraceOptions {
@@ -43,7 +44,7 @@ impl Instruments {
         Self {
             mask: tracer.as_ref().map_or(0, Tracer::mask),
             tracer,
-            profiler: Profiler::new(),
+            profile: Profile::default(),
         }
     }
 

@@ -83,6 +83,6 @@ pub use time::SimTime;
 pub use traffic::{MergedSource, Message, ReplaySource, TrafficSource};
 
 // Telemetry types that appear in this crate's public API
-// (`Simulator::set_tracer`, `SimReport.phases`) or that embedders need
+// (`Simulator::set_tracer`, `SimReport.layers`) or that embedders need
 // to build programmatic trace sinks.
-pub use epnet_telemetry::{MemorySink, Phase, TraceCategory, Tracer};
+pub use epnet_telemetry::{Layer, MemorySink, Profile, TraceCategory, Tracer};

@@ -3,7 +3,7 @@
 use crate::flows::FlowTable;
 use crate::SimTime;
 use epnet_power::{LinkPowerProfile, LinkRate, RATE_LADDER};
-use epnet_telemetry::Phase;
+use epnet_telemetry::Profile;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -325,7 +325,7 @@ impl RateResidency {
 /// paper's Figures 7–9 for one configuration.
 ///
 /// `Serialize`/`Deserialize` are written by hand (not derived) for two
-/// reasons: [`phases`](Self::phases) holds wall-clock timings that
+/// reasons: [`layers`](Self::layers) holds wall-clock timings that
 /// would break the byte-identical-report determinism checks, so it is
 /// excluded from serialization entirely; and
 /// [`metrics`](Self::metrics) is new, so deserialization defaults it
@@ -384,11 +384,11 @@ pub struct SimReport {
     /// purely from simulated behavior, so the map is identical across
     /// epoch modes and tracing on/off.
     pub metrics: BTreeMap<String, u64>,
-    /// Wall-clock phase breakdown of the run (warmup, measurement,
-    /// controller, fluid advance, finalize). Host-time diagnostics only —
-    /// never serialized, so reports stay byte-identical across hosts
-    /// and runs.
-    pub phases: Vec<Phase>,
+    /// Host time of the run by engine layer (events, fluid advance,
+    /// controller, epoch sample, dyntopo, finalize); the layers do not
+    /// overlap. Host-time diagnostics only — never serialized, so
+    /// reports stay byte-identical across hosts and runs.
+    pub layers: Profile,
     /// Epoch ticks the controller processed. Diagnostics only — never
     /// serialized (it is derivable from duration and epoch length, and
     /// keeping it out of the report keeps the serialization surface
@@ -399,7 +399,7 @@ pub struct SimReport {
     /// that did something since their last decision are visited (those
     /// resting after a hold count one hold per tick unvisited), so
     /// this counter is *mode-dependent* by design and — exactly like
-    /// [`phases`](Self::phases) — is never serialized. It is the
+    /// [`layers`](Self::layers) — is never serialized. It is the
     /// controller-work numerator behind the decisions-per-tick bound of
     /// the benchmark's `load` axis.
     pub controller_decisions: u64,
@@ -407,7 +407,7 @@ pub struct SimReport {
     /// counters (`flows_absorbed`, `flows_demoted`, …) and
     /// `epoch_steady_holds`, the holds counted for channels resting
     /// after a hold (zero under `EpochMode::Sweep`). Like
-    /// [`phases`](Self::phases) they are never serialized, so
+    /// [`layers`](Self::layers) they are never serialized, so
     /// packet-model reports stay byte-identical to pre-hybrid ones.
     pub diagnostics: BTreeMap<String, u64>,
     /// Delivered bytes rolled up per pod (contiguous switch groups, at
@@ -420,7 +420,7 @@ pub struct SimReport {
 
 impl Serialize for SimReport {
     fn to_value(&self) -> Value {
-        // `phases` is deliberately absent: wall-clock times differ
+        // `layers` is deliberately absent: wall-clock times differ
         // across hosts and runs, and the determinism suite compares
         // serialized reports byte for byte.
         let mut fields = vec![
@@ -529,7 +529,7 @@ impl Deserialize for SimReport {
             },
             // Wall-clock and mode-dependent diagnostics are never
             // serialized.
-            phases: Vec::new(),
+            layers: Profile::default(),
             epoch_ticks: 0,
             controller_decisions: 0,
             diagnostics: BTreeMap::new(),
@@ -639,6 +639,7 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epnet_telemetry::Layer;
 
     #[test]
     fn histogram_quantiles() {
@@ -732,7 +733,7 @@ mod tests {
             peak_queue_bytes: 0,
             timeline: Vec::new(),
             metrics: BTreeMap::new(),
-            phases: Vec::new(),
+            layers: Profile::default(),
             epoch_ticks: 0,
             controller_decisions: 0,
             diagnostics: BTreeMap::new(),
@@ -806,16 +807,14 @@ mod tests {
     }
 
     #[test]
-    fn report_serde_excludes_phases_and_defaults_metrics() {
+    fn report_serde_excludes_layers_and_defaults_metrics() {
         let mut r = report_with(RateResidency {
             at_rate_ps: [0; LinkRate::COUNT],
             off_ps: 0,
         });
         r.metrics.insert("events_workload".to_string(), 7);
-        r.phases.push(Phase {
-            name: "warmup",
-            wall_ns: 123,
-        });
+        r.layers
+            .charge(Layer::Events, std::time::Duration::from_nanos(123));
         r.epoch_ticks = 99;
         r.controller_decisions = 1234;
         r.diagnostics.insert("flows_absorbed".to_string(), 42);
@@ -827,8 +826,8 @@ mod tests {
              stay byte-identical to pre-hybrid ones"
         );
         assert!(
-            v.get("phases").is_none(),
-            "wall-clock phases must never be serialized"
+            v.get("layers").is_none(),
+            "wall-clock layers must never be serialized"
         );
         assert!(
             v.get("epoch_ticks").is_none() && v.get("controller_decisions").is_none(),
@@ -840,7 +839,7 @@ mod tests {
         );
         let back = SimReport::from_value(&v).unwrap();
         assert_eq!(back.metrics.get("events_workload"), Some(&7));
-        assert!(back.phases.is_empty());
+        assert_eq!(back.layers, Profile::default());
         assert_eq!(back.epoch_ticks, 0);
         assert_eq!(back.controller_decisions, 0);
         assert!(back.diagnostics.is_empty());

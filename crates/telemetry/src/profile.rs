@@ -1,73 +1,141 @@
-//! Wall-clock phase profiling.
+//! Host-time profile of one run, by engine layer.
 //!
-//! A [`Profiler`] accumulates host time by phase name — warmup,
-//! measurement, controller, fluid advance, report finalization — from
-//! explicitly measured [`std::time::Duration`]s (the run loop
-//! straddles the warmup/measurement boundary, so the engine times its
-//! phases itself and records them). Phases keep first-use order,
-//! which matches a run's chronology.
+//! A [`Profile`] charges wall time into a fixed array with one slot
+//! per [`Layer`]. The layers do not overlap: a span that encloses
+//! other layers' spans is charged with [`Profile::charge_since`], which
+//! subtracts whatever they took, so the six slots add up to the run's
+//! wall time. The engine times at batch boundaries (one `advance_until`
+//! call, one epoch sub-step), never per event, and the profile never
+//! allocates.
 //!
-//! Wall-clock numbers are inherently nondeterministic, so phase
-//! breakdowns are *excluded* from serialized reports; they surface
-//! only through binaries' stderr summaries and bench output.
+//! Wall-clock numbers are inherently nondeterministic, so the profile
+//! is *excluded* from serialized reports; it surfaces only through
+//! bench records and binaries' stderr.
 
-use std::time::Duration;
+use std::fmt;
+use std::time::{Duration, Instant};
 
-/// One named phase and its accumulated wall time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Phase {
-    /// Phase name, e.g. `fluid_advance`.
-    pub name: &'static str,
-    /// Accumulated wall-clock nanoseconds.
-    pub wall_ns: u64,
+/// One engine layer of a run's host time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Event dispatch and the packet handlers: each `advance_until`
+    /// call's wall time less the epoch layers inside it, plus priming.
+    Events,
+    /// Fluid flows moving their bytes (hybrid model), at each epoch
+    /// tick and once more at the horizon.
+    FluidAdvance,
+    /// The epoch controller's rate decisions.
+    Controller,
+    /// The epoch's link-asymmetry and queue-depth samples, overhang
+    /// recharge and active-set retire.
+    EpochSample,
+    /// The dynamic-topology pass.
+    Dyntopo,
+    /// Closing the run into a report, and dropping the engine state
+    /// the report does not keep.
+    Finalize,
 }
 
-impl Phase {
-    /// Accumulated wall time in (fractional) milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-}
+impl Layer {
+    /// Number of layers.
+    pub const COUNT: usize = 6;
 
-/// Accumulates wall time per phase name.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    phases: Vec<Phase>,
-}
+    /// Every layer, in slot order.
+    pub const ALL: [Layer; Layer::COUNT] = [
+        Layer::Events,
+        Layer::FluidAdvance,
+        Layer::Controller,
+        Layer::EpochSample,
+        Layer::Dyntopo,
+        Layer::Finalize,
+    ];
 
-impl Profiler {
-    /// An empty profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Adds `wall` to the named phase, creating it on first use.
-    pub fn record(&mut self, name: &'static str, wall: Duration) {
-        let ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        match self.phases.iter_mut().find(|p| p.name == name) {
-            Some(p) => p.wall_ns = p.wall_ns.saturating_add(ns),
-            None => self.phases.push(Phase { name, wall_ns: ns }),
+    /// The layer's name in bench records and summaries.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Layer::Events => "events",
+            Layer::FluidAdvance => "fluid_advance",
+            Layer::Controller => "controller",
+            Layer::EpochSample => "epoch_sample",
+            Layer::Dyntopo => "dyntopo",
+            Layer::Finalize => "finalize",
         }
     }
+}
 
-    /// Recorded phases, in first-use order.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
+/// The profile total when an enclosing span opened
+/// ([`Profile::mark`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Mark(u64);
+
+/// Accumulated wall nanoseconds per [`Layer`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Profile {
+    ns: [u64; Layer::COUNT],
+}
+
+fn nanos(wall: Duration) -> u64 {
+    u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl Profile {
+    /// Adds `wall` to `layer`.
+    pub fn charge(&mut self, layer: Layer, wall: Duration) {
+        let slot = &mut self.ns[layer as usize];
+        *slot = slot.saturating_add(nanos(wall));
     }
 
-    /// Consumes the profiler, yielding its phases.
-    pub fn into_phases(self) -> Vec<Phase> {
-        self.phases
+    /// Charges `layer` with the time since `since` and returns now, the
+    /// start of the next sub-step.
+    pub fn lap(&mut self, layer: Layer, since: Instant) -> Instant {
+        let now = Instant::now();
+        self.charge(layer, now - since);
+        now
+    }
+
+    /// Marks the opening of an enclosing span, for
+    /// [`Profile::charge_since`].
+    pub fn mark(&self) -> Mark {
+        Mark(self.total_ns())
+    }
+
+    /// Charges `layer` with an enclosing span's `wall` time less what
+    /// other layers were charged since `mark`: the span's exclusive
+    /// time.
+    pub fn charge_since(&mut self, layer: Layer, mark: Mark, wall: Duration) {
+        let nested = self.total_ns().saturating_sub(mark.0);
+        self.charge(
+            layer,
+            Duration::from_nanos(nanos(wall).saturating_sub(nested)),
+        );
+    }
+
+    /// Nanoseconds charged to `layer`.
+    pub fn ns(&self, layer: Layer) -> u64 {
+        self.ns[layer as usize]
+    }
+
+    /// Milliseconds charged to `layer`.
+    pub fn ms(&self, layer: Layer) -> f64 {
+        self.ns(layer) as f64 / 1e6
+    }
+
+    /// Nanoseconds charged to every layer together.
+    pub fn total_ns(&self) -> u64 {
+        self.ns.iter().fold(0, |a, &b| a.saturating_add(b))
     }
 }
 
-/// Renders phases as `name 1.23ms, name2 0.45ms` for summaries.
-pub fn format_phases(phases: &[Phase]) -> String {
-    phases
-        .iter()
-        .map(|p| format!("{} {:.2}ms", p.name, p.wall_ms()))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// `events 1.23ms, fluid_advance 0.00ms, …`: every layer, in slot
+/// order.
+impl fmt::Display for Profile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, layer) in Layer::ALL.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{} {:.2}ms", layer.name(), self.ms(layer))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -75,73 +143,64 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_accumulates_by_name_in_first_use_order() {
-        let mut prof = Profiler::new();
-        prof.record("warmup", Duration::from_nanos(10));
-        prof.record("measurement", Duration::from_nanos(5));
-        prof.record("warmup", Duration::from_nanos(7));
-        let names: Vec<&str> = prof.phases().iter().map(|p| p.name).collect();
-        assert_eq!(names, vec!["warmup", "measurement"]);
-        assert_eq!(prof.phases()[0].wall_ns, 17);
-        assert_eq!(prof.phases()[1].wall_ns, 5);
+    fn nested_charging_is_exclusive() {
+        let mut p = Profile::default();
+        p.charge(Layer::Events, Duration::from_nanos(5));
+        let mark = p.mark();
+        p.charge(Layer::FluidAdvance, Duration::from_nanos(20));
+        p.charge(Layer::Controller, Duration::from_nanos(30));
+        p.charge_since(Layer::Events, mark, Duration::from_nanos(100));
+        // The enclosing span kept only its own 50 ns of its 100 ns.
+        assert_eq!(p.ns(Layer::Events), 5 + 50);
+        assert_eq!(p.ns(Layer::FluidAdvance), 20);
+        assert_eq!(p.ns(Layer::Controller), 30);
+        assert_eq!(p.total_ns(), 5 + 100);
+        // Children that outlast their parent leave it nothing, not a
+        // wrapped negative.
+        let mark = p.mark();
+        p.charge(Layer::Dyntopo, Duration::from_nanos(10));
+        p.charge_since(Layer::Finalize, mark, Duration::from_nanos(7));
+        assert_eq!(p.ns(Layer::Finalize), 0);
     }
 
     #[test]
     fn wall_ms_is_fractional_milliseconds() {
-        let p = Phase {
-            name: "x",
-            wall_ns: 1_234_567,
-        };
-        assert!((p.wall_ms() - 1.234567).abs() < 1e-12);
-        assert_eq!(
-            Phase {
-                name: "x",
-                wall_ns: 0
-            }
-            .wall_ms(),
-            0.0
-        );
+        let mut p = Profile::default();
+        p.charge(Layer::Finalize, Duration::from_nanos(1_234_567));
+        assert!((p.ms(Layer::Finalize) - 1.234567).abs() < 1e-12);
+        assert_eq!(p.ms(Layer::Events), 0.0);
     }
 
     #[test]
     fn accumulation_saturates_instead_of_wrapping() {
-        let mut prof = Profiler::new();
+        let mut p = Profile::default();
         // A duration whose nanosecond count exceeds u64 clamps on
         // entry, and further accumulation pins at the ceiling.
-        prof.record("big", Duration::from_secs(u64::MAX));
-        assert_eq!(prof.phases()[0].wall_ns, u64::MAX);
-        prof.record("big", Duration::from_nanos(1));
-        assert_eq!(prof.phases()[0].wall_ns, u64::MAX);
-    }
-
-    #[test]
-    fn into_phases_yields_first_use_order() {
-        let mut prof = Profiler::new();
-        prof.record("c", Duration::from_nanos(3));
-        prof.record("a", Duration::from_nanos(1));
-        prof.record("b", Duration::from_nanos(2));
-        let phases = prof.into_phases();
-        let names: Vec<&str> = phases.iter().map(|p| p.name).collect();
-        assert_eq!(
-            names,
-            vec!["c", "a", "b"],
-            "order is chronology, not sorted"
-        );
+        p.charge(Layer::Events, Duration::from_secs(u64::MAX));
+        assert_eq!(p.ns(Layer::Events), u64::MAX);
+        p.charge(Layer::Events, Duration::from_nanos(1));
+        assert_eq!(p.ns(Layer::Events), u64::MAX);
+        p.charge(Layer::Controller, Duration::from_nanos(1));
+        assert_eq!(p.total_ns(), u64::MAX);
     }
 
     #[test]
     fn formatting_is_stable() {
-        let phases = vec![
-            Phase {
-                name: "warmup",
-                wall_ns: 1_500_000,
-            },
-            Phase {
-                name: "measurement",
-                wall_ns: 250_000,
-            },
-        ];
-        assert_eq!(format_phases(&phases), "warmup 1.50ms, measurement 0.25ms");
-        assert_eq!(format_phases(&[]), "");
+        let mut p = Profile::default();
+        p.charge(Layer::Events, Duration::from_micros(1_500));
+        p.charge(Layer::Finalize, Duration::from_micros(250));
+        assert_eq!(
+            p.to_string(),
+            "events 1.50ms, fluid_advance 0.00ms, controller 0.00ms, \
+             epoch_sample 0.00ms, dyntopo 0.00ms, finalize 0.25ms"
+        );
+    }
+
+    #[test]
+    fn names_are_distinct_and_in_slot_order() {
+        for (i, layer) in Layer::ALL.into_iter().enumerate() {
+            assert_eq!(layer as usize, i);
+            assert!(!Layer::ALL[..i].iter().any(|l| l.name() == layer.name()));
+        }
     }
 }

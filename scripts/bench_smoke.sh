@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark smoke: a rustfmt check, one traced canonical run validated
-# against the documented trace schema, a Perfetto export and every
-# trace-analysis command over that capture, the reduced run of every
-# benchmark axis (its scale axis runs the 2^20-host flat, so this takes
-# minutes), a rustdoc build with warnings denied, and the reference
-# benchmark package's tests.
+# Benchmark smoke: a rustfmt check, a clippy check, one traced
+# canonical run validated against the documented trace schema, a
+# Perfetto export and every trace-analysis command over that capture,
+# the reduced run of every benchmark axis (its scale axis runs the
+# 2^20-host flat, so this takes minutes), a rustdoc build with warnings
+# denied, and the reference benchmark package's tests.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
 # exports, and `benchrun` validates its document with
@@ -17,6 +17,9 @@ cd "$(dirname "$0")/.."
 
 # Formatting first: it is the cheapest check and nothing else runs it.
 cargo fmt --all --check
+
+# Lints next, with warnings denied, over every target of the workspace.
+cargo clippy --workspace --offline --all-targets -- -D warnings
 
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events

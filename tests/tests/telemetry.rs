@@ -170,8 +170,8 @@ fn trace_is_schema_valid_and_covers_the_controller() {
         "event-kind counters present"
     );
     assert!(
-        v.get("phases").is_none(),
-        "wall-clock phases must not be serialized"
+        v.get("layers").is_none(),
+        "wall-clock layers must not be serialized"
     );
 }
 
