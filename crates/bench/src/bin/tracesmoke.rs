@@ -25,7 +25,7 @@
 use epnet_bench::enginebench::{canonical_layout, canonical_simulator, HORIZON};
 use epnet_sim::{RunOptions, TraceCategory, Tracer};
 use epnet_telemetry::export::chrome_trace;
-use epnet_telemetry::{parse_jsonl, validate_jsonl, FileSink};
+use epnet_telemetry::{parse_jsonl, FileSink, TraceStats};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -61,13 +61,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = match validate_jsonl(&text) {
-        Ok(s) => s,
+    // One parse checks the schema and feeds both the counts and the
+    // export below.
+    let records = match parse_jsonl(&text) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("trace schema violation in {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let stats = TraceStats::from_records(&records);
 
     println!("{path}: {} schema-valid trace lines", stats.lines);
     for cat in TraceCategory::ALL {
@@ -92,13 +95,6 @@ fn main() -> ExitCode {
     // counts embedded by the exporter must match the source TraceStats
     // exactly — an export that silently drops records fails here.
     let layout = canonical_layout();
-    let records = match parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let export = chrome_trace(&records, Some(layout));
     let doc: serde_json::Value = match serde_json::from_str(&export.json) {
         Ok(v) => v,

@@ -12,12 +12,17 @@
 //! live in a cold side table so they never share a line with the hot
 //! arrays.
 //!
-//! Credit-return bookkeeping uses per-channel queues backed by a
-//! shared free-list pool: a queue that drains to empty donates its
-//! buffer back to the pool, and the next channel that books a return
-//! reuses it. After warmup the pool holds the high-water number of
-//! concurrently busy queues and steady-state operation performs no
-//! heap allocation (verified by the counting allocator in
+//! Credit returns in flight back to a channel form a FIFO (each
+//! matures one propagation delay after its packet landed). Its head —
+//! the earliest unmatured return — sits inline in a 16-byte
+//! [`CreditSlot`] in the hot arrays, beside a `matured` count: returns
+//! that have matured by the time of a push fold into it, and `try_tx`
+//! adds it to the credit balance. Only a channel with a second
+//! unmatured return touches the spill pool, through a 4-byte
+//! per-channel index: buffers come from a free list and go back to it
+//! when they drain, so after warmup the pool holds the high-water
+//! number of concurrently spilled channels and steady-state operation
+//! performs no heap allocation (verified by the counting allocator in
 //! the benchmark's `scale` axis and the regression tests).
 //!
 //! # The active set
@@ -66,7 +71,7 @@
 //! `EpochMode::Sweep` keeps the full sweep alive and cross-checks all
 //! three, and the steady count, against a recount (see `engine.rs`).
 
-use crate::packet::PacketId;
+use crate::packet::{PacketId, NO_PACKET};
 use crate::SimTime;
 use epnet_power::LinkRate;
 use std::collections::VecDeque;
@@ -107,6 +112,21 @@ pub(crate) fn set_bits(word: u64, base: usize) -> impl Iterator<Item = usize> {
         Some(base + b)
     })
 }
+
+/// A channel's earliest unmatured credit return, and the returns that
+/// matured since its last `try_tx`.
+#[derive(Debug, Clone, Copy, Default)]
+struct CreditSlot {
+    /// When the return matures.
+    at: SimTime,
+    /// Bytes it returns; zero when no return is pending.
+    bytes: u32,
+    /// Bytes of returns that matured but are not yet in the balance.
+    matured: u32,
+}
+
+/// No spill buffer: the channel has at most one unmatured return.
+const NO_SPILL: u32 = u32::MAX;
 
 /// Cold per-channel state: read at epoch ticks and at finish, never on
 /// the per-event fast path.
@@ -155,11 +175,20 @@ pub(crate) struct Channels {
     pub train_bytes: Vec<u64>,
     /// Output queues feeding each channel (elastic).
     pub queues: Vec<VecDeque<PacketId>>,
-    /// Credit returns in flight back to each channel, as
-    /// `(maturation time, bytes)` in nondecreasing time order.
-    pending_credits: Vec<VecDeque<(SimTime, u32)>>,
-    /// Drained credit-queue buffers awaiting reuse (capacity retained).
-    credit_pool: Vec<VecDeque<(SimTime, u32)>>,
+    /// Arena slot of the packet launched last on each channel while it
+    /// is still on the wire, else [`NO_PACKET`]: the next launch chains
+    /// its arrival behind it.
+    pub wire_tail: Vec<u32>,
+    /// Each channel's earliest unmatured credit return and matured
+    /// bytes (see the module docs).
+    credit: Vec<CreditSlot>,
+    /// Each channel's spill buffer in `spill_bufs`, or [`NO_SPILL`].
+    spill: Vec<u32>,
+    /// Second and later unmatured returns of the channels that have
+    /// them, as `(maturation time, bytes)` in nondecreasing time order.
+    spill_bufs: Vec<VecDeque<(SimTime, u32)>>,
+    /// Drained spill buffers awaiting reuse (capacity retained).
+    spill_free: Vec<u32>,
     // ---- active set and network-wide counters (see module docs) ----
     /// The active set: one bit per channel, bit `i % 64` of word
     /// `i / 64`.
@@ -208,8 +237,11 @@ impl Channels {
             train_len: Vec::with_capacity(n),
             train_bytes: Vec::with_capacity(n),
             queues: Vec::with_capacity(n),
-            pending_credits: Vec::with_capacity(n),
-            credit_pool: Vec::new(),
+            wire_tail: Vec::with_capacity(n),
+            credit: Vec::with_capacity(n),
+            spill: Vec::with_capacity(n),
+            spill_bufs: Vec::new(),
+            spill_free: Vec::new(),
             active_bits: Vec::with_capacity(n.div_ceil(64)),
             queued_total: 0,
             unsteady: 0,
@@ -248,7 +280,9 @@ impl Channels {
         self.train_len.push(0);
         self.train_bytes.push(0);
         self.queues.push(VecDeque::new());
-        self.pending_credits.push(VecDeque::new());
+        self.wire_tail.push(NO_PACKET);
+        self.credit.push(CreditSlot::default());
+        self.spill.push(NO_SPILL);
         if i % 64 == 0 {
             self.active_bits.push(0);
         }
@@ -621,55 +655,79 @@ impl Channels {
         self.queues[i].is_empty() && self.flags[i] & F_BUSY == 0
     }
 
-    /// Books a credit return of `bytes` maturing at `at`. The buffer
-    /// comes from the shared pool when this channel's queue was
-    /// previously drained back into it.
+    /// Books a credit return of `bytes` maturing at `at`, first folding
+    /// the returns matured by `now` into the matured count. Returns
+    /// arrive in nondecreasing `at` order per channel.
     #[inline]
-    pub fn push_credit(&mut self, i: usize, at: SimTime, bytes: u32) {
-        let q = &mut self.pending_credits[i];
+    pub fn push_credit(&mut self, i: usize, now: SimTime, at: SimTime, bytes: u32) {
+        debug_assert!(bytes > 0, "an empty credit return on ch{i}");
+        self.fold_matured(i, now);
+        let slot = &mut self.credit[i];
+        if slot.bytes == 0 {
+            slot.at = at;
+            slot.bytes = bytes;
+            return;
+        }
+        debug_assert!(slot.at <= at, "credit returns out of order on ch{i}");
+        let k = match self.spill[i] {
+            NO_SPILL => {
+                let k = self.spill_free.pop().unwrap_or_else(|| {
+                    self.spill_bufs.push(VecDeque::new());
+                    (self.spill_bufs.len() - 1) as u32
+                });
+                self.spill[i] = k;
+                k
+            }
+            k => k,
+        };
+        let buf = &mut self.spill_bufs[k as usize];
         debug_assert!(
-            q.back().map_or(true, |&(t, _)| t <= at),
+            buf.back().map_or(true, |&(t, _)| t <= at),
             "credit returns out of order on ch{i}"
         );
-        if q.capacity() == 0 {
-            if let Some(buf) = self.credit_pool.pop() {
-                self.pending_credits[i] = buf;
-                self.pending_credits[i].push_back((at, bytes));
-                return;
-            }
-        }
-        q.push_back((at, bytes));
+        buf.push_back((at, bytes));
     }
 
-    /// Maturation time of the next pending credit return, if any.
+    /// Moves every return of channel `i` that has matured by `now` into
+    /// its matured count, refilling the slot from the spill buffer.
+    #[inline]
+    fn fold_matured(&mut self, i: usize, now: SimTime) {
+        let slot = &mut self.credit[i];
+        while slot.bytes != 0 && slot.at <= now {
+            slot.matured += slot.bytes;
+            let k = self.spill[i];
+            (slot.at, slot.bytes) = if k == NO_SPILL {
+                (SimTime::ZERO, 0)
+            } else {
+                let buf = &mut self.spill_bufs[k as usize];
+                let next = buf.pop_front().expect("spill buffers are never empty");
+                if buf.is_empty() {
+                    self.spill[i] = NO_SPILL;
+                    self.spill_free.push(k);
+                }
+                next
+            };
+        }
+    }
+
+    /// Maturation time of the next pending credit return, if any. After
+    /// [`Channels::apply_matured_credits`] at `now` it lies after `now`.
     #[inline]
     pub fn next_credit_at(&self, i: usize) -> Option<SimTime> {
-        self.pending_credits[i].front().map(|&(t, _)| t)
+        let slot = &self.credit[i];
+        (slot.bytes != 0).then_some(slot.at)
     }
 
-    /// Applies every credit return that has matured by `now`. A queue
-    /// that drains completely donates its buffer to the shared pool.
-    /// Returns the updated credit balance.
+    /// Adds every credit return that has matured by `now` to the
+    /// balance. Returns the updated credit balance.
     #[inline]
     pub fn apply_matured_credits(&mut self, i: usize, now: SimTime, cap: u32) -> u32 {
-        let q = &mut self.pending_credits[i];
-        if q.is_empty() {
-            return self.credits[i];
-        }
-        let mut credits = self.credits[i];
-        while let Some(&(at, bytes)) = q.front() {
-            if at > now {
-                break;
-            }
-            q.pop_front();
-            credits += bytes;
-            debug_assert!(credits <= cap, "credit overflow on ch{i}");
-        }
+        self.fold_matured(i, now);
+        let slot = &mut self.credit[i];
+        let credits = self.credits[i] + std::mem::take(&mut slot.matured);
+        debug_assert!(credits <= cap, "credit overflow on ch{i}");
         let _ = cap;
         self.credits[i] = credits;
-        if q.is_empty() && q.capacity() > 0 {
-            self.credit_pool.push(std::mem::take(q));
-        }
         credits
     }
 
@@ -769,20 +827,67 @@ mod tests {
     fn matured_credits_apply_in_order_and_pool_buffers() {
         let mut c = two();
         c.credits[0] = 0;
-        c.push_credit(0, SimTime::from_ns(10), 100);
-        c.push_credit(0, SimTime::from_ns(20), 200);
+        let t0 = SimTime::ZERO;
+        c.push_credit(0, t0, SimTime::from_ns(10), 100);
+        c.push_credit(0, t0, SimTime::from_ns(20), 200);
         assert_eq!(c.next_credit_at(0), Some(SimTime::from_ns(10)));
         assert_eq!(c.apply_matured_credits(0, SimTime::from_ns(15), 1024), 100);
         assert_eq!(c.next_credit_at(0), Some(SimTime::from_ns(20)));
-        // Full drain donates the buffer to the pool...
+        // Full drain donates the spill buffer to the pool...
         assert_eq!(c.apply_matured_credits(0, SimTime::from_ns(25), 1024), 300);
-        assert_eq!(c.credit_pool.len(), 1);
-        let pooled_cap = c.credit_pool[0].capacity();
+        assert_eq!(c.next_credit_at(0), None);
+        assert_eq!(c.spill_free, vec![0]);
+        let pooled_cap = c.spill_bufs[0].capacity();
         assert!(pooled_cap > 0);
-        // ...and the next booking on any channel reuses it.
-        c.push_credit(1, SimTime::from_ns(30), 50);
-        assert!(c.credit_pool.is_empty());
-        assert!(c.pending_credits[1].capacity() >= pooled_cap.min(1));
+        // ...and the next channel that spills reuses it.
+        c.push_credit(1, t0, SimTime::from_ns(30), 50);
+        c.push_credit(1, t0, SimTime::from_ns(31), 50);
+        assert!(c.spill_free.is_empty());
+        assert_eq!(c.spill[1], 0);
+        assert_eq!(c.spill_bufs.len(), 1, "no new buffer");
+    }
+
+    /// The inline slot holds the earliest unmatured return; returns that
+    /// matured before a push fold into the matured count without
+    /// touching the balance until `try_tx` applies them; a burst of
+    /// returns spills into the pool; and `next_credit_at` after an
+    /// apply names the earliest return still in flight.
+    #[test]
+    fn the_inline_credit_slot_folds_spills_and_reports_the_next_return() {
+        let ns = SimTime::from_ns;
+        let mut c = two();
+        c.credits[0] = 0;
+        // Two returns, then a push after both matured: they fold into
+        // the matured count and the new return takes the slot, with no
+        // spill buffer left behind.
+        c.push_credit(0, ns(0), ns(10), 64);
+        c.push_credit(0, ns(1), ns(11), 64);
+        assert_eq!(c.spill[0], 0, "the second return spilled");
+        c.push_credit(0, ns(12), ns(22), 64);
+        assert_eq!(c.spill[0], NO_SPILL, "both matured returns folded");
+        assert_eq!(c.credit[0].matured, 128);
+        assert_eq!(c.credits[0], 0, "the balance moves only in apply");
+        assert_eq!(c.next_credit_at(0), Some(ns(22)));
+        // A burst of tiny tail packets landing back to back: one in the
+        // slot, the rest in one spill buffer, in order.
+        for k in 0..6 {
+            c.push_credit(0, ns(13), ns(23 + k), 1);
+        }
+        assert_eq!(c.spill_bufs[0].len(), 6);
+        assert_eq!(c.next_credit_at(0), Some(ns(22)));
+        // Applying at 25 ns adds the folded 128, the slot's 64 and the
+        // tiny returns maturing at 23..=25 ns; the next one is at 26 ns.
+        assert_eq!(c.apply_matured_credits(0, ns(25), 1024), 128 + 64 + 3);
+        assert_eq!(c.credit[0].matured, 0);
+        assert_eq!(c.next_credit_at(0), Some(ns(26)));
+        assert_eq!(c.spill_bufs[0].len(), 2);
+        // Draining the rest frees the buffer and empties the slot.
+        assert_eq!(c.apply_matured_credits(0, ns(100), 1024), 128 + 64 + 6);
+        assert_eq!(c.next_credit_at(0), None);
+        assert_eq!(c.spill[0], NO_SPILL);
+        assert_eq!(c.spill_free, vec![0]);
+        // An apply with nothing pending leaves the balance alone.
+        assert_eq!(c.apply_matured_credits(0, ns(200), 1024), 198);
     }
 
     #[test]

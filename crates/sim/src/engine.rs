@@ -29,9 +29,14 @@
 //! the fields every event touches live in dense parallel `Vec`s indexed
 //! by channel, cold config/telemetry fields in a side table. Channel
 //! targets and arrival offsets are precomputed per channel at
-//! construction, and message records plus credit-return buffers recycle
-//! through free lists, so a warmed-up run performs no steady-state heap
-//! allocation (see DESIGN.md "Memory layout").
+//! construction. An event is 32 bits in a 16-byte queue entry, and
+//! each wire has at most one `Arrive` queued: packets launched behind
+//! it wait in a chain through their packet records, under the keys
+//! they reserved at launch ([`Core::launch`]). A channel's earliest
+//! credit return sits inline in its hot arrays; later ones spill into
+//! a pool. Message records, packet slots and spilled credit buffers
+//! recycle through free lists, so a warmed-up run performs no
+//! steady-state heap allocation (see DESIGN.md "Memory layout").
 
 use crate::channels::{
     set_bits, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE,
@@ -40,10 +45,10 @@ use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
 use crate::env::{EpochMode, RunOptions, SimModel};
-use crate::event::Event;
+use crate::event::{Event, MAX_INDEX};
 use crate::flows::FlowTable;
 use crate::instrument::Instruments;
-use crate::packet::{MessageId, Packet, PacketArena, PacketId};
+use crate::packet::{MessageId, Packet, PacketArena, PacketId, NO_PACKET};
 use crate::sched::Scheduler;
 use crate::stats::{RateResidency, SimReport, Stats};
 use crate::traffic::{Message, TrafficSource};
@@ -246,6 +251,10 @@ impl Core {
         config.validate();
         let model = options.model;
         let n = fabric.num_channels();
+        assert!(
+            n <= MAX_INDEX as usize + 1,
+            "{n} channels: an event's channel index has 29 bits (at most 2^29 channels)"
+        );
         let mut channels = Channels::with_capacity(n);
         let mut targets = Vec::with_capacity(n);
         let mut arrive_extra = Vec::with_capacity(n);
@@ -440,8 +449,17 @@ impl<S: TrafficSource> Simulator<S> {
             if t > cap {
                 break;
             }
+            if self.core.queue.renumber_due() {
+                self.core.renumber_seqs();
+            }
             debug_assert!(t >= self.core.now, "time went backwards");
             let (t, ev) = self.core.queue.pop().expect("peeked event vanished");
+            // The next arrival's packet record has usually left the
+            // cache since its launch; loading it now overlaps that miss
+            // with this event's work (EXPERIMENTS.md "Packet hot path").
+            if let Some((_, Event::Arrive { slot })) = self.core.queue.peek() {
+                self.core.arena.touch(slot);
+            }
             self.core.now = t;
             self.core.stats.events += 1;
             // `on_epoch` counts its own ticks (`stats.epoch_ticks`).
@@ -454,9 +472,9 @@ impl<S: TrafficSource> Simulator<S> {
                     n_tx_done += 1;
                     self.core.on_tx_done(channel);
                 }
-                Event::Arrive { channel, packet } => {
+                Event::Arrive { slot } => {
                     n_arrive += 1;
-                    self.core.on_arrive(channel, packet);
+                    self.core.on_arrive(slot);
                 }
                 Event::CreditWake { channel } => {
                     n_credit_wake += 1;
@@ -585,14 +603,7 @@ impl Core {
             } else {
                 tail.max(1)
             };
-            let id = self.arena.alloc(Packet {
-                dst,
-                bytes,
-                created: offered_at,
-                message,
-                hops: 0,
-                misroutes_left: budget,
-            });
+            let id = self.arena.alloc(Packet::new(dst, bytes, message, budget));
             self.enqueue(inj, id, bytes);
         }
         self.try_tx(inj);
@@ -670,15 +681,8 @@ impl Core {
         credits -= head_bytes;
         self.channels.set_flag(i, F_BUSY);
         let rate = self.channels.rate[i];
-        let extra = self.arrive_extra[i];
         let mut tail = now + SimTime::from_ps(rate.serialize_ps(u64::from(head_bytes)));
-        self.queue.schedule(
-            tail + extra,
-            Event::Arrive {
-                channel: ch,
-                packet: head,
-            },
-        );
+        self.launch(ch, head, tail);
         let mut train_len = 1u32;
         let mut train_bytes = u64::from(head_bytes);
         // Extend the train. The epoch bound guarantees no rate change
@@ -707,13 +711,7 @@ impl Core {
             tail = next_tail;
             train_len += 1;
             train_bytes += u64::from(next_bytes);
-            self.queue.schedule(
-                tail + extra,
-                Event::Arrive {
-                    channel: ch,
-                    packet: next,
-                },
-            );
+            self.launch(ch, next, tail);
         }
         self.channels.credits[i] = credits;
         let ser = tail - now;
@@ -722,8 +720,7 @@ impl Core {
         // 2 KiB packet at 2.5 Gb/s outlasts a 1 µs epoch, and without the
         // split the controller would see a busy link as idle). Only a
         // single-packet train can span the boundary — extension stops at
-        // the epoch bound.
-        self.channels.busy_until[i] = tail;
+        // the epoch bound. (`launch` left `busy_until` at `tail`.)
         let in_epoch = if tail <= self.epoch_end {
             ser
         } else {
@@ -734,6 +731,72 @@ impl Core {
         self.channels.train_bytes[i] = train_bytes;
         self.stats.busy_ps_total += u128::from(ser.as_ps());
         self.queue.schedule(tail, Event::TxDone { channel: ch });
+    }
+
+    /// Puts `pkt` on `ch`'s wire, its serialization ending at `end`;
+    /// its tail arrives `arrive_extra` later. The arrival takes its
+    /// sequence number from the queue now, exactly as scheduling it
+    /// would. If an earlier packet is still on the wire, the arrival's
+    /// key goes into that packet's record instead of the queue, and its
+    /// arrival handler schedules it unchanged ([`Core::on_arrive`]): a
+    /// wire has at most one `Arrive` queued, and pop order is exactly
+    /// that of scheduling every arrival here. A gap between the two
+    /// arrivals too long for the record's 32-bit picoseconds (over
+    /// 4.29 ms) is scheduled directly.
+    #[inline]
+    fn launch(&mut self, ch: ChannelId, pkt: PacketId, end: SimTime) {
+        let i = ch.index();
+        let slot = pkt.slot();
+        let p = self.arena.get_mut(pkt);
+        p.channel = ch;
+        p.next = NO_PACKET;
+        // Both arrivals trail their serialization ends by the same
+        // `arrive_extra`, so the gap between them is the gap between
+        // the ends; `busy_until` holds the previous launch's end.
+        let last_end = std::mem::replace(&mut self.channels.busy_until[i], end);
+        let tail = std::mem::replace(&mut self.channels.wire_tail[i], slot);
+        if tail != NO_PACKET {
+            if let Ok(dt) = u32::try_from((end - last_end).as_ps()) {
+                let seq = self.queue.reserve();
+                let prev = self.arena.id_at(tail);
+                let prev = self.arena.get_mut(prev);
+                prev.next = slot;
+                prev.next_seq = seq;
+                prev.next_dt = dt;
+                return;
+            }
+        }
+        let at = end + self.arrive_extra[i];
+        self.queue.schedule(at, Event::Arrive { slot });
+    }
+
+    /// Renumbers the event queue's sequence numbers together with the
+    /// arrivals reserved in packet records: each chain starts at a
+    /// packet whose `Arrive` is queued.
+    fn renumber_seqs(&mut self) {
+        let mut holders = Vec::new();
+        let mut keys = Vec::new();
+        for (at, ev) in self.queue.pending() {
+            let Event::Arrive { slot } = ev else {
+                continue;
+            };
+            let (mut at, mut slot) = (at, slot);
+            loop {
+                let p = self.arena.get(self.arena.id_at(slot));
+                if p.next == NO_PACKET {
+                    break;
+                }
+                at += SimTime::from_ps(u64::from(p.next_dt));
+                keys.push((at, p.next_seq));
+                holders.push(slot);
+                slot = p.next;
+            }
+        }
+        self.queue.renumber(&mut keys);
+        for (slot, (_, seq)) in holders.into_iter().zip(keys) {
+            let id = self.arena.id_at(slot);
+            self.arena.get_mut(id).next_seq = seq;
+        }
     }
 
     fn on_tx_done(&mut self, ch: ChannelId) {
@@ -794,20 +857,32 @@ impl Core {
         self.try_tx(ch);
     }
 
-    /// Handles a packet-tail arrival: books the return credit on the
-    /// sending channel, then forwards (or delivers) the packet on the
-    /// receiving side.
-    fn on_arrive(&mut self, ch: ChannelId, pkt: PacketId) {
+    /// Handles the tail arrival of the packet in arena slot `slot`:
+    /// queues the next arrival on its wire, books the return credit on
+    /// the sending channel, then forwards (or delivers) the packet on
+    /// the receiving side.
+    fn on_arrive(&mut self, slot: u32) {
+        let pkt = self.arena.id_at(slot);
+        let p = *self.arena.get(pkt);
+        let ch = p.channel;
         let i = ch.index();
+        if p.next != NO_PACKET {
+            let at = self.now + SimTime::from_ps(u64::from(p.next_dt));
+            let next = Event::Arrive { slot: p.next };
+            self.queue.schedule_reserved(at, p.next_seq, next);
+        }
+        if self.channels.wire_tail[i] == slot {
+            self.channels.wire_tail[i] = NO_PACKET;
+        }
         // Credits travel back once the packet has cleared the input
         // buffer; charging the propagation delay models the return
         // trip. The return is bookkept on the channel and applied
         // lazily in `try_tx` instead of costing a scheduled event
         // per packet; an idle channel with work waiting is parked on
         // exactly this credit, so arm its wake.
-        let bytes = self.arena.get(pkt).bytes;
+        let bytes = p.bytes;
         let matures = self.now + self.channels.prop[i];
-        self.channels.push_credit(i, matures, bytes);
+        self.channels.push_credit(i, self.now, matures, bytes);
         if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
             && !self.channels.queues[i].is_empty()
             && self.now >= self.channels.available_at[i]
@@ -827,19 +902,17 @@ impl Core {
         }
         match self.targets[i] {
             PortTarget::Host(h) => {
-                debug_assert_eq!(self.arena.get(pkt).dst, h, "misrouted packet");
-                let packet = self.arena.free(pkt);
-                self.stats
-                    .record_packet(packet.created, self.now, packet.bytes);
+                debug_assert_eq!(p.dst, h, "misrouted packet");
+                self.arena.free(pkt);
+                let rec = &mut self.messages[p.message.index()];
+                self.stats.record_packet(rec.offered_at, self.now, bytes);
                 if !self.pod_bytes.is_empty() {
-                    self.pod_bytes[self.pod_of_host[h.index()] as usize] += u64::from(packet.bytes);
+                    self.pod_bytes[self.pod_of_host[h.index()] as usize] += u64::from(bytes);
                 }
-                let mi = packet.message.index();
-                let rec = &mut self.messages[mi];
                 rec.remaining -= 1;
                 if rec.remaining == 0 {
                     self.stats.record_message(rec.offered_at, self.now);
-                    self.msg_free.push(packet.message.raw());
+                    self.msg_free.push(p.message.raw());
                 }
             }
             PortTarget::Switch { switch, .. } => self.route(switch, pkt),
@@ -1645,6 +1718,82 @@ mod tests {
         sim.advance_until(SimTime::from_us(500));
         assert_eq!(sim.core.channels.rate[a.index()], min);
         assert_eq!(sim.core.channels.asymmetric_links(), 1);
+    }
+
+    /// A run whose event queue renumbers its sequence numbers every few
+    /// hundred events, with wire arrivals reserved in packet records
+    /// each time, pops exactly the order of a run that never does.
+    #[test]
+    fn renumbering_sequence_numbers_changes_nothing() {
+        let run = |limit: Option<u64>| {
+            let fabric = FlattenedButterfly::new(2, 4, 2).unwrap().build_fabric();
+            let hosts = fabric.num_hosts() as u64;
+            // Bursts of equal messages offered at the same instants, so
+            // arrivals on different wires tie and FIFO order decides.
+            let messages = (0..400u64)
+                .map(|k| (k, k % hosts, (k * 5 + 3) % hosts))
+                .filter(|&(_, src, dst)| src != dst)
+                .map(|(k, src, dst)| Message {
+                    at: SimTime::from_ns(k / 16 * 2_000),
+                    src: epnet_topology::HostId::new(src as u32),
+                    dst: epnet_topology::HostId::new(dst as u32),
+                    bytes: 8 * 1024,
+                })
+                .collect();
+            let config = SimConfig::builder()
+                .control(ControlMode::IndependentChannel)
+                .build();
+            let source = ReplaySource::new(messages);
+            let mut sim = Simulator::with_options(fabric, config, source, RunOptions::default());
+            if let Some(limit) = limit {
+                sim.core.queue = Scheduler::with_seq_limit(limit);
+            }
+            let sink = epnet_telemetry::MemorySink::new();
+            sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::ALL_MASK));
+            let r = sim.run_until(SimTime::from_us(200));
+            let hist = format!("{:?}", r.packet_latency_hist);
+            let latency = (r.mean_packet_latency, r.mean_message_latency, hist);
+            let counts = (r.events_processed, r.packets_delivered, r.delivered_bytes);
+            (counts, latency, sink.contents())
+        };
+        let plain = run(None);
+        assert!(plain.0 .0 > 20 * 256, "the run renumbers many times");
+        assert_eq!(run(Some(256)), plain);
+    }
+
+    /// A launch more than 4.29 ms after the previous one on a wire that
+    /// still carries it (a 10 ms propagation delay) cannot chain its
+    /// arrival gap in 32 bits: its arrival is queued directly, and both
+    /// packets still land.
+    #[test]
+    fn an_arrival_gap_past_32_bits_is_queued_directly() {
+        let fabric = FlattenedButterfly::new(2, 4, 2).unwrap().build_fabric();
+        let prop = SimTime::from_ms(10);
+        let config = SimConfig::builder()
+            .control(ControlMode::AlwaysFull)
+            .propagation(prop, prop)
+            .build();
+        let message = |at| Message {
+            at,
+            src: epnet_topology::HostId::new(0),
+            dst: epnet_topology::HostId::new(7),
+            bytes: 2048,
+        };
+        let source = ReplaySource::new(vec![message(SimTime::ZERO), message(SimTime::from_ms(5))]);
+        let mut sim = Simulator::with_options(fabric, config, source, RunOptions::default());
+        sim.prime(SimTime::from_ms(100));
+        sim.advance_until(SimTime::from_ms(6));
+        let arrivals = sim.core.queue.pending().map(|(_, ev)| ev);
+        let arrivals: Vec<_> = arrivals.collect();
+        assert_eq!(
+            arrivals,
+            [Event::Arrive { slot: 0 }, Event::Arrive { slot: 1 }],
+            "both arrivals queued, none chained"
+        );
+        sim.advance_until(SimTime::from_ms(100));
+        // Both messages land (only the second counts as measured: the
+        // first is offered inside the warmup).
+        assert_eq!(sim.finalize().delivered_bytes, 4096);
     }
 
     /// Epoch ticks with no traffic must do O(active) controller work:

@@ -1,9 +1,20 @@
 //! The engine's events. They queue in a
 //! [`Scheduler<Event>`](crate::sched::Scheduler): ascending time, FIFO
 //! among simultaneous events.
+//!
+//! An event packs into 32 bits, a 3-bit tag over a 29-bit channel or
+//! packet-slot index, so a scheduler entry is 16 bytes. Fabrics beyond
+//! [`MAX_INDEX`] channels, or runs beyond that many live packets, fail
+//! loudly where the index is made (`Core::build`, `PacketArena::alloc`).
 
-use crate::packet::PacketId;
+use crate::sched::Payload;
 use epnet_topology::ChannelId;
+
+/// Bits of an event's channel or packet-slot index.
+const INDEX_BITS: u32 = 29;
+
+/// The largest channel or packet-slot index an event can carry.
+pub(crate) const MAX_INDEX: u32 = (1 << INDEX_BITS) - 1;
 
 /// Events processed by the simulator engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,11 +23,9 @@ pub(crate) enum Event {
     Workload,
     /// A channel finished serializing its current packet.
     TxDone { channel: ChannelId },
-    /// A packet's tail reached the far end of a channel.
-    Arrive {
-        channel: ChannelId,
-        packet: PacketId,
-    },
+    /// The tail of the packet in arena slot `slot` reached the far end
+    /// of the channel it crosses (the packet record names the channel).
+    Arrive { slot: u32 },
     /// A credit-blocked channel's next pending credit return matures.
     ///
     /// Credit returns themselves are bookkept per channel at arrival
@@ -28,6 +37,37 @@ pub(crate) enum Event {
     Retry { channel: ChannelId },
     /// End-of-epoch: run the link-rate controller (§3.3).
     EpochTick,
+}
+
+impl Payload for Event {
+    #[inline]
+    fn pack(self) -> u32 {
+        let (tag, index) = match self {
+            Event::Workload => (0, 0),
+            Event::TxDone { channel } => (1, channel.raw()),
+            Event::Arrive { slot } => (2, slot),
+            Event::CreditWake { channel } => (3, channel.raw()),
+            Event::Retry { channel } => (4, channel.raw()),
+            Event::EpochTick => (5, 0),
+        };
+        debug_assert!(index <= MAX_INDEX, "event index {index} exceeds 2^29 - 1");
+        tag << INDEX_BITS | index
+    }
+
+    #[inline]
+    fn unpack(bits: u32) -> Self {
+        let index = bits & MAX_INDEX;
+        let channel = ChannelId::new(index);
+        match bits >> INDEX_BITS {
+            0 => Event::Workload,
+            1 => Event::TxDone { channel },
+            2 => Event::Arrive { slot: index },
+            3 => Event::CreditWake { channel },
+            4 => Event::Retry { channel },
+            5 => Event::EpochTick,
+            tag => unreachable!("event tag {tag}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,5 +129,34 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// Every event round-trips through its 32-bit packing, at both ends
+    /// of the index range.
+    #[test]
+    fn events_round_trip_through_their_packing() {
+        for index in [0, 1, 12_345, MAX_INDEX] {
+            let channel = ChannelId::new(index);
+            for ev in [
+                Event::Workload,
+                Event::TxDone { channel },
+                Event::Arrive { slot: index },
+                Event::CreditWake { channel },
+                Event::Retry { channel },
+                Event::EpochTick,
+            ] {
+                assert_eq!(Event::unpack(ev.pack()), ev);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeds 2^29 - 1")]
+    fn an_index_past_29_bits_is_caught_in_debug_builds() {
+        Event::Arrive {
+            slot: MAX_INDEX + 1,
+        }
+        .pack();
     }
 }

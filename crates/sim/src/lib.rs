@@ -20,9 +20,10 @@
 //!   [`LinkPowerProfile`](epnet_power::LinkPowerProfile) (Figure 8).
 //! * [`DynamicTopology`] — the §5.2 extension: powering whole links off
 //!   to morph the butterfly into a torus or mesh, and back.
-//! * [`Scheduler`] — the pending-event set: a binary heap popping in
-//!   deterministic `(time, insertion seq)` order. There is one engine
-//!   and it is serial.
+//! * [`Scheduler`] — the pending-event set: a binary heap of 16-byte
+//!   entries popping in deterministic `(time, insertion seq)` order,
+//!   over any item that packs into 32 bits ([`Payload`]). There is one
+//!   engine and it is serial.
 //! * [`RunOptions`] — the per-run execution choices, passed explicitly
 //!   to [`Simulator::with_options`] or parsed from the `EPNET_*`
 //!   environment switches by [`RunOptions::from_env`] (the only
@@ -77,7 +78,7 @@ pub use dyntopo::{DynamicTopology, DynamicTopologyConfig};
 pub use engine::Simulator;
 pub use env::{env_threads, parse_model, EpochMode, RunOptions, SimModel, TraceOptions};
 pub use packet::MessageId;
-pub use sched::Scheduler;
+pub use sched::{Payload, Scheduler};
 pub use stats::{LatencyHistogram, RateResidency, SimReport, TimelineEvent};
 pub use time::SimTime;
 pub use traffic::{MergedSource, Message, ReplaySource, TrafficSource};

@@ -103,6 +103,21 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
+    /// Counts parsed records per category.
+    pub fn from_records(records: &[TraceRecord]) -> TraceStats {
+        let mut stats = TraceStats {
+            lines: records.len(),
+            per_category: BTreeMap::new(),
+        };
+        for r in records {
+            *stats
+                .per_category
+                .entry(r.category().name().to_owned())
+                .or_insert(0) += 1;
+        }
+        stats
+    }
+
     /// Records counted for `cat`.
     pub fn count(&self, cat: TraceCategory) -> usize {
         self.per_category.get(cat.name()).copied().unwrap_or(0)
@@ -208,18 +223,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
 ///
 /// Same contract as [`parse_jsonl`].
 pub fn validate_jsonl(text: &str) -> Result<TraceStats, String> {
-    let records = parse_jsonl(text)?;
-    let mut stats = TraceStats {
-        lines: records.len(),
-        per_category: BTreeMap::new(),
-    };
-    for r in &records {
-        *stats
-            .per_category
-            .entry(r.category().name().to_owned())
-            .or_insert(0) += 1;
-    }
-    Ok(stats)
+    parse_jsonl(text).map(|records| TraceStats::from_records(&records))
 }
 
 #[cfg(test)]

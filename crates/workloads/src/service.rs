@@ -21,7 +21,7 @@
 //! "capture emerging trends such as cluster virtualization".
 
 use crate::load_to_bytes_per_sec;
-use crate::scheduler::{bounded_pareto, bounded_pareto_mean, exp_ps, Item};
+use crate::scheduler::{bounded_pareto, bounded_pareto_mean, exp_ps, Item, MessageSlots};
 use epnet_sim::{Message, Scheduler, SimTime, TrafficSource};
 use epnet_topology::HostId;
 use rand::rngs::SmallRng;
@@ -180,6 +180,8 @@ pub struct ServiceTrace {
     horizon: Option<SimTime>,
     rng: SmallRng,
     future: Scheduler<Item>,
+    /// The messages that `future`'s `Emit` items name.
+    emits: MessageSlots,
     /// Cluster-wide load-spike state (true while in a peak).
     peak: bool,
     /// When the current peak/off-peak episode ends.
@@ -210,7 +212,8 @@ impl ServiceTrace {
                 return;
             }
         }
-        self.future.schedule(m.at, Item::Emit(m));
+        let slot = self.emits.insert(m);
+        self.future.schedule(m.at, Item::Emit(slot));
     }
 
     fn schedule_wake(&mut self, client_idx: u32, at: SimTime) {
@@ -382,7 +385,7 @@ impl TrafficSource for ServiceTrace {
         loop {
             let (t, item) = self.future.pop()?;
             match item {
-                Item::Emit(m) => return Some(m),
+                Item::Emit(slot) => return Some(self.emits.take(slot)),
                 Item::Wake(idx) => {
                     if let Some(m) = self.wake(idx, t) {
                         return Some(m);
@@ -433,9 +436,13 @@ impl ServiceTraceBuilder {
     /// # Panics
     ///
     /// Panics if there are too few hosts to host both clients and at
-    /// least one storage server.
+    /// least one storage server, or more than 2^31.
     pub fn build(&self) -> ServiceTrace {
         assert!(self.hosts >= 4, "need at least four hosts");
+        assert!(
+            self.hosts <= crate::scheduler::MAX_ITEM_INDEX + 1,
+            "more than 2^31 hosts: a queue item's index has 31 bits"
+        );
         assert!(
             self.config.peak_multiplier * self.config.peak_fraction < 1.0,
             "peak load must leave room for an off-peak state"
@@ -472,6 +479,7 @@ impl ServiceTraceBuilder {
             horizon: self.horizon,
             rng,
             future: Scheduler::new(),
+            emits: MessageSlots::default(),
             peak: false,
             peak_until: SimTime::ZERO,
         };

@@ -78,7 +78,7 @@ impl TrafficSource for UniformRandom {
         let (_, item) = self.future.pop()?;
         match item {
             Item::Wake(h) => Some(self.emit(h)),
-            Item::Emit(m) => Some(m),
+            Item::Emit(_) => unreachable!("uniform traffic schedules only wake-ups"),
         }
     }
 }
@@ -131,10 +131,14 @@ impl UniformRandomBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if there are fewer than two hosts or the load is outside
-    /// `(0, 1]`.
+    /// Panics if there are fewer than two or more than 2^31 hosts, or
+    /// the load is outside `(0, 1]`.
     pub fn build(&self) -> UniformRandom {
         assert!(self.hosts >= 2, "need at least two hosts");
+        assert!(
+            self.hosts <= crate::scheduler::MAX_ITEM_INDEX + 1,
+            "more than 2^31 hosts: a queue item's index has 31 bits"
+        );
         assert!(
             self.offered_load > 0.0 && self.offered_load <= 1.0,
             "offered load must be in (0, 1]"

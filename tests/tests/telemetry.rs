@@ -262,3 +262,23 @@ fn unknown_trace_filter_name_disables_tracing() {
         "a rejected filter must not create a trace file"
     );
 }
+
+/// The canonical traced run (`tracesmoke`'s scenario: every category,
+/// FBFLY(2,8,2), 10 ms) is pinned byte for byte: its line count and the
+/// FNV-1a 64 digest of its text. Any change to event order, credit
+/// bookkeeping or an emitter's formatting shows up here.
+#[test]
+fn canonical_trace_is_pinned() {
+    let mut sim = epnet_bench::enginebench::canonical_simulator(RunOptions::default());
+    let sink = MemorySink::new();
+    sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::ALL_MASK));
+    sim.run_until(epnet_bench::enginebench::HORIZON);
+    let text = sink.contents();
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (text.lines().count(), format!("{digest:016x}")),
+        (107_678, "d972cd5c8ac329c1".to_string())
+    );
+}
