@@ -433,25 +433,6 @@ macro_rules! counting_allocator {
     };
 }
 
-/// The options a record ran under, serialized by their `epnet_sim`
-/// names (an unknown name fails to parse).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Options {
-    /// Simulation model.
-    pub model: SimModel,
-    /// The epoch-tick implementation requested.
-    pub epoch: EpochMode,
-}
-
-impl Options {
-    fn of(o: &RunOptions) -> Self {
-        Self {
-            model: o.model,
-            epoch: o.epoch,
-        }
-    }
-}
-
 /// Wall-clock samples of the repeats, with their median and range.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Spread {
@@ -522,8 +503,9 @@ pub struct Record {
     pub offered_load: f64,
     /// Simulated horizon, milliseconds.
     pub horizon_ms: f64,
-    /// The run options.
-    pub options: Options,
+    /// The run options, serialized by their `epnet_sim` names (an
+    /// unknown name fails to parse).
+    pub options: RunOptions,
     /// Wall clock of each repeat's run, from prime to report.
     pub wall_ms: Spread,
     /// Events popped by the engine.
@@ -604,8 +586,8 @@ fn digest(bytes: &[u8]) -> String {
 /// Runs `point` once under `options`, through the phased API so
 /// `meter` can watch the second half of the horizon (well past warmup,
 /// every free-list at its high-water mark).
-fn measure(point: &Point, options: &RunOptions, meter: &dyn AllocMeter) -> Sample {
-    let mut sim = simulator_for(point, options.clone());
+fn measure(point: &Point, options: RunOptions, meter: &dyn AllocMeter) -> Sample {
+    let mut sim = simulator_for(point, options);
     let hosts = sim.fabric().num_hosts() as u64;
     let channels = sim.fabric().num_channels() as u64;
     let start = Instant::now();
@@ -647,7 +629,7 @@ pub fn run(axis: &Axis, repeats: usize, meter: &dyn AllocMeter) -> Vec<Record> {
         let mut samples: Vec<Vec<Sample>> = variants.iter().map(|_| Vec::new()).collect();
         for _ in 0..repeats {
             for (variant, runs) in variants.iter().zip(&mut samples) {
-                runs.push(measure(point, &variant.options, meter));
+                runs.push(measure(point, variant.options, meter));
             }
         }
         for (variant, runs) in variants.iter().zip(samples) {
@@ -694,7 +676,7 @@ fn record(axis: &str, point: &Point, variant: &Variant, runs: Vec<Sample>) -> Re
         workload: point.recipe.label().to_string(),
         offered_load: point.recipe.offered_load(),
         horizon_ms: point.horizon.as_ps() as f64 / 1e9,
-        options: Options::of(&variant.options),
+        options: variant.options,
         wall_ms: Spread::of(runs.iter().map(|s| s.wall_ms).collect()),
         events: report.events_processed,
         packets: report.packets_delivered,
@@ -887,7 +869,7 @@ fn check_record(r: &Record, repeats: usize) -> Result<(), String> {
 /// records.
 fn check_group(group: &[&Record]) -> Result<(), String> {
     let (axis, point) = (group[0].axis.as_str(), &group[0].point);
-    let find = |pick: &dyn Fn(&Options) -> bool, what: &str| {
+    let find = |pick: &dyn Fn(&RunOptions) -> bool, what: &str| {
         group
             .iter()
             .find(|r| pick(&r.options))
@@ -1020,7 +1002,7 @@ pub(crate) fn sample(axis: &str, point: &str, variant: &str) -> Record {
         workload: "uniform30+search".into(),
         offered_load: 0.3,
         horizon_ms: 2.0,
-        options: Options::of(&RunOptions::default()),
+        options: RunOptions::default(),
         wall_ms: Spread::of(vec![10.0]),
         events: 1_000,
         packets: 100,

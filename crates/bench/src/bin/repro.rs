@@ -10,9 +10,9 @@
 //! ```
 //!
 //! `--json` writes every target's data to one file; `--csv-dir` also
-//! writes one CSV per series into that directory. `EPNET_TRACE` is
-//! refused (exit 1): a target runs many simulations, and a trace
-//! belongs to one — `tracesmoke <path>` captures one.
+//! writes one CSV per series into that directory. An unknown target
+//! name fails (exit 1) before any target runs. A target runs many
+//! simulations; `tracesmoke <path>` captures the trace of one.
 //!
 //! `--scale quick` (default) runs a 512-host 8-ary 3-flat for 8 ms per
 //! experiment; `--scale paper` runs the paper's 15-ary 3-flat (3,375
@@ -72,13 +72,15 @@ fn main() -> ExitCode {
             t => targets.push(t.trim_start_matches("--").to_owned()),
         }
     }
-    // A trace belongs to one run, and a target runs many simulators
-    // (concurrently, on the worker pool), each of which would truncate
-    // and write the same file. Refuse before any of them starts.
-    if std::env::var_os("EPNET_TRACE").is_some_and(|p| !p.is_empty()) {
+    // Every name is checked before the first simulation starts, so a
+    // typo late in the list cannot waste the targets before it.
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| *t != "all" && !TARGETS.contains(&t.as_str()))
+    {
         eprintln!(
-            "repro: EPNET_TRACE is set, but every simulation of a target would write \
-             that one file; capture a single-run trace with `tracesmoke <path>` instead"
+            "unknown target '{bad}'; valid targets: {} all",
+            TARGETS.join(" ")
         );
         return ExitCode::FAILURE;
     }
@@ -113,7 +115,7 @@ fn main() -> ExitCode {
     for target in &targets {
         let started = Instant::now();
         let Some(value) = run_target(target, scale, csv_dir.as_deref()) else {
-            eprintln!("unknown target '{target}' (see --help)");
+            eprintln!("failed to serialize {target}");
             return ExitCode::FAILURE;
         };
         println!("  [{target} took {:.1?}]\n", started.elapsed());

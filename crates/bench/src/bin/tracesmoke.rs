@@ -18,9 +18,8 @@
 //! source `TraceStats` (written to `<path>.chrome.json` for loading
 //! into Perfetto).
 //!
-//! This is also the way to capture the trace of a single run: `repro`
-//! refuses `EPNET_TRACE`, because every simulator of its sweeps would
-//! write the same file.
+//! This is also the way to capture the trace of a single run from the
+//! command line.
 
 use epnet_bench::enginebench::{canonical_layout, canonical_simulator, HORIZON};
 use epnet_sim::{RunOptions, TraceCategory, Tracer};

@@ -9,7 +9,7 @@
 //! tracetool outcomes TRACE.jsonl [--csv]
 //! ```
 //!
-//! `export` converts an `EPNET_TRACE` JSONL capture to the Chrome
+//! `export` converts a JSONL trace (`tracesmoke`'s capture) to the Chrome
 //! Trace Event JSON object format; open the output at
 //! <https://ui.perfetto.dev> (or `chrome://tracing`). `--layout`
 //! supplies the fabric's host count and ports-per-switch so channel

@@ -224,14 +224,39 @@ impl Experiment {
 /// `EPNET_THREADS` environment variable overrides it (any positive
 /// integer — `EPNET_THREADS=1` forces fully serial execution, useful
 /// for debugging and for the determinism tests that compare serial and
-/// parallel output byte for byte). [`epnet_sim::env_threads`] parses
-/// the value and prints the stderr message for a malformed one.
+/// parallel output byte for byte). A malformed value prints an error
+/// naming the valid form to stderr and keeps the default.
 pub fn worker_threads() -> usize {
-    epnet_sim::env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    std::env::var("EPNET_THREADS")
+        .map_or(Ok(None), |raw| parse_threads(&raw))
+        .unwrap_or_else(|msg| {
+            eprintln!("epnet: {msg}");
+            None
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
+/// Parses an `EPNET_THREADS` value.
+///
+/// A positive integer `n` (surrounding whitespace ignored) is
+/// `Some(n)`; an empty value is `None`, the default. Anything else,
+/// `0` included, is an error naming the offending value and the one
+/// valid form.
+fn parse_threads(raw: &str) -> Result<Option<usize>, String> {
+    let v = raw.trim();
+    if v.is_empty() {
+        return Ok(None);
+    }
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "invalid width '{v}' in EPNET_THREADS; valid values: a positive integer"
+        )),
+    }
 }
 
 /// Runs a set of closures on a [`std::thread::scope`] worker pool and
@@ -275,6 +300,21 @@ pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T>
 mod tests {
     use super::*;
     use epnet_power::LinkPowerProfile;
+
+    #[test]
+    fn parses_positive_widths_and_rejects_everything_else() {
+        for (value, expect) in [("4", Some(4)), ("1", Some(1)), (" 8 ", Some(8)), ("", None)] {
+            assert_eq!(parse_threads(value), Ok(expect), "value {value:?}");
+        }
+        for value in ["many", "-2", "off", "OFF", "0"] {
+            assert_eq!(
+                parse_threads(value),
+                Err(format!(
+                    "invalid width '{value}' in EPNET_THREADS; valid values: a positive integer"
+                )),
+            );
+        }
+    }
 
     #[test]
     fn scales_have_expected_sizes() {

@@ -7,8 +7,10 @@
 //!
 //! The first form emits `figure7.svg`, `figure8a.svg`, `figure8b.svg`,
 //! `figure9a.svg`, and `figure9b.svg` for whichever figures are present
-//! in the JSON. The second consumes an `EPNET_TRACE` JSONL file and
-//! emits `trace_residency.svg` (per-rate residency reconstructed from
+//! in the JSON; a present but unreadable figure, or a failed write,
+//! exits 1 after the rest are written. The second consumes a JSONL
+//! trace (`tracesmoke <path>` captures one) and emits
+//! `trace_residency.svg` (per-rate residency reconstructed from
 //! controller decisions) and `trace_timeline.svg` (per-channel
 //! controller-decision timeline).
 
@@ -49,52 +51,61 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut rendered = 0usize;
-    let mut write = |name: &str, svg: String| {
-        let path = Path::new(out_dir).join(name);
-        match std::fs::write(&path, svg) {
-            Ok(()) => {
-                println!("wrote {}", path.display());
-                rendered += 1;
-            }
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
+    // A present but unreadable figure, or a failed write, fails the
+    // run once every other figure is written.
+    let mut svgs: Vec<(&str, String)> = Vec::new();
+    let mut failed = false;
+    let mut unreadable = |figure: &str, e: serde_json::Error| {
+        eprintln!("{figure} present but unreadable: {e}");
+        failed = true;
     };
-
     if let Some(v) = json.get("figure7") {
         match serde_json::from_value::<Figure7>(v.clone()) {
-            Ok(f) => write("figure7.svg", epnet_report::render_figure7(&f)),
-            Err(e) => eprintln!("figure7 present but unreadable: {e}"),
+            Ok(f) => svgs.push(("figure7.svg", epnet_report::render_figure7(&f))),
+            Err(e) => unreadable("figure7", e),
         }
     }
     if let Some(v) = json.get("figure8") {
         match serde_json::from_value::<Figure8>(v.clone()) {
             Ok(f) => {
                 let (a, b) = epnet_report::render_figure8(&f);
-                write("figure8a.svg", a);
-                write("figure8b.svg", b);
+                svgs.extend([("figure8a.svg", a), ("figure8b.svg", b)]);
             }
-            Err(e) => eprintln!("figure8 present but unreadable: {e}"),
+            Err(e) => unreadable("figure8", e),
         }
     }
     if let Some(v) = json.get("figure9a") {
         match serde_json::from_value::<Vec<Figure9aCell>>(v.clone()) {
-            Ok(cells) => write("figure9a.svg", epnet_report::render_figure9a(&cells)),
-            Err(e) => eprintln!("figure9a present but unreadable: {e}"),
+            Ok(cells) => svgs.push(("figure9a.svg", epnet_report::render_figure9a(&cells))),
+            Err(e) => unreadable("figure9a", e),
         }
     }
     if let Some(v) = json.get("figure9b") {
         match serde_json::from_value::<Vec<Figure9bCell>>(v.clone()) {
-            Ok(cells) => write("figure9b.svg", epnet_report::render_figure9b(&cells)),
-            Err(e) => eprintln!("figure9b present but unreadable: {e}"),
+            Ok(cells) => svgs.push(("figure9b.svg", epnet_report::render_figure9b(&cells))),
+            Err(e) => unreadable("figure9b", e),
         }
     }
-
-    if rendered == 0 {
+    if svgs.is_empty() && !failed {
         eprintln!("no renderable figures found in {input} (run repro with figure7/8/9 targets)");
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+
+    for (name, svg) in svgs {
+        let path = Path::new(out_dir).join(name);
+        match std::fs::write(&path, svg) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", path.display());
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Channels shown in the trace timeline: enough to see per-channel
@@ -119,11 +130,20 @@ fn render_trace(trace: &str, out_dir: &str) -> ExitCode {
     let derived = epnet_report::tracecharts::derive(&records);
     if derived.channels == 0 {
         eprintln!(
-            "{trace} has no controller decisions — run with EPNET_TRACE set \
-             (and 'controller' in EPNET_TRACE_FILTER, if filtering)"
+            "{trace} has no controller decisions — capture a trace with every \
+             category with `tracesmoke <path>`"
         );
         return ExitCode::FAILURE;
     }
+    let Some(timeline) =
+        epnet_report::tracecharts::render_controller_timeline(&derived, TIMELINE_CHANNELS)
+    else {
+        eprintln!(
+            "{trace} has no controller decisions on channels 0..{TIMELINE_CHANNELS}; \
+             the timeline would be empty"
+        );
+        return ExitCode::FAILURE;
+    };
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
         return ExitCode::FAILURE;
@@ -133,10 +153,7 @@ fn render_trace(trace: &str, out_dir: &str) -> ExitCode {
             "trace_residency.svg",
             epnet_report::tracecharts::render_trace_residency(&derived),
         ),
-        (
-            "trace_timeline.svg",
-            epnet_report::tracecharts::render_controller_timeline(&derived, TIMELINE_CHANNELS),
-        ),
+        ("trace_timeline.svg", timeline),
     ] {
         let path = Path::new(out_dir).join(name);
         if let Err(e) = std::fs::write(&path, svg) {

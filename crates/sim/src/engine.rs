@@ -44,10 +44,10 @@ use crate::channels::{
 use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
-use crate::env::{EpochMode, RunOptions, SimModel};
 use crate::event::{Event, MAX_INDEX};
 use crate::flows::FlowTable;
 use crate::instrument::Instruments;
+use crate::options::{EpochMode, RunOptions, SimModel};
 use crate::packet::{MessageId, Packet, PacketArena, PacketId, NO_PACKET};
 use crate::sched::Scheduler;
 use crate::stats::{RateResidency, SimReport, Stats};
@@ -204,35 +204,32 @@ pub(crate) struct Core {
 }
 
 impl<S: TrafficSource> Simulator<S> {
-    /// Creates a simulator over `fabric` driven by `source`, with its
-    /// run options taken from the environment
-    /// ([`RunOptions::from_env`]).
+    /// Creates a simulator over `fabric` driven by `source`, with the
+    /// default run options ([`RunOptions::default`]).
     pub fn new(fabric: FabricGraph, config: SimConfig, source: S) -> Self {
-        Self::with_options(fabric, config, source, RunOptions::from_env())
+        Self::with_options(fabric, config, source, RunOptions::default())
     }
 
-    /// Creates a simulator with an explicit simulation model and every
-    /// other run option taken from the environment.
+    /// Creates a simulator with an explicit simulation model and the
+    /// default epoch ticks.
     pub fn with_model(fabric: FabricGraph, config: SimConfig, source: S, model: SimModel) -> Self {
         let options = RunOptions {
             model,
-            ..RunOptions::from_env()
+            ..RunOptions::default()
         };
         Self::with_options(fabric, config, source, options)
     }
 
-    /// Creates a simulator with explicit run options, which always win
-    /// over the environment. Benches and tests comparing configurations
-    /// within one process use this.
+    /// Creates a simulator with explicit run options. Benches and tests
+    /// comparing configurations within one process use this.
     pub fn with_options(
         fabric: FabricGraph,
         config: SimConfig,
         source: S,
         options: RunOptions,
     ) -> Self {
-        let inst = Instruments::with_tracer(options.trace.as_ref().and_then(|t| t.open()));
         Self {
-            core: Core::build(fabric, config, inst, &options),
+            core: Core::build(fabric, config, options),
             source,
             pending: None,
             primed: false,
@@ -241,13 +238,8 @@ impl<S: TrafficSource> Simulator<S> {
 }
 
 impl Core {
-    /// Builds an engine core over `fabric`, reporting through `inst`.
-    fn build(
-        fabric: FabricGraph,
-        config: SimConfig,
-        inst: Instruments,
-        options: &RunOptions,
-    ) -> Self {
+    /// Builds an engine core over `fabric`, untraced.
+    fn build(fabric: FabricGraph, config: SimConfig, options: RunOptions) -> Self {
         config.validate();
         let model = options.model;
         let n = fabric.num_channels();
@@ -342,15 +334,17 @@ impl Core {
             flows: FlowTable::new(if model == SimModel::Hybrid { n } else { 0 }),
             pod_of_host,
             pod_bytes,
-            inst,
+            inst: Instruments::default(),
         }
     }
 }
 
 impl<S: TrafficSource> Simulator<S> {
-    /// Replaces the trace destination for this run (programmatic
-    /// alternative to [`RunOptions::trace`]; see
-    /// [`epnet_telemetry::MemorySink`]).
+    /// Attaches a tracer to this run (a
+    /// [`FileSink`](epnet_telemetry::FileSink) for a JSONL file, a
+    /// [`MemorySink`](epnet_telemetry::MemorySink) in memory).
+    /// Construction emits no record, so a tracer attached before the
+    /// run captures all of it.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.core.inst.set_tracer(tracer);
     }

@@ -1,5 +1,5 @@
 //! Fluid per-flow state for the hybrid simulation model
-//! (`EPNET_MODEL=hybrid`; see DESIGN.md "Hybrid flow/packet model").
+//! ([`SimModel::Hybrid`](crate::SimModel::Hybrid); see DESIGN.md "Hybrid flow/packet model").
 //!
 //! The packet engine's cost is proportional to *bytes moved*: a 4 MiB
 //! transfer at the paper's scale is two thousand packet events before
@@ -443,7 +443,7 @@ mod tests {
     use super::*;
     use crate::channels::F_DRAINING;
     use crate::config::SimConfig;
-    use crate::env::SimModel;
+    use crate::options::SimModel;
     use crate::traffic::ReplaySource;
     use crate::Simulator;
     use epnet_power::LinkRate;

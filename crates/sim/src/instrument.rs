@@ -7,12 +7,10 @@
 //! batch boundaries, never per event; the engine's counters are plain
 //! `Stats` fields.
 
-use epnet_telemetry::{FileSink, Profile, TraceCategory, Tracer};
-
-use crate::env::TraceOptions;
+use epnet_telemetry::{Profile, TraceCategory, Tracer};
 
 /// The simulator's telemetry state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Instruments {
     /// Cached copy of the tracer's category mask; 0 without a tracer,
     /// so `on()` is one load-and-test regardless of configuration.
@@ -21,34 +19,8 @@ pub(crate) struct Instruments {
     pub profile: Profile,
 }
 
-impl TraceOptions {
-    /// Opens the trace file. An unwritable path is reported on stderr
-    /// and yields no tracer, so a bad trace destination never aborts a
-    /// run.
-    pub(crate) fn open(&self) -> Option<Tracer> {
-        match FileSink::create(&self.path) {
-            Ok(sink) => Some(Tracer::new(sink, self.mask)),
-            Err(e) => {
-                eprintln!(
-                    "epnet: cannot create EPNET_TRACE file '{}': {e}",
-                    self.path.display()
-                );
-                None
-            }
-        }
-    }
-}
-
 impl Instruments {
-    pub fn with_tracer(tracer: Option<Tracer>) -> Self {
-        Self {
-            mask: tracer.as_ref().map_or(0, Tracer::mask),
-            tracer,
-            profile: Profile::default(),
-        }
-    }
-
-    /// Replaces the tracer (programmatic sinks; tests).
+    /// Attaches `tracer`, replacing any earlier one.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.mask = tracer.mask();
         self.tracer = Some(tracer);

@@ -25,12 +25,12 @@
 //!   over any item that packs into 32 bits ([`Payload`]). There is one
 //!   engine and it is serial.
 //! * [`RunOptions`] — the per-run execution choices, passed explicitly
-//!   to [`Simulator::with_options`] or parsed from the `EPNET_*`
-//!   environment switches by [`RunOptions::from_env`] (the only
-//!   environment reader in this crate). None of them changes a
-//!   report except the model: active-set vs sweep epoch ticks are
-//!   byte-identical, enforced by `tests/tests/run_modes.rs` and
-//!   `tests/tests/epoch_modes.rs`.
+//!   to [`Simulator::with_options`]; [`Simulator::new`] runs the
+//!   defaults. This crate reads no environment variable. None of the
+//!   options changes a report except the model: active-set vs sweep
+//!   epoch ticks are byte-identical, enforced by
+//!   `tests/tests/run_modes.rs` and `tests/tests/epoch_modes.rs`. A
+//!   trace is attached with [`Simulator::set_tracer`].
 //!
 //! # Example
 //!
@@ -60,10 +60,10 @@ mod config;
 mod controller;
 mod dyntopo;
 mod engine;
-pub mod env;
 mod event;
 mod flows;
 mod instrument;
+mod options;
 mod packet;
 pub mod sched;
 mod stats;
@@ -76,7 +76,7 @@ pub use config::{
 };
 pub use dyntopo::{DynamicTopology, DynamicTopologyConfig};
 pub use engine::Simulator;
-pub use env::{env_threads, parse_model, EpochMode, RunOptions, SimModel, TraceOptions};
+pub use options::{EpochMode, RunOptions, SimModel};
 pub use packet::MessageId;
 pub use sched::{Payload, Scheduler};
 pub use stats::{LatencyHistogram, RateResidency, SimReport, TimelineEvent};
@@ -85,5 +85,5 @@ pub use traffic::{MergedSource, Message, ReplaySource, TrafficSource};
 
 // Telemetry types that appear in this crate's public API
 // (`Simulator::set_tracer`, `SimReport.layers`) or that embedders need
-// to build programmatic trace sinks.
-pub use epnet_telemetry::{Layer, MemorySink, Profile, TraceCategory, Tracer};
+// to build trace sinks.
+pub use epnet_telemetry::{FileSink, Layer, MemorySink, Profile, TraceCategory, Tracer};

@@ -3,7 +3,7 @@
 //! Converts parsed [`TraceRecord`]s into the Chrome Trace Event JSON
 //! object format (the format `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) both load), so a
-//! captured `EPNET_TRACE` run can be scrubbed interactively instead of
+//! captured JSONL trace can be scrubbed interactively instead of
 //! grepped. The export is purely post-hoc: it reads a finished trace
 //! and never touches the simulator, so enabling it cannot perturb a
 //! run.

@@ -6,10 +6,10 @@
 //! - [`trace`] — a structured trace layer: typed, sim-timestamped
 //!   events (controller decisions, link reactivations, credit
 //!   block/unblock, adaptive-routing detours)
-//!   written as JSONL through a pluggable [`trace::TraceSink`].
-//!   Enabled per run by `EPNET_TRACE=<path>` and narrowed with
-//!   `EPNET_TRACE_FILTER=<cat>,<cat>,...` (parsed by the simulator's
-//!   run options, through [`trace::parse_filter`]).
+//!   written as JSONL through a pluggable [`trace::TraceSink`]. A run
+//!   is traced by attaching a [`Tracer`] (a [`FileSink`] or
+//!   [`MemorySink`] and a category mask) with the simulator's
+//!   `set_tracer`.
 //! - [`profile`] — a run's host time by engine layer: six fixed,
 //!   non-overlapping slots (events, fluid advance, controller, epoch
 //!   sample, dyntopo, finalize) that add up to the run's wall time.

@@ -51,8 +51,7 @@ impl TraceCategory {
         1 << self as u32
     }
 
-    /// Stable lowercase name, used as the `cat` field and accepted by
-    /// `EPNET_TRACE_FILTER`.
+    /// Stable lowercase name, used as the `cat` field.
     pub const fn name(self) -> &'static str {
         match self {
             TraceCategory::Controller => "controller",
@@ -62,54 +61,10 @@ impl TraceCategory {
         }
     }
 
-    /// Parses a category name as written in `EPNET_TRACE_FILTER`.
+    /// The category whose `cat` field is `name`.
     pub fn from_name(name: &str) -> Option<TraceCategory> {
         Self::ALL.into_iter().find(|c| c.name() == name)
     }
-
-    /// Every valid category name, comma-separated — the vocabulary
-    /// quoted by [`parse_filter`]'s error message.
-    pub fn name_list() -> String {
-        Self::ALL
-            .iter()
-            .map(|c| c.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
-
-/// Parses a comma-separated `EPNET_TRACE_FILTER` value into a mask.
-///
-/// Whitespace around entries is ignored; an empty string (or only
-/// separators) means "everything".
-///
-/// # Errors
-///
-/// An unknown name is rejected with a message naming the offender and
-/// listing every valid category — a typo must fail loudly rather than
-/// silently narrowing the filter and producing a trace that is missing
-/// the categories the user asked for.
-pub fn parse_filter(filter: &str) -> Result<u32, String> {
-    let mut mask = 0u32;
-    let mut saw_any = false;
-    for part in filter.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        saw_any = true;
-        match TraceCategory::from_name(part) {
-            Some(cat) => mask |= cat.bit(),
-            None => {
-                return Err(format!(
-                    "unknown trace category '{part}' in EPNET_TRACE_FILTER; \
-                     valid categories: {}",
-                    TraceCategory::name_list()
-                ))
-            }
-        }
-    }
-    Ok(if saw_any {
-        mask
-    } else {
-        TraceCategory::ALL_MASK
-    })
 }
 
 /// Destination for rendered trace lines (no trailing newline).
@@ -322,37 +277,6 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filter_parsing_covers_names_blanks_and_unknowns() {
-        assert_eq!(parse_filter(""), Ok(TraceCategory::ALL_MASK));
-        assert_eq!(parse_filter(" , ,"), Ok(TraceCategory::ALL_MASK));
-        assert_eq!(
-            parse_filter("controller"),
-            Ok(TraceCategory::Controller.bit())
-        );
-        assert_eq!(
-            parse_filter("controller, reactivation"),
-            Ok(TraceCategory::Controller.bit() | TraceCategory::Reactivation.bit())
-        );
-    }
-
-    /// An unknown name must be rejected with a message naming the
-    /// offender and the full valid vocabulary — pinned exactly so the
-    /// error stays useful.
-    #[test]
-    fn filter_parsing_rejects_unknown_names_listing_the_vocabulary() {
-        let err = parse_filter("bogus").unwrap_err();
-        assert_eq!(
-            err,
-            "unknown trace category 'bogus' in EPNET_TRACE_FILTER; valid categories: \
-             controller, reactivation, credit, detour"
-        );
-        // Valid names before the offender don't rescue the parse, and
-        // case matters (names are stable lowercase identifiers).
-        assert!(parse_filter("credit,bogus").is_err());
-        assert!(parse_filter("Controller").is_err());
-    }
 
     #[test]
     fn category_names_round_trip() {

@@ -145,7 +145,6 @@ fn run_hybrid(control: ControlMode, strategy: ReactivationStrategy, epoch: Epoch
     let options = RunOptions {
         model: SimModel::Hybrid,
         epoch,
-        ..RunOptions::default()
     };
     let mut sim = Simulator::with_options(fabric.clone(), config, src, options);
     sim.enable_dynamic_topology(DynamicTopology::new(
@@ -215,7 +214,6 @@ fn run_steady_hybrid(
     let options = RunOptions {
         model: SimModel::Hybrid,
         epoch,
-        ..RunOptions::default()
     };
     Simulator::with_options(fabric, config, src, options).run_until(horizon)
 }

@@ -107,41 +107,9 @@ fn hybrid_agrees_with_packet_within_the_documented_tolerance() {
     );
 
     // The per-pod rollup: bounded (<= 64 pods), non-empty in hybrid
-    // mode, and accounting real bytes.
+    // mode only, and accounting real bytes.
+    assert!(packet.pod_delivered_bytes.is_empty());
     assert!(!hybrid.pod_delivered_bytes.is_empty());
     assert!(hybrid.pod_delivered_bytes.len() <= 64);
     assert!(hybrid.pod_delivered_bytes.iter().sum::<u64>() > 0);
-}
-
-/// `EPNET_MODEL=hybrid`, through the run-options parser, reaches the
-/// flow table; unset stays on the packet model.
-#[test]
-fn env_model_selects_the_hybrid_engine() {
-    let bulk = || {
-        UniformRandom::builder(16)
-            .message_bytes(512 * 1024)
-            .offered_load(0.2)
-            .horizon(SimTime::from_us(500))
-            .build()
-    };
-    let fabric = || {
-        FlattenedButterfly::new(2, 8, 2)
-            .expect("toy fbfly")
-            .build_fabric()
-    };
-    let run = |model: Option<&str>| {
-        let options =
-            RunOptions::from_vars(|var| model.filter(|_| var == "EPNET_MODEL").map(str::to_string));
-        Simulator::with_options(fabric(), SimConfig::default(), bulk(), options)
-            .run_until(SimTime::from_us(500))
-    };
-    let hybrid = run(Some("hybrid"));
-    let packet = run(None);
-    assert!(
-        hybrid.diagnostics["flows_absorbed"] > 0,
-        "EPNET_MODEL=hybrid must reach the flow table"
-    );
-    assert_eq!(packet.diagnostics["flows_absorbed"], 0);
-    assert!(!hybrid.pod_delivered_bytes.is_empty());
-    assert!(packet.pod_delivered_bytes.is_empty());
 }

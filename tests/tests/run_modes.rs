@@ -1,9 +1,9 @@
 //! Run-option cross-check: the epoch-tick implementation is an
 //! execution detail, never a behavior. Every configuration must
 //! serialize a byte-identical `SimReport` under the defaults and the
-//! full epoch sweep, for both simulation models. All options are passed as `RunOptions` values;
-//! the one test that touches the process environment pins how
-//! `EPNET_MODEL` and the retired `EPNET_PAR` interact with them.
+//! full epoch sweep, for both simulation models. All options are passed
+//! as `RunOptions` values; the one test that touches the process
+//! environment pins that the simulator reads none of it.
 //!
 //! The workload is bursty at low offered load with the dynamic-topology
 //! extension on, so epoch rate transitions, power-off and reactivation
@@ -22,13 +22,8 @@ const MODES: [(&str, EpochMode); 2] = [
 const MODELS: [SimModel; 2] = [SimModel::Packet, SimModel::Hybrid];
 
 /// The run options for `model` under `mode`.
-fn options(model: SimModel, mode: (&str, EpochMode)) -> RunOptions {
-    let (_, epoch) = mode;
-    RunOptions {
-        model,
-        epoch,
-        trace: None,
-    }
+fn options(model: SimModel, (_, epoch): (&str, EpochMode)) -> RunOptions {
+    RunOptions { model, epoch }
 }
 
 /// One 1 ms run on FBFLY(2, 8, 2) with the dynamic-topology extension
@@ -108,13 +103,13 @@ fn model_axis_reports_are_byte_identical_across_modes() {
     }
 }
 
-/// The environment contracts, in one test because they set
-/// process-global variables (no other test in this binary reads the
-/// environment): a set `EPNET_PAR` no longer changes anything — the run
-/// is the serial engine's, byte for byte — and explicit `RunOptions`
-/// beat a conflicting `EPNET_MODEL`.
+/// The simulator reads no environment: with the old model, trace and
+/// parallel switches all set, `Simulator::new` runs the defaults byte
+/// for byte, absorbs no flow and writes no trace file. One test sets
+/// the variables, and no other test in this binary builds through
+/// `Simulator::new`.
 #[test]
-fn env_par_is_ignored_and_explicit_options_win() {
+fn simulator_new_ignores_the_environment() {
     let fabric = FlattenedButterfly::new(2, 4, 2)
         .expect("valid shape")
         .build_fabric();
@@ -129,28 +124,24 @@ fn env_par_is_ignored_and_explicit_options_win() {
     };
     let config = SimConfig::builder().build();
     let serialized = |r: &SimReport| serde_json::to_string(r).expect("report serializes");
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_modes_env.jsonl");
+    let _ = std::fs::remove_file(&trace);
 
-    let serial = Simulator::with_options(
+    let defaults = Simulator::with_options(
         fabric.clone(),
         config.clone(),
         bulk(),
         RunOptions::default(),
     )
     .run_until(horizon);
-    std::env::set_var("EPNET_PAR", "2");
-    let env_par = Simulator::new(fabric.clone(), config.clone(), bulk()).run_until(horizon);
-    assert_eq!(serialized(&serial), serialized(&env_par));
-
     std::env::set_var("EPNET_MODEL", "hybrid");
-    let env_driven = Simulator::new(fabric.clone(), config.clone(), bulk()).run_until(horizon);
-    let explicit = Simulator::with_options(fabric.clone(), config, bulk(), RunOptions::default())
-        .run_until(horizon);
-    std::env::remove_var("EPNET_MODEL");
-    std::env::remove_var("EPNET_PAR");
-    assert!(env_driven.diagnostics["flows_absorbed"] > 0);
-    assert_eq!(
-        explicit.diagnostics["flows_absorbed"], 0,
-        "explicit packet model"
-    );
-    assert_eq!(serialized(&serial), serialized(&explicit));
+    std::env::set_var("EPNET_TRACE", &trace);
+    std::env::set_var("EPNET_PAR", "2");
+    let built_new = Simulator::new(fabric.clone(), config, bulk()).run_until(horizon);
+    for var in ["EPNET_MODEL", "EPNET_TRACE", "EPNET_PAR"] {
+        std::env::remove_var(var);
+    }
+    assert_eq!(serialized(&defaults), serialized(&built_new));
+    assert_eq!(built_new.diagnostics["flows_absorbed"], 0, "packet model");
+    assert!(!trace.exists(), "no trace file is created");
 }

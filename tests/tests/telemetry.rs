@@ -9,7 +9,7 @@
 
 use epnet::exp::{EvalScale, WorkloadKind};
 use epnet::prelude::*;
-use epnet::sim::{MemorySink, TraceCategory, TraceOptions, Tracer};
+use epnet::sim::{FileSink, MemorySink, TraceCategory, Tracer};
 use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
 
 fn tiny() -> EvalScale {
@@ -27,16 +27,6 @@ fn tiny_sim(options: RunOptions) -> Simulator<impl TrafficSource> {
         WorkloadKind::Search.source(scale.hosts() as u32, scale.seed, scale.duration),
         options,
     )
-}
-
-/// Run options parsed from the given environment-variable pairs.
-fn parsed(pairs: &[(&str, &str)]) -> RunOptions {
-    RunOptions::from_vars(|var| {
-        pairs
-            .iter()
-            .find(|(k, _)| *k == var)
-            .map(|(_, v)| v.to_string())
-    })
 }
 
 /// Runs the tiny Search scenario under `options`, optionally traced;
@@ -112,21 +102,17 @@ fn reports_are_byte_identical_across_modes_at_scale() {
 }
 
 /// Traces hold simulated quantities only, so two runs of one scenario
-/// write byte-identical files — every category on, traced through the
-/// run options from construction onward, with the dynamic topology
+/// write byte-identical files — every category on, through a
+/// `FileSink` attached before the run, with the dynamic topology
 /// mutating the link mask mid-run.
 #[test]
 fn trace_files_are_byte_identical_across_runs() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let run = |name: &str| {
         let path = dir.join(name);
-        let mut sim = tiny_sim(RunOptions {
-            trace: Some(TraceOptions {
-                path: path.clone(),
-                mask: TraceCategory::ALL_MASK,
-            }),
-            ..RunOptions::default()
-        });
+        let mut sim = tiny_sim(RunOptions::default());
+        let sink = FileSink::create(&path).expect("trace file created");
+        sim.set_tracer(Tracer::new(sink, TraceCategory::ALL_MASK));
         sim.enable_dynamic_topology(DynamicTopology::new(
             sim.fabric(),
             DynamicTopologyConfig::default(),
@@ -219,47 +205,6 @@ fn epoch_queue_samples_count_every_channel_in_both_epoch_modes() {
     assert_eq!(
         snapshots[0], snapshots[1],
         "queue metrics are mode-independent"
-    );
-}
-
-/// `EPNET_TRACE` plus a filter, through the run-options parser, writes
-/// a schema-valid file holding only the selected categories.
-#[test]
-fn epnet_trace_env_var_writes_a_valid_file() {
-    let path = std::env::temp_dir().join(format!("epnet_trace_test_{}.jsonl", std::process::id()));
-    let options = parsed(&[
-        ("EPNET_TRACE", path.to_str().expect("temp path is UTF-8")),
-        ("EPNET_TRACE_FILTER", "controller,reactivation"),
-    ]);
-    tiny_sim(options).run_until(tiny().duration);
-
-    let text = std::fs::read_to_string(&path).expect("trace file written");
-    let _ = std::fs::remove_file(&path);
-    let stats = validate_jsonl(&text).expect("file passes the schema");
-    assert!(stats.count(TraceCategory::Controller) > 0);
-    assert_eq!(stats.count(TraceCategory::Credit), 0, "filtered out");
-    assert_eq!(stats.count(TraceCategory::Detour), 0, "filtered out");
-}
-
-/// A typo in `EPNET_TRACE_FILTER` must disable tracing entirely (with
-/// a stderr complaint) rather than silently narrowing the filter: the
-/// trace file is never created, and the run itself proceeds.
-#[test]
-fn unknown_trace_filter_name_disables_tracing() {
-    let path = std::env::temp_dir().join(format!(
-        "epnet_trace_badfilter_{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let options = parsed(&[
-        ("EPNET_TRACE", path.to_str().expect("temp path is UTF-8")),
-        ("EPNET_TRACE_FILTER", "controller,bogus"),
-    ]);
-    let report = tiny_sim(options).run_until(tiny().duration);
-    assert!(report.events_processed > 0, "the run itself proceeds");
-    assert!(
-        !path.exists(),
-        "a rejected filter must not create a trace file"
     );
 }
 
