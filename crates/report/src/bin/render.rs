@@ -7,8 +7,9 @@
 //!
 //! The first form emits `figure7.svg`, `figure8a.svg`, `figure8b.svg`,
 //! `figure9a.svg`, and `figure9b.svg` for whichever figures are present
-//! in the JSON; a present but unreadable figure, or a failed write,
-//! exits 1 after the rest are written. The second consumes a JSONL
+//! in the JSON; a present but unreadable figure, a Figure 9 sweep with
+//! a single x value (a line needs two), or a failed write, exits 1
+//! after the rest are written. The second consumes a JSONL
 //! trace (`tracesmoke <path>` captures one) and emits
 //! `trace_residency.svg` (per-rate residency reconstructed from
 //! controller decisions) and `trace_timeline.svg` (per-channel
@@ -51,18 +52,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // A present but unreadable figure, or a failed write, fails the
-    // run once every other figure is written.
+    // A present but unreadable or undrawable figure, or a failed
+    // write, fails the run once every other figure is written.
     let mut svgs: Vec<(&str, String)> = Vec::new();
     let mut failed = false;
-    let mut unreadable = |figure: &str, e: serde_json::Error| {
-        eprintln!("{figure} present but unreadable: {e}");
+    let mut fail = |why: String| {
+        eprintln!("{why}");
         failed = true;
     };
+    let one_column = |figure: &str| format!("{figure} has a single x value; a line needs two");
     if let Some(v) = json.get("figure7") {
         match serde_json::from_value::<Figure7>(v.clone()) {
             Ok(f) => svgs.push(("figure7.svg", epnet_report::render_figure7(&f))),
-            Err(e) => unreadable("figure7", e),
+            Err(e) => fail(format!("figure7 present but unreadable: {e}")),
         }
     }
     if let Some(v) = json.get("figure8") {
@@ -71,19 +73,25 @@ fn main() -> ExitCode {
                 let (a, b) = epnet_report::render_figure8(&f);
                 svgs.extend([("figure8a.svg", a), ("figure8b.svg", b)]);
             }
-            Err(e) => unreadable("figure8", e),
+            Err(e) => fail(format!("figure8 present but unreadable: {e}")),
         }
     }
     if let Some(v) = json.get("figure9a") {
         match serde_json::from_value::<Vec<Figure9aCell>>(v.clone()) {
-            Ok(cells) => svgs.push(("figure9a.svg", epnet_report::render_figure9a(&cells))),
-            Err(e) => unreadable("figure9a", e),
+            Ok(cells) => match epnet_report::render_figure9a(&cells) {
+                Some(svg) => svgs.push(("figure9a.svg", svg)),
+                None => fail(one_column("figure9a")),
+            },
+            Err(e) => fail(format!("figure9a present but unreadable: {e}")),
         }
     }
     if let Some(v) = json.get("figure9b") {
         match serde_json::from_value::<Vec<Figure9bCell>>(v.clone()) {
-            Ok(cells) => svgs.push(("figure9b.svg", epnet_report::render_figure9b(&cells))),
-            Err(e) => unreadable("figure9b", e),
+            Ok(cells) => match epnet_report::render_figure9b(&cells) {
+                Some(svg) => svgs.push(("figure9b.svg", svg)),
+                None => fail(one_column("figure9b")),
+            },
+            Err(e) => fail(format!("figure9b present but unreadable: {e}")),
         }
     }
     if svgs.is_empty() && !failed {

@@ -87,7 +87,8 @@ pub fn grouped_bars(
 }
 
 /// A line chart with one polyline per series over shared x labels.
-/// `log_x` spaces the points by log₁₀ of `x_values`.
+/// `log_x` spaces the points by log₁₀ of `x_values`. `None` if there
+/// are fewer than two x values or no series (no axis to draw).
 pub fn lines(
     title: &str,
     y_label: &str,
@@ -95,8 +96,10 @@ pub fn lines(
     x_values: &[f64],
     series: &[Series],
     log_x: bool,
-) -> String {
-    assert!(x_values.len() >= 2 && !series.is_empty());
+) -> Option<String> {
+    if x_values.len() < 2 || series.is_empty() {
+        return None;
+    }
     let width = 480.0;
     let height = 320.0;
     let mut svg = Svg::new(width, height);
@@ -150,7 +153,7 @@ pub fn lines(
         }
     }
     legend(&mut svg, series, width);
-    svg.finish()
+    Some(svg.finish())
 }
 
 fn legend(svg: &mut Svg, series: &[Series], width: f64) {
@@ -213,10 +216,20 @@ mod tests {
         for s in &mut s {
             s.values.truncate(3);
         }
-        let out = lines("t", "us", "reactivation", &xs, &s, true);
+        let out = lines("t", "us", "reactivation", &xs, &s, true).expect("three x values");
         assert_eq!(out.matches("<polyline").count(), 2);
         assert!(out.contains("1k"));
         assert!(out.contains("10k"));
+    }
+
+    #[test]
+    fn lines_need_two_x_values_and_a_series() {
+        let mut s = series();
+        for s in &mut s {
+            s.values.truncate(1);
+        }
+        assert_eq!(lines("t", "us", "x", &[1.0], &s, false), None);
+        assert_eq!(lines("t", "us", "x", &[1.0, 2.0], &[], false), None);
     }
 
     #[test]

@@ -86,8 +86,9 @@ pub fn render_figure8(f: &Figure8) -> (String, String) {
     )
 }
 
-/// Figure 9(a) as a line chart (added latency vs target utilization).
-pub fn render_figure9a(cells: &[Figure9aCell]) -> String {
+/// Figure 9(a) as a line chart (added latency vs target utilization);
+/// `None` with fewer than two target values (a line needs two).
+pub fn render_figure9a(cells: &[Figure9aCell]) -> Option<String> {
     let mut targets: Vec<f64> = cells.iter().map(|c| c.target).collect();
     targets.sort_by(f64::total_cmp);
     targets.dedup();
@@ -107,8 +108,9 @@ pub fn render_figure9a(cells: &[Figure9aCell]) -> String {
     )
 }
 
-/// Figure 9(b) as a log-x line chart (added latency vs reactivation).
-pub fn render_figure9b(cells: &[Figure9bCell]) -> String {
+/// Figure 9(b) as a log-x line chart (added latency vs reactivation);
+/// `None` with fewer than two reactivation values.
+pub fn render_figure9b(cells: &[Figure9bCell]) -> Option<String> {
     let mut xs: Vec<f64> = cells.iter().map(|c| c.reactivation_ns as f64).collect();
     xs.sort_by(f64::total_cmp);
     xs.dedup();
@@ -328,8 +330,9 @@ mod tests {
                 })
             })
             .collect();
-        let svg = render_figure9a(&a_cells);
+        let svg = render_figure9a(&a_cells).expect("three targets");
         assert_eq!(svg.matches("<polyline").count(), 2);
+        assert_eq!(render_figure9a(&a_cells[..2]), None, "one target");
 
         let b_cells: Vec<Figure9bCell> = [100u64, 1_000, 10_000]
             .iter()
@@ -339,8 +342,9 @@ mod tests {
                 added_latency_us: ns as f64 / 100.0,
             })
             .collect();
-        let svg = render_figure9b(&b_cells);
+        let svg = render_figure9b(&b_cells).expect("three reactivation values");
         assert_eq!(svg.matches("<polyline").count(), 1);
+        assert_eq!(render_figure9b(&b_cells[..1]), None, "one value");
         assert!(svg.contains("log scale"));
     }
 }

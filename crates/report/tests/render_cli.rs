@@ -44,6 +44,29 @@ fn an_unreadable_figure_fails_after_the_rest_are_written() {
 }
 
 #[test]
+fn a_one_column_figure9_fails_after_the_rest_are_written() {
+    let dir = scratch("render_one_column");
+    let input = dir.join("results.json");
+    std::fs::write(
+        &input,
+        r#"{"figure9a": [{"workload": "Search", "target": 0.25, "added_latency_us": 1.0},
+                         {"workload": "Search", "target": 0.5, "added_latency_us": 2.0}],
+            "figure9b": [{"workload": "Search", "reactivation_ns": 1000, "added_latency_us": 1.0}]}"#,
+    )
+    .expect("input written");
+    let out_dir = dir.join("out");
+    let out = render(&[&input, &out_dir]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("figure9b has a single x value"), "{stderr}");
+    assert!(
+        out_dir.join("figure9a.svg").exists(),
+        "drawable figure written"
+    );
+    assert!(!out_dir.join("figure9b.svg").exists());
+}
+
+#[test]
 fn a_failed_write_fails() {
     let dir = scratch("render_unwritable");
     let input = dir.join("results.json");

@@ -6,11 +6,11 @@
 //! parallel `Vec`s indexed by [`ChannelId::index`] packs the working
 //! set of a paper-scale fabric into a few cache lines per event,
 //! instead of striding across ~200-byte `Channel` structs for every
-//! occupancy probe the adaptive router makes. Config and telemetry
-//! fields that only the per-epoch controller or the end-of-run
-//! reporter read (residency accounting, drain-first state, tunability)
-//! live in a cold side table so they never share a line with the hot
-//! arrays.
+//! occupancy probe the adaptive router makes. Residency is not per-
+//! channel state: the report needs only network-wide totals, so the
+//! rate/`F_OFF` funnel keeps a count of the channels in each class (the
+//! five ladder rates, then off) and one exact `u128` channel-time
+//! integral per class, advanced to `now` before a channel moves.
 //!
 //! Credit returns in flight back to a channel form a FIFO (each
 //! matures one propagation delay after its packet landed). Its head —
@@ -59,8 +59,8 @@
 //! flows' cached budgets (written in the same rate funnel that marks
 //! the active set), and the steady bitmap.
 //!
-//! The same mutation sites maintain three network-wide counters, so
-//! per-epoch questions about the whole fabric are counter reads:
+//! The same mutation sites maintain three more network-wide counters,
+//! so per-epoch questions about the whole fabric are counter reads:
 //!
 //! * the rate/power-asymmetric links (via the [`Channels::peer`]
 //!   table), replacing a per-epoch O(links) asymmetry sweep;
@@ -68,10 +68,11 @@
 //!   bound on every channel's occupancy;
 //! * [`Channels::unsteady`], the channels powered off or draining.
 //!
-//! `EpochMode::Sweep` keeps the full sweep alive and cross-checks all
-//! three, and the steady count, against a recount (see `engine.rs`).
+//! `EpochMode::Sweep` keeps the full sweep alive and cross-checks them,
+//! the steady count and the residency classes against a recount.
 
 use crate::packet::{PacketId, NO_PACKET};
+use crate::stats::RateResidency;
 use crate::SimTime;
 use epnet_power::LinkRate;
 use std::collections::VecDeque;
@@ -85,13 +86,12 @@ pub(crate) const F_RETRY: u8 = 1 << 2;
 /// A `CreditWake` event is already pending.
 pub(crate) const F_CREDIT_WAKE: u8 = 1 << 3;
 /// A drain-first rate change is parked on this channel — mirrors
-/// `ChannelCold::pending_rate.is_some()` so the adaptive router's
+/// `Channels::pending_rate[i].is_some()` so the adaptive router's
 /// "remove from the legal routes" check (§3.2) stays on the hot side.
 pub(crate) const F_DRAINING: u8 = 1 << 4;
 /// The controller may retune this channel (set once at construction).
 /// Lives in the flags byte so the per-epoch decision sweep — every
-/// channel, every tick — never has to touch the cold table for the
-/// channels it skips.
+/// channel, every tick — reads one byte for the channels it skips.
 pub(crate) const F_TUNABLE: u8 = 1 << 5;
 /// Either latch that takes a channel out of the fluid regime's steady
 /// paths (powered off or draining); [`Channels::unsteady`] counts the
@@ -128,25 +128,13 @@ struct CreditSlot {
 /// No spill buffer: the channel has at most one unmatured return.
 const NO_SPILL: u32 = u32::MAX;
 
-/// Cold per-channel state: read at epoch ticks and at finish, never on
-/// the per-event fast path.
-#[derive(Debug, Clone)]
-pub(crate) struct ChannelCold {
-    /// Residency accounting: time at each rate since the run started.
-    pub time_at_rate_ps: [u64; LinkRate::COUNT],
-    /// Time powered off (dynamic topologies, §5.2).
-    pub off_ps: u64,
-    /// When the current rate/off interval began.
-    pub rate_since: SimTime,
-    /// Rate change waiting for the queue to drain (§3.2's first
-    /// tolerance option).
-    pub pending_rate: Option<LinkRate>,
-}
+/// Residency classes: the ladder rates (by [`LinkRate::index`]), then
+/// powered off.
+const CLASSES: usize = LinkRate::COUNT + 1;
 
-/// All per-channel runtime state, split hot (per-event) from cold
-/// (per-epoch / per-run). Every `Vec` is indexed by
+/// All per-channel runtime state. Every `Vec` is indexed by
 /// [`ChannelId::index`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Channels {
     // ---- hot: touched on the per-event fast path ----
     /// Bytes in the output queue (including the packet being
@@ -219,8 +207,15 @@ pub(crate) struct Channels {
     steady_bits: Vec<u64>,
     /// Set bits in `steady_bits`.
     steady: u64,
-    // ---- cold ----
-    pub cold: Vec<ChannelCold>,
+    /// Rate change waiting for the queue to drain (§3.2's first
+    /// tolerance option), mirrored by [`F_DRAINING`].
+    pending_rate: Vec<Option<LinkRate>>,
+    /// Channels in each residency class.
+    class_count: [u64; CLASSES],
+    /// Channel-time of each class up to `residency_at`.
+    residency: RateResidency,
+    /// Time `residency` was last advanced to.
+    residency_at: SimTime,
 }
 
 impl Channels {
@@ -240,18 +235,10 @@ impl Channels {
             wire_tail: Vec::with_capacity(n),
             credit: Vec::with_capacity(n),
             spill: Vec::with_capacity(n),
-            spill_bufs: Vec::new(),
-            spill_free: Vec::new(),
             active_bits: Vec::with_capacity(n.div_ceil(64)),
-            queued_total: 0,
-            unsteady: 0,
             peer: Vec::with_capacity(n),
-            asym_links: 0,
-            fluid: Vec::new(),
-            changed_bits: Vec::new(),
-            steady_bits: Vec::new(),
-            steady: 0,
-            cold: Vec::with_capacity(n),
+            pending_rate: Vec::with_capacity(n),
+            ..Self::default()
         }
     }
 
@@ -288,12 +275,8 @@ impl Channels {
         }
         self.mark_active(i);
         self.peer.push(i as u32);
-        self.cold.push(ChannelCold {
-            time_at_rate_ps: [0; LinkRate::COUNT],
-            off_ps: 0,
-            rate_since: SimTime::ZERO,
-            pending_rate: None,
-        });
+        self.pending_rate.push(None);
+        self.class_count[rate.index()] += 1;
     }
 
     /// Number of channels.
@@ -421,13 +404,30 @@ impl Channels {
         self.rate[i] != self.rate[p] || (self.flags[i] ^ self.flags[p]) & F_OFF != 0
     }
 
-    /// Applies `f` to channel `i`'s state while keeping the asymmetric-
-    /// link counter exact, and marks the channel active: every rate or
-    /// `F_OFF` mutation funnels through here.
+    /// Channel `i`'s residency class.
     #[inline]
-    fn mutate_link_state(&mut self, i: usize, f: impl FnOnce(&mut Self)) {
+    fn class(&self, i: usize) -> usize {
+        if self.flags[i] & F_OFF != 0 {
+            LinkRate::COUNT
+        } else {
+            self.rate[i].index()
+        }
+    }
+
+    /// Applies `f` to channel `i`'s state at `now`, keeping the
+    /// asymmetric-link counter and the residency exact, and marks the
+    /// channel active: every rate or `F_OFF` mutation funnels here.
+    #[inline]
+    fn mutate_link_state(&mut self, i: usize, now: SimTime, f: impl FnOnce(&mut Self)) {
         let was = self.link_is_asymmetric(i);
+        let from = self.class(i);
         f(self);
+        let to = self.class(i);
+        if from != to {
+            self.residency(now);
+            self.class_count[from] -= 1;
+            self.class_count[to] += 1;
+        }
         let is = self.link_is_asymmetric(i);
         match (was, is) {
             (false, true) => self.asym_links += 1,
@@ -548,12 +548,35 @@ impl Channels {
             .sum()
     }
 
-    /// Sets the configured rate of channel `i`, maintaining the
-    /// asymmetry counter and the active set. All rate writes after
-    /// construction must come through here (or
+    /// Sets channel `i`'s rate at `now` (see `mutate_link_state`). All
+    /// rate writes after construction must come through here (or
     /// [`Channels::reactivate`]).
-    pub fn set_rate(&mut self, i: usize, rate: LinkRate) {
-        self.mutate_link_state(i, |c| c.rate[i] = rate);
+    pub fn set_rate(&mut self, i: usize, now: SimTime, rate: LinkRate) {
+        self.mutate_link_state(i, now, |c| c.rate[i] = rate);
+    }
+
+    /// Network-wide residency over `[0, now)`: advances every class's
+    /// integral to `now` (a no-op if already there) and returns them.
+    #[inline]
+    pub fn residency(&mut self, now: SimTime) -> RateResidency {
+        let dt = u128::from((now - self.residency_at).as_ps());
+        if dt > 0 {
+            let r = &mut self.residency;
+            let classes = r.at_rate_ps.iter_mut().chain([&mut r.off_ps]);
+            for (ps, &n) in classes.zip(&self.class_count) {
+                *ps += u128::from(n) * dt;
+            }
+            self.residency_at = now;
+        }
+        self.residency
+    }
+
+    /// Whether the class counts match a recount (sweep cross-check).
+    #[cfg(any(test, debug_assertions))]
+    pub fn residency_counts_match(&self) -> bool {
+        let mut count = [0u64; CLASSES];
+        (0..self.len()).for_each(|i| count[self.class(i)] += 1);
+        count == self.class_count
     }
 
     /// Whether channel `i` may rest outside the active set: nothing
@@ -731,18 +754,6 @@ impl Channels {
         credits
     }
 
-    /// Closes the current residency interval of channel `i` at `now`.
-    pub fn note_interval(&mut self, i: usize, now: SimTime) {
-        let cold = &mut self.cold[i];
-        let span = (now - cold.rate_since).as_ps();
-        if self.flags[i] & F_OFF != 0 {
-            cold.off_ps += span;
-        } else {
-            cold.time_at_rate_ps[self.rate[i].index()] += span;
-        }
-        cold.rate_since = now;
-    }
-
     /// Utilization of channel `i` over the epoch that just ended.
     pub fn epoch_utilization(&self, i: usize, epoch: SimTime) -> f64 {
         let busy = self.epoch_busy_ps(i);
@@ -754,14 +765,12 @@ impl Channels {
         (busy as f64 / epoch.as_ps() as f64).min(1.0)
     }
 
-    /// Transitions the channel's powered state, closing the residency
-    /// interval (dynamic topologies, §5.2). Maintains the asymmetry
-    /// counter and the active set — `F_OFF` is half of the link-
-    /// asymmetry predicate.
+    /// Transitions the channel's powered state at `now` (dynamic
+    /// topologies, §5.2; see `mutate_link_state`): `F_OFF` is half of
+    /// the link-asymmetry predicate and a residency class of its own.
     pub fn set_off(&mut self, i: usize, now: SimTime, off: bool) {
         debug_assert!(!off || self.queue_is_idle(i), "powering off a busy channel");
-        self.note_interval(i, now);
-        self.mutate_link_state(i, |c| {
+        self.mutate_link_state(i, now, |c| {
             if off {
                 c.set_flag(i, F_OFF);
             } else {
@@ -773,8 +782,7 @@ impl Channels {
     /// Brings the channel up at `rate`, unusable until the reactivation
     /// completes.
     pub fn reactivate(&mut self, i: usize, now: SimTime, reactivation: SimTime, rate: LinkRate) {
-        self.note_interval(i, now);
-        self.set_rate(i, rate);
+        self.set_rate(i, now, rate);
         self.available_at[i] = now + reactivation;
     }
 
@@ -782,7 +790,7 @@ impl Channels {
     /// hot-side `F_DRAINING` mirror in sync. A draining channel is
     /// never resting, so parking one pins it in the active set.
     pub fn set_pending_rate(&mut self, i: usize, rate: Option<LinkRate>) {
-        self.cold[i].pending_rate = rate;
+        self.pending_rate[i] = rate;
         if rate.is_some() {
             self.set_flag(i, F_DRAINING);
             self.mark_active(i);
@@ -793,7 +801,7 @@ impl Channels {
 
     /// Takes the parked drain-first rate change, if any.
     pub fn take_pending_rate(&mut self, i: usize) -> Option<LinkRate> {
-        let rate = self.cold[i].pending_rate.take();
+        let rate = self.pending_rate[i].take();
         self.clear_flag(i, F_DRAINING);
         rate
     }
@@ -802,6 +810,10 @@ impl Channels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epnet_power::RATE_LADDER;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn two() -> Channels {
         let mut c = Channels::with_capacity(2);
@@ -902,15 +914,100 @@ mod tests {
 
     #[test]
     fn residency_intervals_accumulate_per_state() {
+        let ns = |n: u64| u128::from(SimTime::from_ns(n).as_ps());
         let mut c = two();
-        c.note_interval(0, SimTime::from_ns(100));
-        assert_eq!(
-            c.cold[0].time_at_rate_ps[LinkRate::MAX.index()],
-            SimTime::from_ns(100).as_ps()
-        );
+        let r = c.residency(SimTime::from_ns(100));
+        assert_eq!(r.at_rate_ps[LinkRate::MAX.index()], 2 * ns(100));
+        assert_eq!(r.total_ps(), 2 * ns(100));
         c.set_off(0, SimTime::from_ns(150), true);
-        c.note_interval(0, SimTime::from_ns(250));
-        assert_eq!(c.cold[0].off_ps, SimTime::from_ns(100).as_ps());
+        c.set_rate(1, SimTime::from_ns(200), LinkRate::MIN);
+        let r = c.residency(SimTime::from_ns(250));
+        assert_eq!(r.off_ps, ns(100));
+        assert_eq!(r.at_rate_ps[LinkRate::MAX.index()], ns(150) + ns(200));
+        assert_eq!(r.at_rate_ps[LinkRate::MIN.index()], ns(50));
+        assert_eq!(r.total_ps(), 2 * ns(250));
+        // Reading again at the same time changes nothing.
+        assert_eq!(c.residency(SimTime::from_ns(250)), r);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random rate changes, power-offs/ons and reactivations at
+        /// nondecreasing times over a few channels give the network-wide
+        /// totals a per-channel span accumulation gives, at every read.
+        #[test]
+        fn residency_totals_match_per_channel_spans(seed in any::<u64>(), ops in 1usize..300) {
+            /// Per channel: powered off, rate, start of the open span;
+            /// and the spans closed so far.
+            struct Oracle {
+                state: Vec<(bool, LinkRate, SimTime)>,
+                closed: RateResidency,
+            }
+            impl Oracle {
+                fn close(&mut self, i: usize, now: SimTime) {
+                    let (off, rate, since) = &mut self.state[i];
+                    let span = u128::from((now - *since).as_ps());
+                    if *off {
+                        self.closed.off_ps += span;
+                    } else {
+                        self.closed.at_rate_ps[rate.index()] += span;
+                    }
+                    *since = now;
+                }
+                fn totals(&mut self, now: SimTime) -> RateResidency {
+                    for i in 0..self.state.len() {
+                        self.close(i, now);
+                    }
+                    self.closed
+                }
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..6);
+            let mut c = Channels::with_capacity(n);
+            let mut oracle = Oracle { state: Vec::new(), closed: RateResidency::default() };
+            for i in 0..n {
+                let rate = RATE_LADDER[rng.gen_range(0..LinkRate::COUNT)];
+                c.push(rate, 1024, true, SimTime::from_ns(5));
+                oracle.state.push((false, rate, SimTime::ZERO));
+                if i % 2 == 1 {
+                    c.set_peers(i - 1, i);
+                }
+            }
+            let mut now = SimTime::ZERO;
+            for _ in 0..ops {
+                // Many ops share a time, as decisions share an epoch tick.
+                if rng.gen_range(0u8..3) == 0 {
+                    now += SimTime::from_ps(rng.gen_range(1u64..5_000_000));
+                }
+                let i = rng.gen_range(0..n);
+                let rate = RATE_LADDER[rng.gen_range(0..LinkRate::COUNT)];
+                match rng.gen_range(0u8..4) {
+                    0 => {
+                        oracle.close(i, now);
+                        oracle.state[i].1 = rate;
+                        c.set_rate(i, now, rate);
+                    }
+                    1 => {
+                        let off = rng.gen_bool(0.5);
+                        oracle.close(i, now);
+                        oracle.state[i].0 = off;
+                        c.set_off(i, now, off);
+                    }
+                    2 => {
+                        oracle.close(i, now);
+                        oracle.state[i].1 = rate;
+                        c.reactivate(i, now, SimTime::from_us(1), rate);
+                    }
+                    _ => prop_assert_eq!(c.residency(now), oracle.totals(now)),
+                }
+                prop_assert!(c.residency_counts_match());
+            }
+            let end = now + SimTime::from_ps(rng.gen_range(0u64..5_000_000));
+            let totals = c.residency(end);
+            prop_assert_eq!(totals, oracle.totals(end));
+            prop_assert_eq!(totals.total_ps(), n as u128 * u128::from(end.as_ps()));
+        }
     }
 
     #[test]
@@ -925,12 +1022,12 @@ mod tests {
         assert!(c.is_active(0), "tunable above floor must stay active");
         assert!(!c.is_active(1), "exempt idle channel must rest");
         // At the floor, the tunable one rests too...
-        c.set_rate(0, LinkRate::MIN);
-        c.set_rate(1, LinkRate::MIN);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MIN);
+        c.set_rate(1, SimTime::ZERO, LinkRate::MIN);
         c.retire_resting(LinkRate::MIN, true);
         assert_eq!(c.active_len(), 0);
         // ...and re-enters the set on the next rate write.
-        c.set_rate(0, LinkRate::MAX);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MAX);
         assert!(c.is_active(0));
         assert_eq!(c.active_len(), 1);
         // mark_active is idempotent: membership is one bit.
@@ -941,7 +1038,7 @@ mod tests {
     #[test]
     fn resting_requires_idle_queue_and_zero_busy() {
         let mut c = two();
-        c.set_rate(0, LinkRate::MIN);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MIN);
         c.add_occupancy(0, 64);
         c.retire_resting(LinkRate::MIN, true);
         assert!(c.is_active(0), "queued bytes pin the channel active");
@@ -976,11 +1073,11 @@ mod tests {
         let mut c = two();
         c.set_peers(0, 1);
         assert_eq!(c.asymmetric_links(), 0);
-        c.set_rate(0, LinkRate::MIN);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MIN);
         assert_eq!(c.asymmetric_links(), 1);
         assert!(c.link_is_asymmetric(0) && c.link_is_asymmetric(1));
         // Converging the peer restores symmetry.
-        c.set_rate(1, LinkRate::MIN);
+        c.set_rate(1, SimTime::ZERO, LinkRate::MIN);
         assert_eq!(c.asymmetric_links(), 0);
         // Powered-state divergence counts too (§3.3.1's evidence
         // includes off-vs-on links).
@@ -1009,11 +1106,11 @@ mod tests {
         }
         c.set_peers(0, 1);
         c.set_peers(2, 3);
-        c.set_rate(0, LinkRate::MIN);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MIN);
         c.set_off(2, SimTime::ZERO, true);
         assert_eq!(c.asymmetric_links(), 2);
         assert_eq!(recount(&c), 2, "recount must agree");
-        c.set_rate(1, LinkRate::MIN);
+        c.set_rate(1, SimTime::ZERO, LinkRate::MIN);
         assert_eq!(c.asymmetric_links(), 1, "only the off link remains");
         assert_eq!(recount(&c), 1);
     }
@@ -1023,7 +1120,7 @@ mod tests {
         // Unit-style construction without `set_peers`: every channel is
         // its own peer and the counter must stay pinned at zero.
         let mut c = two();
-        c.set_rate(0, LinkRate::MIN);
+        c.set_rate(0, SimTime::ZERO, LinkRate::MIN);
         c.set_off(1, SimTime::ZERO, true);
         assert_eq!(c.asymmetric_links(), 0);
     }
@@ -1049,7 +1146,7 @@ mod tests {
         // ...but dropping the idle ones to the floor retires all except
         // the queued two and the one with overhang.
         for i in 0..130 {
-            c.set_rate(i, LinkRate::MIN);
+            c.set_rate(i, SimTime::ZERO, LinkRate::MIN);
         }
         let (sum2, _) = c.sample_active_and_retire(now, epoch_ps, LinkRate::MIN, true);
         assert_eq!(sum2, 350);

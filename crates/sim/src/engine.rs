@@ -27,16 +27,16 @@
 //!
 //! Per-channel state is struct-of-arrays ([`crate::channels::Channels`]):
 //! the fields every event touches live in dense parallel `Vec`s indexed
-//! by channel, cold config/telemetry fields in a side table. Channel
-//! targets and arrival offsets are precomputed per channel at
-//! construction. An event is 32 bits in a 16-byte queue entry, and
-//! each wire has at most one `Arrive` queued: packets launched behind
-//! it wait in a chain through their packet records, under the keys
-//! they reserved at launch ([`Core::launch`]). A channel's earliest
-//! credit return sits inline in its hot arrays; later ones spill into
-//! a pool. Message records, packet slots and spilled credit buffers
-//! recycle through free lists, so a warmed-up run performs no
-//! steady-state heap allocation (see DESIGN.md "Memory layout").
+//! by channel, and residency is network-wide. Channel targets and
+//! arrival offsets are precomputed per channel at construction. An
+//! event is 32 bits in a 16-byte queue entry, and each wire has at most
+//! one `Arrive` queued: packets launched behind it wait in a chain
+//! through their packet records, under the keys they reserved at launch
+//! ([`Core::launch`]). A channel's earliest credit return sits inline
+//! in its hot arrays; later ones spill into a pool. Message records,
+//! packet slots and spilled credit buffers recycle through free lists,
+//! so a warmed-up run performs no steady-state heap allocation (see
+//! DESIGN.md "Memory layout").
 
 use crate::channels::{
     set_bits, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE,
@@ -50,10 +50,10 @@ use crate::instrument::Instruments;
 use crate::options::{EpochMode, RunOptions, SimModel};
 use crate::packet::{MessageId, Packet, PacketArena, PacketId, NO_PACKET};
 use crate::sched::Scheduler;
-use crate::stats::{RateResidency, SimReport, Stats};
+use crate::stats::{SimReport, Stats};
 use crate::traffic::{Message, TrafficSource};
 use crate::SimTime;
-use epnet_power::{LinkRate, RATE_LADDER};
+use epnet_power::LinkRate;
 use epnet_telemetry::{Layer, TraceCategory, Tracer};
 use epnet_topology::{
     ChannelId, FabricGraph, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology, SwitchId,
@@ -1144,6 +1144,10 @@ impl Core {
                 self.channels.steady_count(),
                 "resting-after-hold counter drifted from the swept count"
             );
+            debug_assert!(
+                self.channels.residency_counts_match(),
+                "residency class counts drifted from the swept count"
+            );
         }
         if let Some(mut dt) = self.dyntopo.take() {
             lap = self.inst.profile.lap(Layer::EpochSample, lap);
@@ -1505,7 +1509,7 @@ impl Core {
     fn apply_rate(&mut self, ch: ChannelId, rate: LinkRate) -> RateOutcome {
         let i = ch.index();
         let strategy = self.config.reactivation_strategy;
-        // The F_DRAINING mirror gates the cold-table take: the common
+        // The F_DRAINING mirror gates the pending-rate take: the common
         // hold/no-drain decision — the bulk of every epoch sweep —
         // never touches `pending_rate` at all.
         if self.channels.has_flag(i, F_DRAINING)
@@ -1567,8 +1571,7 @@ impl Core {
         let now = self.now;
         let model = self.config.reactivation;
         let latency = model.latency(self.channels.rate[i], rate);
-        self.channels.note_interval(i, now);
-        self.channels.set_rate(i, rate);
+        self.channels.set_rate(i, now, rate);
         let until = now + latency;
         self.channels.available_at[i] = until;
         self.stats.reconfigurations += 1;
@@ -1600,18 +1603,7 @@ impl Core {
                 .charge(Layer::FluidAdvance, start.elapsed());
         }
         let end = self.now;
-        let mut residency = RateResidency {
-            at_rate_ps: [0; LinkRate::COUNT],
-            off_ps: 0,
-        };
-        for i in 0..self.channels.len() {
-            self.channels.note_interval(i, end);
-            let cold = &self.channels.cold[i];
-            for r in RATE_LADDER {
-                residency.at_rate_ps[r.index()] += u128::from(cold.time_at_rate_ps[r.index()]);
-            }
-            residency.off_ps += u128::from(cold.off_ps);
-        }
+        let residency = self.channels.residency(end);
         let s = &self.stats;
         let mean_packet_latency = if s.packets > 0 {
             SimTime::from_ps((s.packet_latency_sum_ps / u128::from(s.packets)) as u64)

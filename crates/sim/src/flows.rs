@@ -616,10 +616,14 @@ mod tests {
         assert_eq!(full_of_a(&sim), alone);
         // A path channel halves its rate: the next pass recomputes.
         let eject = sim.core.eject_channel[7].index();
-        sim.core.channels.set_rate(eject, LinkRate::R20);
+        sim.core
+            .channels
+            .set_rate(eject, sim.core.now, LinkRate::R20);
         sim.advance_until(SimTime::from_us(25));
         assert_eq!(full_of_a(&sim), alone / 2, "rate change ignored");
-        sim.core.channels.set_rate(eject, LinkRate::R40);
+        sim.core
+            .channels
+            .set_rate(eject, sim.core.now, LinkRate::R40);
         sim.advance_until(SimTime::from_us(35));
         assert_eq!(full_of_a(&sim), alone);
         // B joins A's injection channel at 40 µs...

@@ -285,7 +285,7 @@ pub struct TimelineEvent {
 }
 
 /// Aggregated per-rate residency of every channel over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RateResidency {
     /// Picoseconds of channel-time at each ladder rate, slowest first
     /// (index with [`LinkRate::index`]).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Benchmark smoke: a rustfmt check, a clippy check, one traced
-# canonical run validated against the documented trace schema, a
-# Perfetto export and every trace-analysis command over that capture,
+# Benchmark smoke: rustfmt and clippy checks over the workspace and
+# the reference benchmark package, one traced canonical run validated
+# against the documented trace schema, a Perfetto export and every trace-analysis command over that capture,
 # the reduced run of every benchmark axis (its scale axis runs the
 # 2^20-host flat, so this takes minutes), a rustdoc build with warnings
 # denied, and the reference benchmark package's tests.
@@ -16,10 +16,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Formatting first: it is the cheapest check and nothing else runs it.
+# The reference benchmark is a package of its own (its own workspace),
+# so the workspace-wide steps skip it; check it by its manifest.
+BENCHMARK_MANIFEST=crates/bench/src/bin/benchmark/Cargo.toml
 cargo fmt --all --check
+cargo fmt --all --check --manifest-path "$BENCHMARK_MANIFEST"
 
-# Lints next, with warnings denied, over every target of the workspace.
+# Lints next, with warnings denied, over every target of the workspace
+# and of the reference benchmark package.
 cargo clippy --workspace --offline --all-targets -- -D warnings
+cargo clippy --offline --all-targets --manifest-path "$BENCHMARK_MANIFEST" -- -D warnings
 
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events
@@ -52,4 +58,4 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 # The reference benchmark is its own Cargo package (its own workspace),
 # so the workspace's `cargo test` never compiles it: build and test it
 # here so a library API change cannot silently break the measuring tool.
-cargo test --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+cargo test --offline --manifest-path "$BENCHMARK_MANIFEST"

@@ -95,7 +95,12 @@ proptest! {
                 "relative power {p} below the all-slowest floor {floor}"
             );
         }
-        // Residency fractions partition the run.
+        // Residency partitions the run: exactly, in channel-time, and
+        // so its fractions sum to one.
+        prop_assert_eq!(
+            report.residency.total_ps(),
+            report.num_channels as u128 * u128::from(report.duration.as_ps())
+        );
         let total: f64 = report.time_at_speed_fractions().iter().sum::<f64>()
             + report.residency.off_fraction();
         prop_assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
