@@ -63,12 +63,14 @@ pub const HYBRID_ALLOCS_PER_EVENT: f64 = 0.1;
 
 /// Peak live heap per fabric channel a hybrid `scale` point may reach,
 /// in bytes. Channel state dominates the hybrid model's heap, so every
-/// hybrid point measures 240–275 B/channel whatever its shape: ~1.2
-/// KiB/host on the 2^20-host flat (~4.9 channels/host), ~7.7 KiB/host on
+/// hybrid point measures 114–162 B/channel whatever its shape (the
+/// smallest, 2,816 channels, carries the most fixed overhead): ~580
+/// B/host on the 2^20-host flat (~4.9 channels/host), ~3.6 KiB/host on
 /// the 4,096-host multi-pod Clos (32 channels/host). The bound leaves
-/// ~2× headroom at every size and caps the million-host point near
-/// 2.5 KiB/host.
-pub const HYBRID_PEAK_HEAP_PER_CHANNEL: u64 = 512;
+/// ~1.6× headroom at every size and caps the million-host point near
+/// 1.25 KiB/host; `tests/tests/zero_alloc.rs` pins the Clos point
+/// tighter.
+pub const HYBRID_PEAK_HEAP_PER_CHANNEL: u64 = 256;
 
 /// Host count of the first true 10^6-host point
 /// (`FlattenedButterfly::grouped(32, 32, 4)`: 2^20 hosts on 32,768

@@ -238,10 +238,10 @@ mod tests {
         }
         // A channel-dense fabric is measured per channel, not per host:
         // the multi-pod Clos carries 32 channels per host and measures
-        // ~7,700 B/host at ~240 B/channel.
+        // ~3,660 B/host at ~114 B/channel.
         let mut clos = hybrid_scale("hybrid_clos_16p16", 4096);
         clos.channels = 4096 * 32;
-        clos.alloc.as_mut().unwrap().peak_bytes = 4096 * 7_700;
+        clos.alloc.as_mut().unwrap().peak_bytes = 4096 * 3_660;
         assert!(validate(&render_sample(&document(vec![clos, million()]))).is_ok());
         // Median wall clock over the pinned budget.
         let slow = million().with_wall(MILLION_HOST_WALL_BUDGET_MS * 2.0);

@@ -12,18 +12,29 @@
 //! five ladder rates, then off) and one exact `u128` channel-time
 //! integral per class, advanced to `now` before a channel moves.
 //!
+//! Output queues are not per-channel containers: every channel's queue
+//! of packet ids lives in one chunk-pooled [`Fifos`], whose only
+//! per-channel state is a 4-byte handle (see `fifo.rs`). A million
+//! empty queues then cost 4 MB rather than a 32-byte `VecDeque` header
+//! each, and the pool retains chunks for the peak number of packets
+//! queued at once, not the largest capacity each queue ever served.
+//!
 //! Credit returns in flight back to a channel form a FIFO (each
 //! matures one propagation delay after its packet landed). Its head —
 //! the earliest unmatured return — sits inline in a 16-byte
 //! [`CreditSlot`] in the hot arrays, beside a `matured` count: returns
 //! that have matured by the time of a push fold into it, and `try_tx`
 //! adds it to the credit balance. Only a channel with a second
-//! unmatured return touches the spill pool, through a 4-byte
-//! per-channel index: buffers come from a free list and go back to it
-//! when they drain, so after warmup the pool holds the high-water
-//! number of concurrently spilled channels and steady-state operation
+//! unmatured return touches the spill queues, a second [`Fifos`] whose
+//! chunks recycle through its free list, so steady-state operation
 //! performs no heap allocation (verified by the counting allocator in
 //! the benchmark's `scale` axis and the regression tests).
+//!
+//! Wire delays are not per-channel state either. A channel's
+//! propagation delay depends only on its medium, and its tail-to-arrival
+//! delay adds the router pipeline when the far end is a switch, so two
+//! flag bits set at construction ([`F_OPTICAL`], [`F_TO_SWITCH`]) index
+//! a four-entry table built from the configuration.
 //!
 //! # The active set
 //!
@@ -71,11 +82,11 @@
 //! `EpochMode::Sweep` keeps the full sweep alive and cross-checks them,
 //! the steady count and the residency classes against a recount.
 
+use crate::fifo::Fifos;
 use crate::packet::{PacketId, NO_PACKET};
 use crate::stats::RateResidency;
 use crate::SimTime;
 use epnet_power::LinkRate;
-use std::collections::VecDeque;
 
 /// A packet is currently being serialized on the channel.
 pub(crate) const F_BUSY: u8 = 1 << 0;
@@ -97,6 +108,22 @@ pub(crate) const F_TUNABLE: u8 = 1 << 5;
 /// paths (powered off or draining); [`Channels::unsteady`] counts the
 /// channels carrying one.
 pub(crate) const F_UNSTEADY: u8 = F_OFF | F_DRAINING;
+/// The channel's medium is optical (set once at construction): the
+/// low bit of its wire class.
+pub(crate) const F_OPTICAL: u8 = 1 << 6;
+/// The channel's far end is a switch, not a host (set once at
+/// construction): the high bit of its wire class.
+pub(crate) const F_TO_SWITCH: u8 = 1 << 7;
+/// Position of the wire-class bits in the flags byte.
+const WIRE_SHIFT: u8 = 6;
+
+/// The tail-to-arrival delay of each wire class, indexed by a channel's
+/// class bits (`flags >> 6`: [`F_OPTICAL`], then [`F_TO_SWITCH`]): the
+/// medium's propagation delay, plus the router pipeline when the far
+/// end is a switch (hosts consume directly).
+pub(crate) fn wire_delays(electrical: SimTime, optical: SimTime, router: SimTime) -> [SimTime; 4] {
+    [electrical, optical, electrical + router, optical + router]
+}
 
 /// Ascending indices of the set bits of `word`, offset by `base` — one
 /// bitmap word of an ordered set.
@@ -125,9 +152,6 @@ struct CreditSlot {
     matured: u32,
 }
 
-/// No spill buffer: the channel has at most one unmatured return.
-const NO_SPILL: u32 = u32::MAX;
-
 /// Residency classes: the ladder rates (by [`LinkRate::index`]), then
 /// powered off.
 const CLASSES: usize = LinkRate::COUNT + 1;
@@ -148,11 +172,9 @@ pub(crate) struct Channels {
     pub rate: Vec<LinkRate>,
     /// Channel unusable until this time (reactivation, §3.1).
     pub available_at: Vec<SimTime>,
-    /// `F_*` latches. Written only through the flag setters, which keep
-    /// `unsteady` exact.
+    /// `F_*` latches and the wire-class bits. Written only through the
+    /// flag setters, which keep `unsteady` exact.
     pub flags: Vec<u8>,
-    /// Propagation delay of the physical medium.
-    pub prop: Vec<SimTime>,
     /// End of the in-progress transmission, if any.
     pub busy_until: Vec<SimTime>,
     /// Busy picoseconds accumulated this epoch.
@@ -161,8 +183,8 @@ pub(crate) struct Channels {
     pub train_len: Vec<u32>,
     /// Total bytes of the in-progress train.
     pub train_bytes: Vec<u64>,
-    /// Output queues feeding each channel (elastic).
-    pub queues: Vec<VecDeque<PacketId>>,
+    /// Output queue of each channel (elastic), in one chunk pool.
+    pub queues: Fifos<PacketId>,
     /// Arena slot of the packet launched last on each channel while it
     /// is still on the wire, else [`NO_PACKET`]: the next launch chains
     /// its arrival behind it.
@@ -170,13 +192,11 @@ pub(crate) struct Channels {
     /// Each channel's earliest unmatured credit return and matured
     /// bytes (see the module docs).
     credit: Vec<CreditSlot>,
-    /// Each channel's spill buffer in `spill_bufs`, or [`NO_SPILL`].
-    spill: Vec<u32>,
-    /// Second and later unmatured returns of the channels that have
-    /// them, as `(maturation time, bytes)` in nondecreasing time order.
-    spill_bufs: Vec<VecDeque<(SimTime, u32)>>,
-    /// Drained spill buffers awaiting reuse (capacity retained).
-    spill_free: Vec<u32>,
+    /// Each channel's second and later unmatured returns, as
+    /// `(maturation time, bytes)` in nondecreasing time order.
+    spill: Fifos<(SimTime, u32)>,
+    /// Tail-to-arrival delay of each wire class (see [`wire_delays`]).
+    wire_delay: [SimTime; 4],
     // ---- active set and network-wide counters (see module docs) ----
     /// The active set: one bit per channel, bit `i % 64` of word
     /// `i / 64`.
@@ -219,22 +239,24 @@ pub(crate) struct Channels {
 }
 
 impl Channels {
-    pub fn with_capacity(n: usize) -> Self {
+    /// No channels yet, with room for `n`; `wire_delay` is the table
+    /// [`wire_delays`] builds.
+    pub fn with_capacity(n: usize, wire_delay: [SimTime; 4]) -> Self {
         Self {
             occupancy: Vec::with_capacity(n),
             credits: Vec::with_capacity(n),
             rate: Vec::with_capacity(n),
             available_at: Vec::with_capacity(n),
             flags: Vec::with_capacity(n),
-            prop: Vec::with_capacity(n),
             busy_until: Vec::with_capacity(n),
             busy_ps_epoch: Vec::with_capacity(n),
             train_len: Vec::with_capacity(n),
             train_bytes: Vec::with_capacity(n),
-            queues: Vec::with_capacity(n),
+            queues: Fifos::with_capacity(n),
             wire_tail: Vec::with_capacity(n),
             credit: Vec::with_capacity(n),
-            spill: Vec::with_capacity(n),
+            spill: Fifos::with_capacity(n),
+            wire_delay,
             active_bits: Vec::with_capacity(n.div_ceil(64)),
             peer: Vec::with_capacity(n),
             pending_rate: Vec::with_capacity(n),
@@ -251,25 +273,28 @@ impl Channels {
         self.steady_bits = vec![0; n.div_ceil(64)];
     }
 
-    /// Appends one channel in its initial state. New channels start in
-    /// the active set (they sit at `rate`, typically above the floor);
-    /// the first epoch tick retires the ones that turn out resting.
-    pub fn push(&mut self, rate: LinkRate, credits: u32, tunable: bool, prop: SimTime) {
+    /// Appends one channel in its initial state; `wire` holds its
+    /// wire-class bits ([`F_OPTICAL`], [`F_TO_SWITCH`]). New channels
+    /// start in the active set (they sit at `rate`, typically above the
+    /// floor); the first epoch tick retires the ones that turn out
+    /// resting.
+    pub fn push(&mut self, rate: LinkRate, credits: u32, tunable: bool, wire: u8) {
+        debug_assert_eq!(wire & !(F_OPTICAL | F_TO_SWITCH), 0, "not a wire class");
         let i = self.flags.len();
         self.occupancy.push(0);
         self.credits.push(credits);
         self.rate.push(rate);
         self.available_at.push(SimTime::ZERO);
-        self.flags.push(if tunable { F_TUNABLE } else { 0 });
-        self.prop.push(prop);
+        self.flags
+            .push(if tunable { F_TUNABLE | wire } else { wire });
         self.busy_until.push(SimTime::ZERO);
         self.busy_ps_epoch.push(0);
         self.train_len.push(0);
         self.train_bytes.push(0);
-        self.queues.push(VecDeque::new());
+        self.queues.push_queue();
         self.wire_tail.push(NO_PACKET);
         self.credit.push(CreditSlot::default());
-        self.spill.push(NO_SPILL);
+        self.spill.push_queue();
         if i % 64 == 0 {
             self.active_bits.push(0);
         }
@@ -291,6 +316,20 @@ impl Channels {
     pub fn set_peers(&mut self, a: usize, b: usize) {
         self.peer[a] = b as u32;
         self.peer[b] = a as u32;
+    }
+
+    /// Propagation delay of channel `i`'s medium: a credit return's
+    /// trip back.
+    #[inline]
+    pub fn prop(&self, i: usize) -> SimTime {
+        self.wire_delay[usize::from((self.flags[i] >> WIRE_SHIFT) & 1)]
+    }
+
+    /// Delay from the end of a packet's serialization on channel `i`
+    /// to its arrival (see [`wire_delays`]).
+    #[inline]
+    pub fn arrive_extra(&self, i: usize) -> SimTime {
+        self.wire_delay[usize::from(self.flags[i] >> WIRE_SHIFT)]
     }
 
     /// Inserts channel `i` into the active set (idempotent).
@@ -675,7 +714,7 @@ impl Channels {
     /// transmission.
     #[inline]
     pub fn queue_is_idle(&self, i: usize) -> bool {
-        self.queues[i].is_empty() && self.flags[i] & F_BUSY == 0
+        self.queues.is_empty(i) && self.flags[i] & F_BUSY == 0
     }
 
     /// Books a credit return of `bytes` maturing at `at`, first folding
@@ -691,45 +730,21 @@ impl Channels {
             slot.bytes = bytes;
             return;
         }
-        debug_assert!(slot.at <= at, "credit returns out of order on ch{i}");
-        let k = match self.spill[i] {
-            NO_SPILL => {
-                let k = self.spill_free.pop().unwrap_or_else(|| {
-                    self.spill_bufs.push(VecDeque::new());
-                    (self.spill_bufs.len() - 1) as u32
-                });
-                self.spill[i] = k;
-                k
-            }
-            k => k,
-        };
-        let buf = &mut self.spill_bufs[k as usize];
         debug_assert!(
-            buf.back().map_or(true, |&(t, _)| t <= at),
+            slot.at <= at && self.spill.back(i).map_or(true, |(t, _)| t <= at),
             "credit returns out of order on ch{i}"
         );
-        buf.push_back((at, bytes));
+        self.spill.push_back(i, (at, bytes));
     }
 
     /// Moves every return of channel `i` that has matured by `now` into
-    /// its matured count, refilling the slot from the spill buffer.
+    /// its matured count, refilling the slot from the spill queue.
     #[inline]
     fn fold_matured(&mut self, i: usize, now: SimTime) {
         let slot = &mut self.credit[i];
         while slot.bytes != 0 && slot.at <= now {
             slot.matured += slot.bytes;
-            let k = self.spill[i];
-            (slot.at, slot.bytes) = if k == NO_SPILL {
-                (SimTime::ZERO, 0)
-            } else {
-                let buf = &mut self.spill_bufs[k as usize];
-                let next = buf.pop_front().expect("spill buffers are never empty");
-                if buf.is_empty() {
-                    self.spill[i] = NO_SPILL;
-                    self.spill_free.push(k);
-                }
-                next
-            };
+            (slot.at, slot.bytes) = self.spill.pop_front(i).unwrap_or((SimTime::ZERO, 0));
         }
     }
 
@@ -815,11 +830,46 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// A table of four distinct wire delays.
+    fn delays() -> [SimTime; 4] {
+        wire_delays(
+            SimTime::from_ns(5),
+            SimTime::from_ns(7),
+            SimTime::from_ns(100),
+        )
+    }
+
     fn two() -> Channels {
-        let mut c = Channels::with_capacity(2);
-        c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
-        c.push(LinkRate::MAX, 1024, false, SimTime::from_ns(5));
+        let mut c = Channels::with_capacity(2, delays());
+        c.push(LinkRate::MAX, 1024, true, 0);
+        c.push(LinkRate::MAX, 1024, false, 0);
         c
+    }
+
+    /// Channel `i`'s spilled returns, in order.
+    fn spilled(c: &Channels, i: usize) -> Vec<(SimTime, u32)> {
+        let mut at = c.spill.cursor(i);
+        std::iter::from_fn(|| c.spill.next(&mut at)).collect()
+    }
+
+    /// The wire-class bits pick each channel's propagation and arrival
+    /// delays, and no latch write disturbs them.
+    #[test]
+    fn wire_class_bits_index_the_delay_table() {
+        let ns = SimTime::from_ns;
+        let mut c = Channels::with_capacity(4, delays());
+        for wire in [0, F_OPTICAL, F_TO_SWITCH, F_OPTICAL | F_TO_SWITCH] {
+            c.push(LinkRate::MAX, 1024, true, wire);
+        }
+        let prop: Vec<_> = (0..4).map(|i| c.prop(i)).collect();
+        let arrive: Vec<_> = (0..4).map(|i| c.arrive_extra(i)).collect();
+        assert_eq!(prop, [ns(5), ns(7), ns(5), ns(7)]);
+        assert_eq!(arrive, [ns(5), ns(7), ns(105), ns(107)]);
+        c.set_off(3, SimTime::ZERO, true);
+        c.set_flag(3, F_BUSY | F_DRAINING);
+        c.clear_flag(3, F_BUSY | F_DRAINING | F_TUNABLE);
+        assert_eq!((c.prop(3), c.arrive_extra(3)), (ns(7), ns(107)));
+        assert_eq!(c.unsteady(), 1, "only the power-off latch is unsteady");
     }
 
     #[test]
@@ -845,18 +895,16 @@ mod tests {
         assert_eq!(c.next_credit_at(0), Some(SimTime::from_ns(10)));
         assert_eq!(c.apply_matured_credits(0, SimTime::from_ns(15), 1024), 100);
         assert_eq!(c.next_credit_at(0), Some(SimTime::from_ns(20)));
-        // Full drain donates the spill buffer to the pool...
+        // Full drain returns the spill chunk to the pool...
         assert_eq!(c.apply_matured_credits(0, SimTime::from_ns(25), 1024), 300);
         assert_eq!(c.next_credit_at(0), None);
-        assert_eq!(c.spill_free, vec![0]);
-        let pooled_cap = c.spill_bufs[0].capacity();
-        assert!(pooled_cap > 0);
+        assert!(c.spill.is_empty(0));
+        assert_eq!(c.spill.chunks(), 1);
         // ...and the next channel that spills reuses it.
         c.push_credit(1, t0, SimTime::from_ns(30), 50);
         c.push_credit(1, t0, SimTime::from_ns(31), 50);
-        assert!(c.spill_free.is_empty());
-        assert_eq!(c.spill[1], 0);
-        assert_eq!(c.spill_bufs.len(), 1, "no new buffer");
+        assert_eq!(spilled(&c, 1), [(SimTime::from_ns(31), 50)]);
+        assert_eq!(c.spill.chunks(), 1, "no new chunk");
     }
 
     /// The inline slot holds the earliest unmatured return; returns that
@@ -870,34 +918,34 @@ mod tests {
         let mut c = two();
         c.credits[0] = 0;
         // Two returns, then a push after both matured: they fold into
-        // the matured count and the new return takes the slot, with no
-        // spill buffer left behind.
+        // the matured count and the new return takes the slot, with
+        // nothing left in the spill queue.
         c.push_credit(0, ns(0), ns(10), 64);
         c.push_credit(0, ns(1), ns(11), 64);
-        assert_eq!(c.spill[0], 0, "the second return spilled");
+        assert_eq!(spilled(&c, 0), [(ns(11), 64)], "the second return spilled");
         c.push_credit(0, ns(12), ns(22), 64);
-        assert_eq!(c.spill[0], NO_SPILL, "both matured returns folded");
+        assert!(c.spill.is_empty(0), "both matured returns folded");
         assert_eq!(c.credit[0].matured, 128);
         assert_eq!(c.credits[0], 0, "the balance moves only in apply");
         assert_eq!(c.next_credit_at(0), Some(ns(22)));
         // A burst of tiny tail packets landing back to back: one in the
-        // slot, the rest in one spill buffer, in order.
+        // slot, the rest in the spill queue, in order.
         for k in 0..6 {
             c.push_credit(0, ns(13), ns(23 + k), 1);
         }
-        assert_eq!(c.spill_bufs[0].len(), 6);
+        assert_eq!(spilled(&c, 0).len(), 6);
         assert_eq!(c.next_credit_at(0), Some(ns(22)));
         // Applying at 25 ns adds the folded 128, the slot's 64 and the
         // tiny returns maturing at 23..=25 ns; the next one is at 26 ns.
         assert_eq!(c.apply_matured_credits(0, ns(25), 1024), 128 + 64 + 3);
         assert_eq!(c.credit[0].matured, 0);
         assert_eq!(c.next_credit_at(0), Some(ns(26)));
-        assert_eq!(c.spill_bufs[0].len(), 2);
-        // Draining the rest frees the buffer and empties the slot.
+        assert_eq!(spilled(&c, 0), [(ns(27), 1), (ns(28), 1)]);
+        // Draining the rest frees the chunk and empties the slot.
         assert_eq!(c.apply_matured_credits(0, ns(100), 1024), 128 + 64 + 6);
         assert_eq!(c.next_credit_at(0), None);
-        assert_eq!(c.spill[0], NO_SPILL);
-        assert_eq!(c.spill_free, vec![0]);
+        assert!(c.spill.is_empty(0));
+        assert_eq!(c.spill.chunks(), 1);
         // An apply with nothing pending leaves the balance alone.
         assert_eq!(c.apply_matured_credits(0, ns(200), 1024), 198);
     }
@@ -964,11 +1012,11 @@ mod tests {
             }
             let mut rng = SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(1usize..6);
-            let mut c = Channels::with_capacity(n);
+            let mut c = Channels::with_capacity(n, delays());
             let mut oracle = Oracle { state: Vec::new(), closed: RateResidency::default() };
             for i in 0..n {
                 let rate = RATE_LADDER[rng.gen_range(0..LinkRate::COUNT)];
-                c.push(rate, 1024, true, SimTime::from_ns(5));
+                c.push(rate, 1024, true, 0);
                 oracle.state.push((false, rate, SimTime::ZERO));
                 if i % 2 == 1 {
                     c.set_peers(i - 1, i);
@@ -1100,9 +1148,9 @@ mod tests {
                 .filter(|&i| (i as u32) < c.peer[i] && c.link_is_asymmetric(i))
                 .count() as u64
         }
-        let mut c = Channels::with_capacity(4);
+        let mut c = Channels::with_capacity(4, delays());
         for _ in 0..4 {
-            c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
+            c.push(LinkRate::MAX, 1024, true, 0);
         }
         c.set_peers(0, 1);
         c.set_peers(2, 3);
@@ -1127,9 +1175,9 @@ mod tests {
 
     #[test]
     fn sample_active_and_retire_matches_full_sweep() {
-        let mut c = Channels::with_capacity(130);
+        let mut c = Channels::with_capacity(130, delays());
         for _ in 0..130 {
-            c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
+            c.push(LinkRate::MAX, 1024, true, 0);
         }
         c.add_occupancy(3, 100);
         c.add_occupancy(129, 250);
@@ -1155,9 +1203,9 @@ mod tests {
 
     #[test]
     fn active_set_iterates_ascending_across_words() {
-        let mut c = Channels::with_capacity(200);
+        let mut c = Channels::with_capacity(200, delays());
         for _ in 0..200 {
-            c.push(LinkRate::MIN, 1024, false, SimTime::from_ns(5));
+            c.push(LinkRate::MIN, 1024, false, 0);
         }
         c.retire_resting(LinkRate::MIN, true);
         assert_eq!(c.active_len(), 0);

@@ -27,19 +27,24 @@
 //!
 //! Per-channel state is struct-of-arrays ([`crate::channels::Channels`]):
 //! the fields every event touches live in dense parallel `Vec`s indexed
-//! by channel, and residency is network-wide. Channel targets and
-//! arrival offsets are precomputed per channel at construction. An
-//! event is 32 bits in a 16-byte queue entry, and each wire has at most
-//! one `Arrive` queued: packets launched behind it wait in a chain
-//! through their packet records, under the keys they reserved at launch
+//! by channel, and residency is network-wide. Output queues share one
+//! pool of fixed-size chunks, each channel holding only a 4-byte handle
+//! into it ([`crate::fifo::Fifos`]); wire delays come from a four-entry
+//! table indexed by two flag bits; and a channel's receiving endpoint,
+//! like a host's switch, is one read of the fabric's channel-target
+//! table. An event is 32 bits
+//! in a 16-byte queue entry, and each wire has at most one `Arrive`
+//! queued: packets launched behind it wait in a chain through their
+//! packet records, under the keys they reserved at launch
 //! ([`Core::launch`]). A channel's earliest credit return sits inline
-//! in its hot arrays; later ones spill into a pool. Message records,
-//! packet slots and spilled credit buffers recycle through free lists,
-//! so a warmed-up run performs no steady-state heap allocation (see
-//! DESIGN.md "Memory layout").
+//! in its hot arrays; later ones spill into a second chunk pool.
+//! Message records, packet slots and queue chunks recycle through free
+//! lists, so a warmed-up run performs no steady-state heap allocation
+//! (see DESIGN.md "Memory layout").
 
 use crate::channels::{
-    set_bits, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE,
+    set_bits, wire_delays, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_OPTICAL, F_RETRY,
+    F_TO_SWITCH, F_TUNABLE,
 };
 use crate::config::{ControlMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
@@ -56,7 +61,8 @@ use crate::SimTime;
 use epnet_power::LinkRate;
 use epnet_telemetry::{Layer, TraceCategory, Tracer};
 use epnet_topology::{
-    ChannelId, FabricGraph, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology, SwitchId,
+    ChannelId, FabricGraph, HostId, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology,
+    SwitchId,
 };
 use std::time::Instant;
 
@@ -154,15 +160,6 @@ pub(crate) struct Core {
     pub(crate) now: SimTime,
     pub(crate) end: SimTime,
     pub(crate) channels: Channels,
-    /// Receiving endpoint of each channel, precomputed (the per-event
-    /// decode costs a division).
-    pub(crate) targets: Vec<PortTarget>,
-    /// Per-channel tail-to-arrival offset: propagation delay plus the
-    /// router pipeline when the far end is a switch.
-    pub(crate) arrive_extra: Vec<SimTime>,
-    /// Switch each host hangs off, precomputed (`host / concentration`
-    /// is a divide on the per-hop path).
-    pub(crate) host_switch: Vec<SwitchId>,
     /// Ejection channel delivering to each host, precomputed.
     pub(crate) eject_channel: Vec<ChannelId>,
     pub(crate) arena: PacketArena,
@@ -193,11 +190,9 @@ pub(crate) struct Core {
     pub(crate) model: SimModel,
     /// Fluid per-flow state (hybrid model; empty in packet mode).
     pub(crate) flows: FlowTable,
-    /// Pod of each host, for the hierarchical delivered-bytes rollup
-    /// (hybrid model only; empty in packet mode).
-    pub(crate) pod_of_host: Vec<u32>,
-    /// Delivered bytes per pod (hybrid model only; empty in packet
-    /// mode, which keeps packet-mode reports byte-identical).
+    /// Delivered bytes per pod, indexed by [`Core::pod_of`] (hybrid
+    /// model only; empty in packet mode, which keeps packet-mode
+    /// reports byte-identical).
     pub(crate) pod_bytes: Vec<u64>,
     /// Telemetry: tracer and layer profile.
     pub(crate) inst: Instruments,
@@ -247,26 +242,25 @@ impl Core {
             n <= MAX_INDEX as usize + 1,
             "{n} channels: an event's channel index has 29 bits (at most 2^29 channels)"
         );
-        let mut channels = Channels::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        let mut arrive_extra = Vec::with_capacity(n);
+        let delays = wire_delays(
+            config.electrical_propagation,
+            config.optical_propagation,
+            config.router_latency,
+        );
+        let mut channels = Channels::with_capacity(n, delays);
         for ch in 0..n {
             let id = ChannelId::new(ch as u32);
             let tunable = config.tune_host_links || !fabric.is_host_channel(id);
-            let prop = match fabric.channel_medium(id) {
-                Medium::Electrical => config.electrical_propagation,
-                Medium::Optical => config.optical_propagation,
+            let optical = match fabric.channel_medium(id) {
+                Medium::Electrical => 0,
+                Medium::Optical => F_OPTICAL,
             };
-            channels.push(config.max_rate, config.input_buffer_bytes, tunable, prop);
-            let target = fabric.channel_target(id);
-            // Tail arrival plus the router pipeline when the far end is
-            // a switch (hosts consume directly).
-            let router = match target {
-                PortTarget::Host(_) => SimTime::ZERO,
-                PortTarget::Switch { .. } => config.router_latency,
+            let to_switch = match fabric.channel_target(id) {
+                PortTarget::Host(_) => 0,
+                PortTarget::Switch { .. } => F_TO_SWITCH,
             };
-            targets.push(target);
-            arrive_extra.push(prop + router);
+            let wire = optical | to_switch;
+            channels.push(config.max_rate, config.input_buffer_bytes, tunable, wire);
         }
         // Peer wiring: the incremental asymmetric-link counter compares
         // each channel against the opposing channel of its link.
@@ -278,13 +272,11 @@ impl Core {
         if model == SimModel::Hybrid {
             channels.enable_fluid();
         }
-        let mut host_switch = Vec::with_capacity(fabric.num_hosts());
         let mut eject_channel = Vec::with_capacity(fabric.num_hosts());
         for h in 0..fabric.num_hosts() {
             let host = epnet_topology::HostId::new(h as u32);
-            let sw = fabric.host_switch(host);
-            host_switch.push(sw);
-            eject_channel.push(fabric.output_channel(sw, fabric.host_port(host)));
+            eject_channel
+                .push(fabric.output_channel(fabric.host_switch(host), fabric.host_port(host)));
         }
         let warmup = config.warmup;
         let first_epoch_end = config.epoch;
@@ -292,16 +284,10 @@ impl Core {
         // groups, so the rollup stays bounded however large the fabric
         // grows; built only for the hybrid model, whose per-pod vector
         // is the only report field that scales with topology size.
-        let (pod_of_host, pod_bytes) = if model == SimModel::Hybrid {
-            let ns = fabric.num_switches().max(1);
-            let pods = ns.min(64);
-            let of = host_switch
-                .iter()
-                .map(|sw| (sw.index() * pods / ns) as u32)
-                .collect();
-            (of, vec![0u64; pods])
+        let pod_bytes = if model == SimModel::Hybrid {
+            vec![0u64; fabric.num_switches().clamp(1, 64)]
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         Self {
             queue: Scheduler::new(),
@@ -310,9 +296,6 @@ impl Core {
             now: SimTime::ZERO,
             end: SimTime::ZERO,
             channels,
-            targets,
-            arrive_extra,
-            host_switch,
             eject_channel,
             arena: PacketArena::new(),
             messages: Vec::new(),
@@ -332,7 +315,6 @@ impl Core {
             controller_active: false,
             model,
             flows: FlowTable::new(if model == SimModel::Hybrid { n } else { 0 }),
-            pod_of_host,
             pod_bytes,
             inst: Instruments::default(),
         }
@@ -532,6 +514,13 @@ impl<S: TrafficSource> Simulator<S> {
 }
 
 impl Core {
+    /// The pod `host` belongs to, an index into `pod_bytes`: pods split
+    /// the switch range into `pod_bytes.len()` contiguous groups.
+    pub(crate) fn pod_of(&self, host: HostId) -> usize {
+        let switches = self.fabric.num_switches().max(1);
+        self.fabric.host_switch(host).index() * self.pod_bytes.len() / switches
+    }
+
     /// Offers one message to the network: segments it into packets,
     /// allocates the bookkeeping records, and starts transmission on
     /// the source host's injection channel.
@@ -609,7 +598,7 @@ impl Core {
         debug_assert_eq!(bytes, self.arena.get(pkt).bytes);
         let bytes = u64::from(bytes);
         let i = ch.index();
-        self.channels.queues[i].push_back(pkt);
+        self.channels.queues.push_back(i, pkt);
         // Queued bytes make the channel the epoch controller's business.
         self.channels.mark_active(i);
         let occ = self.channels.add_occupancy(i, bytes);
@@ -633,7 +622,7 @@ impl Core {
         if flags & (F_BUSY | F_OFF) != 0 {
             return;
         }
-        let Some(&head) = self.channels.queues[i].front() else {
+        let Some(head) = self.channels.queues.front(i) else {
             return;
         };
         let available_at = self.channels.available_at[i];
@@ -679,6 +668,10 @@ impl Core {
         self.launch(ch, head, tail);
         let mut train_len = 1u32;
         let mut train_bytes = u64::from(head_bytes);
+        // The queue holds still until `on_tx_done`: read the train
+        // behind the head through a cursor.
+        let mut queued = self.channels.queues.cursor(i);
+        self.channels.queues.next(&mut queued);
         // Extend the train. The epoch bound guarantees no rate change
         // can land mid-train: the controller (and the dynamic-topology
         // mask) only act at epoch ticks, and drain-first completions
@@ -690,7 +683,7 @@ impl Core {
             self.end
         };
         while tail <= bound {
-            let Some(&next) = self.channels.queues[i].get(train_len as usize) else {
+            let Some(next) = self.channels.queues.next(&mut queued) else {
                 break;
             };
             let next_bytes = self.arena.get(next).bytes;
@@ -728,9 +721,9 @@ impl Core {
     }
 
     /// Puts `pkt` on `ch`'s wire, its serialization ending at `end`;
-    /// its tail arrives `arrive_extra` later. The arrival takes its
-    /// sequence number from the queue now, exactly as scheduling it
-    /// would. If an earlier packet is still on the wire, the arrival's
+    /// its tail arrives the channel's `arrive_extra` later. The arrival
+    /// takes its sequence number from the queue now, exactly as
+    /// scheduling it would. If an earlier packet is still on the wire, the arrival's
     /// key goes into that packet's record instead of the queue, and its
     /// arrival handler schedules it unchanged ([`Core::on_arrive`]): a
     /// wire has at most one `Arrive` queued, and pop order is exactly
@@ -760,7 +753,7 @@ impl Core {
                 return;
             }
         }
-        let at = end + self.arrive_extra[i];
+        let at = end + self.channels.arrive_extra(i);
         self.queue.schedule(at, Event::Arrive { slot });
     }
 
@@ -802,11 +795,9 @@ impl Core {
         counters.tx_trains += 1;
         counters.tx_train_packets += train;
         counters.tx_train_max_packets = counters.tx_train_max_packets.max(train);
-        let q = &mut self.channels.queues[i];
-        for _ in 0..train_len {
-            q.pop_front().expect("TxDone with empty queue");
-        }
-        let emptied = q.is_empty();
+        let queues = &mut self.channels.queues;
+        queues.pop_front_n(i, train_len);
+        let emptied = queues.is_empty(i);
         self.channels.sub_occupancy(i, self.channels.train_bytes[i]);
         self.channels.train_len[i] = 0;
         self.channels.train_bytes[i] = 0;
@@ -824,9 +815,8 @@ impl Core {
         let i = ch.index();
         self.channels.clear_flag(i, F_CREDIT_WAKE);
         if self.inst.on(TraceCategory::Credit) {
-            let needed = self.channels.queues[i]
-                .front()
-                .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
+            let needed = self.channels.queues.front(i);
+            let needed = needed.map_or(0, |p| u64::from(self.arena.get(p).bytes));
             let credits = u64::from(self.channels.credits[i]);
             self.inst
                 .tracer()
@@ -875,17 +865,16 @@ impl Core {
         // per packet; an idle channel with work waiting is parked on
         // exactly this credit, so arm its wake.
         let bytes = p.bytes;
-        let matures = self.now + self.channels.prop[i];
+        let matures = self.now + self.channels.prop(i);
         self.channels.push_credit(i, self.now, matures, bytes);
         if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
-            && !self.channels.queues[i].is_empty()
+            && !self.channels.queues.is_empty(i)
             && self.now >= self.channels.available_at[i]
         {
             self.channels.set_flag(i, F_CREDIT_WAKE);
             if self.inst.on(TraceCategory::Credit) {
-                let needed = self.channels.queues[i]
-                    .front()
-                    .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
+                let needed = self.channels.queues.front(i);
+                let needed = needed.map_or(0, |p| u64::from(self.arena.get(p).bytes));
                 let credits = u64::from(self.channels.credits[i]);
                 self.inst
                     .tracer()
@@ -894,15 +883,16 @@ impl Core {
             self.queue
                 .schedule(matures, Event::CreditWake { channel: ch });
         }
-        match self.targets[i] {
+        match self.fabric.channel_target(ch) {
             PortTarget::Host(h) => {
                 debug_assert_eq!(p.dst, h, "misrouted packet");
                 self.arena.free(pkt);
+                if !self.pod_bytes.is_empty() {
+                    let pod = self.pod_of(h);
+                    self.pod_bytes[pod] += u64::from(bytes);
+                }
                 let rec = &mut self.messages[p.message.index()];
                 self.stats.record_packet(rec.offered_at, self.now, bytes);
-                if !self.pod_bytes.is_empty() {
-                    self.pod_bytes[self.pod_of_host[h.index()] as usize] += u64::from(bytes);
-                }
                 rec.remaining -= 1;
                 if rec.remaining == 0 {
                     self.stats.record_message(rec.offered_at, self.now);
@@ -925,7 +915,7 @@ impl Core {
             let p = self.arena.get(pkt);
             (p.dst, p.bytes, p.hops, p.misroutes_left)
         };
-        let dst_switch = self.host_switch[dst.index()];
+        let dst_switch = self.fabric.host_switch(dst);
         if at == dst_switch {
             // Local delivery: the precomputed ejection channel is the
             // sole candidate.

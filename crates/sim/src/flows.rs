@@ -50,7 +50,7 @@ use crate::channels::{Channels, F_UNSTEADY};
 use crate::engine::Core;
 use crate::traffic::Message;
 use crate::SimTime;
-use epnet_topology::{ChannelId, HostId, PortIndex, PortTarget};
+use epnet_topology::{ChannelId, HostId, PortIndex, PortTarget, RoutingTopology};
 
 /// Smallest message the hybrid model will absorb as a fluid flow.
 /// Below this, per-packet dynamics dominate and aggregation saves
@@ -225,11 +225,11 @@ impl Core {
     /// channel, switch hops, ejection channel. `None` when the walk
     /// exceeds [`MAX_FLOW_HOPS`] or dead-ends under the dyntopo mask.
     fn flow_path(&mut self, m: &Message) -> Option<([u32; MAX_FLOW_HOPS], u8)> {
-        let dst_switch = self.host_switch[m.dst.index()];
+        let dst_switch = self.fabric.host_switch(m.dst);
         let mut path = [0u32; MAX_FLOW_HOPS];
         path[0] = self.fabric.injection_channel(m.src).raw();
         let mut len = 1usize;
-        let mut at = self.host_switch[m.src.index()];
+        let mut at = self.fabric.host_switch(m.src);
         let mut scratch = std::mem::take(&mut self.flows.path_scratch);
         let mut routable = true;
         while at != dst_switch {
@@ -247,7 +247,7 @@ impl Core {
             let ch = self.fabric.output_channel(at, port);
             path[len] = ch.raw();
             len += 1;
-            match self.targets[ch.index()] {
+            match self.fabric.channel_target(ch) {
                 PortTarget::Switch { switch, .. } => at = switch,
                 PortTarget::Host(_) => {
                     routable = false;
@@ -290,7 +290,7 @@ impl Core {
             path,
             path_len: len,
         };
-        let pod = self.pod_of_host[m.dst.index()];
+        let pod = self.pod_of(m.dst) as u32;
         self.flows.alloc(flow, pod, &mut self.channels);
         self.stats.counters.flows_absorbed += 1;
         true

@@ -61,6 +61,7 @@ mod controller;
 mod dyntopo;
 mod engine;
 mod event;
+mod fifo;
 mod flows;
 mod instrument;
 mod options;

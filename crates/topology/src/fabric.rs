@@ -94,8 +94,10 @@ pub struct FabricGraph {
     num_hosts: u32,
     num_switches: u32,
     ports_per_switch: u16,
-    /// Switch-major port targets: index `s * P + p`.
-    port_targets: Vec<PortTarget>,
+    /// What each channel delivers to, indexed by channel: the switch
+    /// input of a host's injection channel, then the port targets
+    /// switch-major (channel `H + s·P + p`).
+    channel_targets: Vec<PortTarget>,
     /// Per-switch coordinates.
     coords: Vec<Coord>,
     /// Per-channel medium.
@@ -114,7 +116,14 @@ impl FabricGraph {
         let ports = f.ports_per_switch() as usize;
         let conc = f.concentration() as usize;
 
-        let mut port_targets = Vec::with_capacity(s_count * ports);
+        let mut channel_targets = Vec::with_capacity(h_count + s_count * ports);
+        for h in 0..h_count {
+            let host = HostId::new(h as u32);
+            channel_targets.push(PortTarget::Switch {
+                switch: f.host_switch(host),
+                port: f.host_port(host),
+            });
+        }
         let mut coords = Vec::with_capacity(s_count);
         for s in 0..s_count {
             let sid = SwitchId::new(s as u32);
@@ -125,12 +134,12 @@ impl FabricGraph {
                     let host = f
                         .port_host(sid, pid)
                         .expect("ports below concentration are host ports");
-                    port_targets.push(PortTarget::Host(host));
+                    channel_targets.push(PortTarget::Host(host));
                 } else {
                     let (peer, back) = f
                         .port_peer(sid, pid)
                         .expect("ports at or above concentration are switch ports");
-                    port_targets.push(PortTarget::Switch {
+                    channel_targets.push(PortTarget::Switch {
                         switch: peer,
                         port: back,
                     });
@@ -179,7 +188,7 @@ impl FabricGraph {
         for s in 0..s_count {
             for p in conc..ports {
                 let ch = this_partial(s, p);
-                let PortTarget::Switch { switch, port } = port_targets[s * ports + p] else {
+                let PortTarget::Switch { switch, port } = channel_targets[ch] else {
                     unreachable!("inter-switch port range");
                 };
                 let rev = this_partial(switch.index(), port.index());
@@ -201,7 +210,7 @@ impl FabricGraph {
             num_hosts: h_count as u32,
             num_switches: s_count as u32,
             ports_per_switch: ports as u16,
-            port_targets,
+            channel_targets,
             coords,
             media,
             channel_link,
@@ -232,16 +241,22 @@ impl FabricGraph {
         let ports = leaves as usize; // == concentration + spines
         let conc = concentration as usize;
 
-        let mut port_targets = Vec::with_capacity(s_count * ports);
+        let mut channel_targets = Vec::with_capacity(h_count + s_count * ports);
+        for h in 0..h_count {
+            channel_targets.push(PortTarget::Switch {
+                switch: SwitchId::new((h / conc) as u32),
+                port: PortIndex::new((h % conc) as u16),
+            });
+        }
         for leaf in 0..leaves {
             for p in 0..ports {
                 if p < conc {
-                    port_targets.push(PortTarget::Host(HostId::new(
+                    channel_targets.push(PortTarget::Host(HostId::new(
                         leaf * u32::from(concentration) + p as u32,
                     )));
                 } else {
                     let spine = (p - conc) as u32;
-                    port_targets.push(PortTarget::Switch {
+                    channel_targets.push(PortTarget::Switch {
                         switch: SwitchId::new(leaves + spine),
                         port: PortIndex::new(leaf as u16),
                     });
@@ -251,7 +266,7 @@ impl FabricGraph {
         for spine in 0..spines {
             for p in 0..ports {
                 let _ = spine;
-                port_targets.push(PortTarget::Switch {
+                channel_targets.push(PortTarget::Switch {
                     switch: SwitchId::new(p as u32),
                     port: PortIndex::new(concentration + spine as u16),
                 });
@@ -305,7 +320,7 @@ impl FabricGraph {
             num_hosts: h_count as u32,
             num_switches: s_count as u32,
             ports_per_switch: ports as u16,
-            port_targets,
+            channel_targets,
             coords: vec![Coord::new(&[]).expect("empty coord is valid"); s_count],
             media,
             channel_link,
@@ -375,18 +390,11 @@ impl FabricGraph {
         Some((SwitchId::new(c / ports), PortIndex::new((c % ports) as u16)))
     }
 
-    /// Where a channel delivers: the receiving endpoint.
+    /// Where a channel delivers: the receiving endpoint (one table
+    /// read, no decode).
+    #[inline]
     pub fn channel_target(&self, channel: ChannelId) -> PortTarget {
-        match self.channel_source(channel) {
-            None => {
-                let host = HostId::new(channel.raw());
-                PortTarget::Switch {
-                    switch: self.host_switch(host),
-                    port: self.host_port(host),
-                }
-            }
-            Some((s, p)) => self.port_target(s, p),
-        }
+        self.channel_targets[channel.index()]
     }
 
     /// The channel that *feeds* input port `(switch, port)` — the upstream
@@ -657,8 +665,14 @@ impl RoutingTopology for FabricGraph {
         self.ports_per_switch as usize
     }
 
+    /// One read of the channel-target table at the host's injection
+    /// channel (no divide on the per-hop path).
+    #[inline]
     fn host_switch(&self, host: HostId) -> SwitchId {
-        SwitchId::new(host.raw() / u32::from(self.concentration))
+        match self.channel_target(self.injection_channel(host)) {
+            PortTarget::Switch { switch, .. } => switch,
+            PortTarget::Host(_) => unreachable!("an injection channel delivers to a switch"),
+        }
     }
 
     fn host_port(&self, host: HostId) -> PortIndex {
@@ -666,7 +680,7 @@ impl RoutingTopology for FabricGraph {
     }
 
     fn port_target(&self, switch: SwitchId, port: PortIndex) -> PortTarget {
-        self.port_targets[switch.index() * self.ports_per_switch as usize + port.index()]
+        self.channel_target(self.output_channel(switch, port))
     }
 
     fn candidate_ports(&self, at: SwitchId, dest: HostId, out: &mut Vec<PortIndex>) {
@@ -722,6 +736,37 @@ mod tests {
         assert_eq!(g.channel_target(eject), PortTarget::Host(h));
         assert!(g.is_host_channel(inj));
         assert!(g.is_host_channel(eject));
+    }
+
+    /// The channel-target table covers every channel: an injection
+    /// channel delivers to its host's switch port, an ejection channel
+    /// to its host, and an inter-switch channel to the input its peer
+    /// channel feeds back from, in both fabric families.
+    #[test]
+    fn every_channel_targets_its_receiving_endpoint() {
+        let clos = crate::TwoTierClos::multi_pod(4, 2).unwrap().build_fabric();
+        for g in [small(), clos] {
+            for h in 0..g.num_hosts() {
+                let host = HostId::new(h as u32);
+                let target = PortTarget::Switch {
+                    switch: g.host_switch(host),
+                    port: g.host_port(host),
+                };
+                assert_eq!(g.channel_target(g.injection_channel(host)), target);
+            }
+            for ch in g.num_hosts()..g.num_channels() {
+                let ch = ChannelId::new(ch as u32);
+                match g.channel_target(ch) {
+                    PortTarget::Host(h) => {
+                        let eject = g.output_channel(g.host_switch(h), g.host_port(h));
+                        assert_eq!(eject, ch, "{ch} delivers to {h}");
+                    }
+                    PortTarget::Switch { switch, port } => {
+                        assert_eq!(g.input_feeder(switch, port), ch, "{ch} feeds its target");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Benchmark smoke: rustfmt and clippy checks over the workspace and
-# the reference benchmark package, one traced canonical run validated
-# against the documented trace schema, a Perfetto export and every trace-analysis command over that capture,
-# the reduced run of every benchmark axis (its scale axis runs the
-# 2^20-host flat, so this takes minutes), a rustdoc build with warnings
-# denied, and the reference benchmark package's tests.
+# the reference benchmark package, a dry run of scripts/paired_rounds.sh,
+# one traced canonical run validated against the documented trace
+# schema, a Perfetto export and every trace-analysis command over that
+# capture, the reduced run of every benchmark axis (its scale axis runs
+# the 2^20-host flat, so this takes minutes), a rustdoc build with
+# warnings denied, and the reference benchmark package's tests.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
 # exports, and `benchrun` validates its document with
@@ -26,6 +27,17 @@ cargo fmt --all --check --manifest-path "$BENCHMARK_MANIFEST"
 # and of the reference benchmark package.
 cargo clippy --workspace --offline --all-targets -- -D warnings
 cargo clippy --offline --all-targets --manifest-path "$BENCHMARK_MANIFEST" -- -D warnings
+
+# The paired-rounds script: its usage prints, a dry run over one
+# workload lists both sides' runs in every round without building or
+# running anything, and an undeclared workload is refused.
+scripts/paired_rounds.sh --help > /dev/null
+runs=$(scripts/paired_rounds.sh --dry-run --rounds 2 HEAD packet_paper | grep -c -- '--workload packet_paper --seed')
+[ "$runs" = 4 ] || { echo "paired_rounds.sh dry run listed $runs runs, not 4" >&2; exit 1; }
+if scripts/paired_rounds.sh --dry-run HEAD no_such_workload 2> /dev/null; then
+    echo "paired_rounds.sh accepted an undeclared workload" >&2
+    exit 1
+fi
 
 # One traced run of the canonical scenario: every JSONL line must pass
 # the documented schema, with controller and reactivation events

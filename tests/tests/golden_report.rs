@@ -2,8 +2,8 @@
 //! byte-identically to the report captured before the struct-of-arrays
 //! hot-state refactor.
 //!
-//! The SoA split, the free-list recycling (packets, messages, credit
-//! buffers), the precomputed channel targets, and the calendar-queue
+//! The SoA split, the free-list recycling (packets, messages, queue
+//! and credit chunks), the channel-target table, and the calendar-queue
 //! sizing hint are all pure layout/speed changes — none of them may
 //! move a single event, metric, or residency picosecond. This test
 //! enforces that against a checked-in fixture rather than a same-build

@@ -1,7 +1,8 @@
 //! Zero-allocation steady state: after warmup, the engine must serve
 //! (almost) every event from recycled storage — packet arena slots,
-//! message records, pooled credit buffers, per-port queues, the
-//! workload future-list, and the calendar queue's bucket pool.
+//! message records, pooled queue and credit-spill chunks, the workload
+//! future-list, and the calendar queue's bucket pool. The same meter
+//! pins the hybrid model's peak heap per channel.
 //!
 //! This lives in its own integration-test binary because it installs a
 //! process-wide counting allocator; sharing a binary with unrelated
@@ -12,6 +13,7 @@ use epnet::sim::{SimModel, SimTime};
 use epnet_bench::axis::{
     self, Point, Recipe, Topo, Variant, HYBRID_ALLOCS_PER_EVENT, PACKET_ALLOCS_PER_EVENT,
 };
+use epnet_bench::scalebench::REDUCED_HORIZON;
 
 epnet_bench::counting_allocator!();
 
@@ -88,5 +90,40 @@ fn hybrid_bulk_flows_allocate_nothing_per_tick_after_warmup() {
         "hybrid steady state allocates: {} allocs over {} events ({ape:.4}/event)",
         alloc.measured_allocs,
         alloc.measured_events
+    );
+}
+
+/// Peak live heap per channel of the hybrid `scale` axis's 4,096-host
+/// multi-pod Clos (131,072 channels, 32 per host), where per-channel
+/// state dominates the heap. It measures about 114 B/channel in debug and
+/// release builds alike (166 before the output queues, wire delays and
+/// channel targets left the per-channel arrays). The count is
+/// deterministic, so the bound leaves only ~5% headroom: any new
+/// per-channel array of 8 bytes or more crosses it.
+const CLOS_PEAK_HEAP_PER_CHANNEL: u64 = 120;
+
+/// The hybrid model's heap is per-channel state, so its per-channel
+/// peak is pinned here rather than first surfacing in the benchmark's
+/// million-host point.
+#[test]
+fn hybrid_peak_heap_per_channel_stays_pinned() {
+    let point = Point {
+        name: "hybrid_clos_16p16_heap".to_string(),
+        topo: Topo::ClosMultiPod { c: 16, pods: 16 },
+        recipe: Recipe::BulkFlows,
+        horizon: REDUCED_HORIZON,
+        model: SimModel::Hybrid,
+    };
+    let record = metered(point, Variant::model(SimModel::Hybrid));
+    let alloc = record.alloc.expect("serial runs are metered");
+    assert!(record.channels >= 100_000, "{} channels", record.channels);
+    assert!(record.delivered_bytes > 0, "no bulk bytes delivered");
+    let per_channel = alloc.peak_bytes / record.channels;
+    assert!(
+        per_channel <= CLOS_PEAK_HEAP_PER_CHANNEL,
+        "peak heap {} B over {} channels is {per_channel} B/channel, over the \
+         {CLOS_PEAK_HEAP_PER_CHANNEL} B/channel bound",
+        alloc.peak_bytes,
+        record.channels
     );
 }
