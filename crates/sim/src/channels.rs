@@ -55,15 +55,17 @@
 //!   decides hold again. These channels carry a bit in a steady bitmap
 //!   whose count the engine adds to `controller_decisions` each tick.
 //!
-//! The per-epoch sweep skips resting channels entirely — decision,
-//! queue-depth sample, and overhang pre-charge alike. Channels enter
-//! the set at the mutation sites (`enqueue`, rate writes, power
-//! transitions, fluid load changes) with one OR, and retire only at
-//! epoch ticks once resting again, when the sampling pass clears their
-//! bit. The bitmap is the whole set: scanning it word by word yields
-//! the members in ascending channel order without duplicates in
-//! O(words + members), which is the order controller decisions must
-//! run in.
+//! An active-set epoch tick skips resting channels entirely —
+//! decision, queue-depth sample, and overhang pre-charge alike: the
+//! controller's one decision walker (`Core::retune` in `controller.rs`)
+//! reads this bitmap's words where the reference sweep reads all ones.
+//! Channels enter the set at the mutation sites (`enqueue`, rate
+//! writes, power transitions, fluid load changes) with one OR, and
+//! retire only at epoch ticks once resting again, when the sampling
+//! pass clears their bit. The bitmap is the whole set: scanning it word
+//! by word yields the members in ascending channel order without
+//! duplicates in O(words + members), which is the order controller
+//! decisions must run in.
 //!
 //! The hybrid model adds three per-channel arrays, allocated only in
 //! that mode: the fluid load, the change bitmap that invalidates the

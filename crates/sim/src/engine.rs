@@ -21,7 +21,10 @@
 //!   change makes the channel unavailable for the reactivation latency;
 //!   traffic routed toward it queues up and adaptive routing steers
 //!   around the congestion, exactly the second tolerance strategy of
-//!   §3.2.
+//!   §3.2. The control plane — the epoch tick and its one decision
+//!   walker — is an `impl Core` block in `controller.rs`, as the fluid
+//!   plane is in `flows.rs`; this file holds the core, the run loop and
+//!   the packet plane.
 //!
 //! # Memory layout
 //!
@@ -31,23 +34,22 @@
 //! pool of fixed-size chunks, each channel holding only a 4-byte handle
 //! into it ([`crate::fifo::Fifos`]); wire delays come from a four-entry
 //! table indexed by two flag bits; and a channel's receiving endpoint,
-//! like a host's switch, is one read of the fabric's channel-target
-//! table. An event is 32 bits
-//! in a 16-byte queue entry, and each wire has at most one `Arrive`
-//! queued: packets launched behind it wait in a chain through their
-//! packet records, under the keys they reserved at launch
-//! ([`Core::launch`]). A channel's earliest credit return sits inline
+//! like a host's switch and its ejection channel, is one read of the
+//! fabric's channel-target table. An event is 32 bits in a 16-byte
+//! queue entry, and each wire has at most one `Arrive` queued: packets
+//! launched behind it wait in a chain through their packet records,
+//! under the keys they reserved at launch ([`Core::launch`]). A channel's earliest credit return sits inline
 //! in its hot arrays; later ones spill into a second chunk pool.
 //! Message records, packet slots and queue chunks recycle through free
 //! lists, so a warmed-up run performs no steady-state heap allocation
 //! (see DESIGN.md "Memory layout").
 
 use crate::channels::{
-    set_bits, wire_delays, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_OPTICAL, F_RETRY,
-    F_TO_SWITCH, F_TUNABLE,
+    wire_delays, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_OPTICAL, F_RETRY,
+    F_TO_SWITCH,
 };
 use crate::config::{ControlMode, RoutingPolicy, SimConfig};
-use crate::controller::desired_rate;
+use crate::controller::{PlannedDecision, PLAN_CHUNK};
 use crate::dyntopo::DynamicTopology;
 use crate::event::{Event, MAX_INDEX};
 use crate::flows::FlowTable;
@@ -58,7 +60,6 @@ use crate::sched::Scheduler;
 use crate::stats::{SimReport, Stats};
 use crate::traffic::{Message, TrafficSource};
 use crate::SimTime;
-use epnet_power::LinkRate;
 use epnet_telemetry::{Layer, TraceCategory, Tracer};
 use epnet_topology::{
     ChannelId, FabricGraph, HostId, LinkMask, Medium, PortIndex, PortTarget, RoutingTopology,
@@ -73,42 +74,6 @@ use std::time::Instant;
 pub(crate) struct MessageRec {
     pub(crate) remaining: u32,
     pub(crate) offered_at: SimTime,
-}
-
-/// What [`Core::apply_rate`] did with a controller decision —
-/// the trace layer's `reason` derives from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RateOutcome {
-    /// The channel already ran at the decided rate.
-    Unchanged,
-    /// The rate change took effect (reactivation charged).
-    Applied,
-    /// Downshift parked behind a drain (§3.2's first option).
-    DrainDeferred,
-    /// A pending drain-first change was cancelled by a reversal.
-    DrainCancelled,
-}
-
-/// Controller decisions the active-set epoch paths plan before applying
-/// them (see [`Core::retune_independent_active`]). Bounds the retained
-/// plan however many channels change rate in one tick.
-const PLAN_CHUNK: usize = 4096;
-
-/// One controller decision: channel, measured utilization, decided
-/// rate.
-type PlannedDecision = (ChannelId, f64, LinkRate);
-
-/// An active-set tick's plan (see [`Core::retune_independent_active`]).
-#[derive(Debug, Default)]
-pub(crate) struct TickPlan {
-    /// Non-hold decisions awaiting [`Core::apply_plan`], in order.
-    decisions: Vec<PlannedDecision>,
-    /// Holds counted toward `controller_decisions`.
-    holds: u64,
-    /// Channels resting after a hold when the tick began.
-    resting: u64,
-    /// Of those, the ones the tick visited anyway.
-    woken: u64,
 }
 
 /// The event-driven network simulator (§4.1: "an in-house event-driven
@@ -160,8 +125,6 @@ pub(crate) struct Core {
     pub(crate) now: SimTime,
     pub(crate) end: SimTime,
     pub(crate) channels: Channels,
-    /// Ejection channel delivering to each host, precomputed.
-    pub(crate) eject_channel: Vec<ChannelId>,
     pub(crate) arena: PacketArena,
     pub(crate) messages: Vec<MessageRec>,
     /// Retired message slots awaiting reuse.
@@ -174,12 +137,11 @@ pub(crate) struct Core {
     /// Which epoch-tick implementation runs ([`RunOptions::epoch`]; see
     /// [`Core::on_epoch`]).
     pub(crate) epoch_mode: EpochMode,
-    /// The paired-link active path's per-tick link set, one bit per
-    /// link: filled from the active channels, cleared as it is scanned.
+    /// A paired active-set tick's link set, one bit per link: filled
+    /// from the active channels, cleared as it is scanned.
     pub(crate) link_bits: Vec<u64>,
-    /// The active-set epoch paths' retained plan.
-    pub(crate) plan: TickPlan,
-    pub(crate) last_offered_at: SimTime,
+    /// An epoch tick's retained plan (see [`Core::retune`]).
+    pub(crate) plan: Vec<PlannedDecision>,
     /// End of the current utilization-measurement epoch.
     pub(crate) epoch_end: SimTime,
     /// Whether epoch ticks run (rate controller or dynamic topology):
@@ -272,12 +234,6 @@ impl Core {
         if model == SimModel::Hybrid {
             channels.enable_fluid();
         }
-        let mut eject_channel = Vec::with_capacity(fabric.num_hosts());
-        for h in 0..fabric.num_hosts() {
-            let host = epnet_topology::HostId::new(h as u32);
-            eject_channel
-                .push(fabric.output_channel(fabric.host_switch(host), fabric.host_port(host)));
-        }
         let warmup = config.warmup;
         let first_epoch_end = config.epoch;
         // Pods partition the switch range into at most 64 contiguous
@@ -296,7 +252,6 @@ impl Core {
             now: SimTime::ZERO,
             end: SimTime::ZERO,
             channels,
-            eject_channel,
             arena: PacketArena::new(),
             messages: Vec::new(),
             msg_free: Vec::new(),
@@ -306,11 +261,7 @@ impl Core {
             scratch: Vec::new(),
             epoch_mode: options.epoch,
             link_bits: vec![0; num_links.div_ceil(64)],
-            plan: TickPlan {
-                decisions: Vec::with_capacity(PLAN_CHUNK + 128),
-                ..TickPlan::default()
-            },
-            last_offered_at: SimTime::ZERO,
+            plan: Vec::with_capacity(PLAN_CHUNK + 128),
             epoch_end: first_epoch_end,
             controller_active: false,
             model,
@@ -531,7 +482,6 @@ impl Core {
         );
         debug_assert_ne!(m.src, m.dst, "self-sends are not meaningful");
         self.stats.offered_bytes += m.bytes;
-        self.last_offered_at = m.at;
         if self.model == SimModel::Hybrid
             && m.bytes >= crate::flows::FLOW_MIN_BYTES
             && self.try_absorb_flow(&m)
@@ -917,11 +867,11 @@ impl Core {
         };
         let dst_switch = self.fabric.host_switch(dst);
         if at == dst_switch {
-            // Local delivery: the precomputed ejection channel is the
-            // sole candidate.
+            // Local delivery: the host's ejection channel is the sole
+            // candidate.
             let p = self.arena.get_mut(pkt);
             p.hops = hops.saturating_add(1);
-            let out = self.eject_channel[dst.index()];
+            let out = self.fabric.ejection_channel(dst);
             self.enqueue(out, pkt, bytes);
             self.try_tx(out);
             return;
@@ -1040,545 +990,6 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // The per-epoch controller (§3.3)
-    // ------------------------------------------------------------------
-
-    /// One epoch tick: rate decisions, the asymmetry sample, the
-    /// dynamic-topology pass, and the queue-depth sample / overhang
-    /// recharge — then the next tick is scheduled.
-    ///
-    /// Two implementations share this entry point. The default
-    /// ([`EpochMode::ActiveSet`]) visits only the channels in the
-    /// active set: everything outside it is *resting* — idle at the
-    /// floor with an empty queue and no fluid load, which provably
-    /// decides "hold" under every policy (`idle_at_floor_always_holds`),
-    /// or resting after a hold whose inputs nothing has changed since
-    /// (see [`Core::hold_unit`]) — contributes zero to every sample,
-    /// and recharges zero overhang, so skipping it is exact, not
-    /// approximate. [`EpochMode::Sweep`] visits every
-    /// channel instead. Controller tracing forces the sweep:
-    /// traced runs emit a per-decision line even for holds, and the
-    /// trace stream is part of the byte-identical output contract.
-    fn on_epoch(&mut self) {
-        // Fluid flows advance before the controller reads per-channel
-        // utilization: the epoch's busy time then includes the fluid
-        // load exactly as it would packet serialization, keeping rate
-        // decisions regime-independent. Each sub-step is charged to its
-        // own layer at its boundary.
-        let mut lap = Instant::now();
-        if self.model == SimModel::Hybrid {
-            self.advance_flows();
-            lap = self.inst.profile.lap(Layer::FluidAdvance, lap);
-        }
-        let sweep = self.epoch_mode == EpochMode::Sweep || self.inst.on(TraceCategory::Controller);
-        let decisions_enabled = self.config.control != ControlMode::AlwaysFull;
-        match self.config.control {
-            ControlMode::AlwaysFull => {}
-            ControlMode::IndependentChannel if sweep => self.retune_independent(),
-            ControlMode::IndependentChannel => self.retune_independent_active(),
-            ControlMode::PairedLink if sweep => self.retune_paired(),
-            ControlMode::PairedLink => self.retune_paired_active(),
-        }
-        lap = self.inst.profile.lap(Layer::Controller, lap);
-        // Sample link asymmetry: how often do a link's two channels sit
-        // at different speeds (§3.3.1)? The count is maintained
-        // incrementally at every rate/F_OFF write (`Channels::set_rate`
-        // and friends), so sampling it is a counter read; the sweep
-        // mode recounts from scratch and cross-checks.
-        if decisions_enabled {
-            self.stats.link_samples += self.fabric.num_links() as u64;
-            if sweep {
-                let mut asymmetric = 0u64;
-                for link in 0..self.fabric.num_links() {
-                    let (a, b) = self
-                        .fabric
-                        .link_channels(epnet_topology::LinkId::new(link as u32));
-                    let (ia, ib) = (a.index(), b.index());
-                    if self.channels.rate[ia] != self.channels.rate[ib]
-                        || self.channels.has_flag(ia, F_OFF) != self.channels.has_flag(ib, F_OFF)
-                    {
-                        asymmetric += 1;
-                    }
-                }
-                debug_assert_eq!(
-                    asymmetric,
-                    self.channels.asymmetric_links(),
-                    "incremental asymmetric-link counter drifted from the swept count"
-                );
-                self.stats.asymmetric_link_samples += asymmetric;
-            } else {
-                self.stats.asymmetric_link_samples += self.channels.asymmetric_links();
-            }
-        }
-        #[cfg(debug_assertions)]
-        if sweep {
-            let queued: u64 = self.channels.occupancy.iter().sum();
-            let flags = self.channels.flags.iter();
-            let unsteady = flags.filter(|&&f| f & crate::channels::F_UNSTEADY != 0);
-            debug_assert_eq!(
-                queued,
-                self.channels.queued_total(),
-                "network-wide queued-bytes counter drifted from the swept sum"
-            );
-            debug_assert_eq!(
-                unsteady.count() as u64,
-                self.channels.unsteady(),
-                "off/draining channel counter drifted from the swept count"
-            );
-            debug_assert!(
-                self.flows.loads_match_live(&self.channels.fluid),
-                "fluid sharer counts or loads drifted from the live flows"
-            );
-            debug_assert_eq!(
-                self.channels.steady_recount(),
-                self.channels.steady_count(),
-                "resting-after-hold counter drifted from the swept count"
-            );
-            debug_assert!(
-                self.channels.residency_counts_match(),
-                "residency class counts drifted from the swept count"
-            );
-        }
-        if let Some(mut dt) = self.dyntopo.take() {
-            lap = self.inst.profile.lap(Layer::EpochSample, lap);
-            let mask = self.mask.as_mut().expect("dyntopo requires a mask");
-            dt.on_epoch(
-                self.now,
-                &self.fabric,
-                &mut self.channels,
-                mask,
-                &self.config,
-                &mut self.stats,
-                &mut self.inst,
-            );
-            self.dyntopo = Some(dt);
-            lap = self.inst.profile.lap(Layer::Dyntopo, lap);
-        }
-        let epoch = self.config.epoch;
-        // Queue depth is sampled here, once per channel per epoch, so
-        // the mean/peak metrics describe standing queues rather than
-        // transient per-packet spikes. Resting channels "sample" an
-        // exact zero without being visited, so the sums — and
-        // `epoch_queue_samples`, which deliberately counts *every*
-        // channel in both modes — stay mode-independent.
-        let epoch_ps = epoch.as_ps();
-        let (queued_sum, queued_peak) = if sweep {
-            let mut queued_sum = 0u64;
-            let mut queued_peak = 0u64;
-            for i in 0..self.channels.len() {
-                let occ = self.channels.occupancy[i];
-                queued_sum += occ;
-                queued_peak = queued_peak.max(occ);
-                // Pre-charge the next epoch with the in-flight
-                // transmission's overhang.
-                let overhang = self.channels.busy_until[i].saturating_sub(self.now);
-                debug_assert!(
-                    self.channels.is_active(i) || (occ == 0 && overhang == SimTime::ZERO),
-                    "ch{i} rests outside the active set but would sample non-zero"
-                );
-                self.channels.busy_ps_epoch[i] = overhang.as_ps().min(epoch_ps);
-            }
-            self.channels
-                .retire_resting(self.config.min_rate, decisions_enabled);
-            (queued_sum, queued_peak)
-        } else {
-            self.channels.sample_active_and_retire(
-                self.now,
-                epoch_ps,
-                self.config.min_rate,
-                decisions_enabled,
-            )
-        };
-        let counters = &mut self.stats.counters;
-        counters.epoch_queue_samples += self.channels.len() as u64;
-        counters.epoch_queue_bytes_sum += queued_sum;
-        counters.epoch_queue_bytes_peak = counters.epoch_queue_bytes_peak.max(queued_peak);
-        let next = self.now + epoch;
-        self.epoch_end = next;
-        if next <= self.end {
-            self.queue.schedule(next, Event::EpochTick);
-        }
-        self.stats.epoch_ticks += 1;
-        self.inst.profile.lap(Layer::EpochSample, lap);
-    }
-
-    fn retune_independent(&mut self) {
-        for ch in 0..self.channels.len() {
-            let id = ChannelId::new(ch as u32);
-            let decision = self
-                .channel_decision(id)
-                .map(|(util, rate)| (id, util, rate));
-            self.sweep_unit(&[id], &[decision]);
-        }
-    }
-
-    /// Active-set twin of [`Core::retune_independent`]: only set members
-    /// can decide anything but "hold", and decisions run in ascending
-    /// channel order — the same relative order as the sweep — because
-    /// decision order fixes event insertion order, and FIFO
-    /// tie-breaking makes that order observable in the report. The
-    /// bitmap yields that order directly.
-    ///
-    /// Plan, then apply: a read-only pass decides every member, counts
-    /// the holds (rate unchanged, nothing parked — `apply_rate` would do
-    /// nothing) and plans the rest, which [`Core::apply_plan`] then
-    /// applies in order. This is exact because applying a decision for
-    /// channel `c` writes only `c`'s own state, which no other
-    /// channel's decision reads. The plan is applied every
-    /// [`PLAN_CHUNK`] decisions, so its retained size stays bounded.
-    fn retune_independent_active(&mut self) {
-        let mut plan = self.start_plan();
-        for w in 0..self.channels.active_words().len() {
-            let word = self.channels.active_words()[w];
-            for i in set_bits(word, w * 64) {
-                let ch = ChannelId::new(i as u32);
-                let decision = self
-                    .channel_decision(ch)
-                    .map(|(util, rate)| (ch, util, rate));
-                self.plan_unit(&mut plan, &[ch], &[decision]);
-            }
-            if plan.decisions.len() >= PLAN_CHUNK {
-                self.apply_plan(&mut plan);
-            }
-        }
-        self.finish_plan(plan);
-    }
-
-    fn retune_paired(&mut self) {
-        // "The link pair must be reconfigured together to match the
-        // requirements of the channel with the highest load" (§3.3.1).
-        for link in 0..self.fabric.num_links() {
-            let (unit, decisions) = self.link_decisions(link);
-            self.sweep_unit(&unit, &decisions);
-        }
-    }
-
-    /// Active-set twin of [`Core::retune_paired`]: a link is processed
-    /// when *either* channel is in the active set (the paired rule can
-    /// retune a resting channel to match its busy peer), in ascending
-    /// link order to match the sweep's event insertion order. The
-    /// active channels mark their links in a preallocated link bitmap,
-    /// whose scan yields that order and clears it for the next tick.
-    /// Decisions are planned and applied as in
-    /// [`Core::retune_independent_active`]: applying a link's decision
-    /// writes only its own two channels.
-    fn retune_paired_active(&mut self) {
-        let words = self.channels.active_words();
-        for (w, &word) in words.iter().enumerate() {
-            for i in set_bits(word, w * 64) {
-                let link = self.fabric.link_of(ChannelId::new(i as u32)).index();
-                self.link_bits[link / 64] |= 1u64 << (link % 64);
-            }
-        }
-        let mut plan = self.start_plan();
-        for w in 0..self.link_bits.len() {
-            let word = std::mem::take(&mut self.link_bits[w]);
-            for link in set_bits(word, w * 64) {
-                let (unit, decisions) = self.link_decisions(link);
-                self.plan_unit(&mut plan, &unit, &decisions);
-            }
-            if plan.decisions.len() >= PLAN_CHUNK {
-                self.apply_plan(&mut plan);
-            }
-        }
-        self.finish_plan(plan);
-    }
-
-    /// Takes the retained plan for an active-set tick.
-    fn start_plan(&mut self) -> TickPlan {
-        let mut plan = std::mem::take(&mut self.plan);
-        plan.holds = 0;
-        plan.resting = self.channels.steady_count();
-        plan.woken = 0;
-        plan
-    }
-
-    /// Applies what is left of an active-set tick's plan and counts its
-    /// holds: the visited ones, plus one per channel resting after a
-    /// hold that the tick did not visit.
-    fn finish_plan(&mut self, mut plan: TickPlan) {
-        self.apply_plan(&mut plan);
-        let steady = plan.resting - plan.woken;
-        self.stats.controller_decisions += plan.holds + steady;
-        self.stats.epoch_steady_holds += steady;
-        self.plan = plan;
-    }
-
-    /// Whether decision `d` is a hold: the rate is unchanged and no
-    /// drain is parked, so [`Core::decide_rate`] would only count it.
-    fn is_hold(&self, (ch, _, rate): PlannedDecision) -> bool {
-        let i = ch.index();
-        rate == self.channels.rate[i] && self.channels.flags[i] & F_DRAINING == 0
-    }
-
-    /// Plans one decision unit — a channel, or a paired link's two
-    /// channels — that an active-set tick visits: ends its channels'
-    /// rest after a hold (the tick decides them itself), plans its
-    /// non-hold decisions and counts its holds.
-    fn plan_unit(
-        &mut self,
-        plan: &mut TickPlan,
-        unit: &[ChannelId],
-        decisions: &[Option<PlannedDecision>],
-    ) {
-        let mut holds = 0;
-        let mut all_hold = true;
-        for &d in decisions.iter().flatten() {
-            if self.is_hold(d) {
-                holds += 1;
-            } else {
-                all_hold = false;
-                plan.decisions.push(d);
-            }
-        }
-        if self.channels.fluid.is_empty() {
-            // Packet mode: no channel rests after a hold.
-            plan.holds += holds;
-            return;
-        }
-        for c in unit {
-            plan.woken += u64::from(self.channels.clear_steady(c.index()));
-        }
-        if holds > 0 && (!all_hold || self.hold_unit(unit, decisions)) {
-            plan.holds += holds;
-        }
-    }
-
-    /// The sweep's visit of one decision unit: applies its decisions in
-    /// order and keeps the rest-after-hold bookkeeping exactly as the
-    /// active-set tick does, checking that a unit nothing touched since
-    /// it came to rest decides hold again.
-    fn sweep_unit(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) {
-        if !self.channels.fluid.is_empty() {
-            self.sweep_steady(unit, decisions);
-        }
-        for &(ch, util, rate) in decisions.iter().flatten() {
-            self.decide_rate(ch, util, rate);
-        }
-    }
-
-    /// The sweep's rest-after-hold bookkeeping for one unit (hybrid
-    /// model only), before its decisions apply.
-    fn sweep_steady(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) {
-        let all_hold = decisions.iter().flatten().all(|&d| self.is_hold(d));
-        let untouched = unit.iter().all(|c| !self.channels.is_active(c.index()));
-        for c in unit {
-            let rested = self.channels.clear_steady(c.index());
-            debug_assert!(
-                !rested || !untouched || all_hold,
-                "{c} rested after a hold, unchanged, yet decides a change"
-            );
-        }
-        if all_hold {
-            self.hold_unit(unit, decisions);
-        }
-    }
-
-    /// Bookkeeping for a visited unit whose every decision is a hold
-    /// (hybrid model only). Returns whether those holds count toward
-    /// `controller_decisions`: a unit the fluid pass marked only because a
-    /// channel's fluid load fell to zero — every channel idle at the
-    /// floor or exempt, with no fluid — is not counted, so the count
-    /// matches a tick that marks only loaded channels (every unit counts
-    /// on the first tick, when every channel starts active).
-    ///
-    /// An idle unit with load (fluid bytes, or a rate above the floor)
-    /// comes to rest after the hold: its decided channels leave the
-    /// active set at the recharge and decide "hold" each tick without a
-    /// visit until something marks one of its channels. `desired_rate`
-    /// is pure, and every input — rate, flags, transient busy time,
-    /// fluid load — changes only at sites that mark the channel active.
-    /// Not with the dynamic topology, whose power transitions land after
-    /// the decisions.
-    fn hold_unit(&mut self, unit: &[ChannelId], decisions: &[Option<PlannedDecision>]) -> bool {
-        let min = self.config.min_rate;
-        let mut idle = true;
-        let mut loaded = false;
-        for (c, d) in unit.iter().zip(decisions) {
-            let i = c.index();
-            idle &= self.channels.queued_at(i) == 0
-                && self.channels.busy_ps_epoch[i] == 0
-                && self.channels.flags[i] & F_DRAINING == 0;
-            loaded |= self.channels.fluid[i] > 0 || (d.is_some() && self.channels.rate[i] != min);
-        }
-        if idle && loaded && self.dyntopo.is_none() {
-            for (c, d) in unit.iter().zip(decisions) {
-                if d.is_some() {
-                    self.channels.set_steady(c.index());
-                }
-            }
-        }
-        !idle || loaded || self.stats.epoch_ticks == 0
-    }
-
-    /// Applies and empties a plan's decisions, in plan order.
-    fn apply_plan(&mut self, plan: &mut TickPlan) {
-        for &(ch, util, rate) in plan.decisions.iter() {
-            self.decide_rate(ch, util, rate);
-        }
-        plan.decisions.clear();
-    }
-
-    /// The link's two channels and their §3.3.1 decisions, in channel
-    /// order. When both
-    /// channels are tunable the pair moves together to the faster of
-    /// the two desired rates.
-    /// When exactly one is exempt (powered off by the dynamic-topology
-    /// controller, or a host channel with tuning disabled), the tunable
-    /// channel is tuned *independently*: §3.3.1 pairs the channels only
-    /// because "the link pair must be reconfigured together to match
-    /// the requirements of the channel with the highest load", and a
-    /// channel with no rate to match leaves the survivor governed by
-    /// its own load. (The historical behavior — skipping the link
-    /// entirely — froze the tunable channel at whatever rate it last
-    /// held, forever.) No current topology produces a half-exempt link
-    /// — host exemption and power-off both apply to whole links — so
-    /// this arm is pinned by a unit test rather than the golden report.
-    fn link_decisions(&self, link: usize) -> ([ChannelId; 2], [Option<PlannedDecision>; 2]) {
-        let (a, b) = self
-            .fabric
-            .link_channels(epnet_topology::LinkId::new(link as u32));
-        let decisions = match (self.channel_decision(a), self.channel_decision(b)) {
-            (Some((ua, ra)), Some((ub, rb))) => {
-                let rate = ra.max(rb);
-                [Some((a, ua, rate)), Some((b, ub, rate))]
-            }
-            (da, db) => [da.map(|(u, r)| (a, u, r)), db.map(|(u, r)| (b, u, r))],
-        };
-        ([a, b], decisions)
-    }
-
-    /// The measured utilization and the rate the policy wants for this
-    /// channel, or `None` when the channel is exempt from tuning (host
-    /// link with tuning disabled, or powered off).
-    fn channel_decision(&self, ch: ChannelId) -> Option<(f64, LinkRate)> {
-        let i = ch.index();
-        if self.channels.flags[i] & (F_TUNABLE | F_OFF) != F_TUNABLE {
-            return None;
-        }
-        let util = self.channels.epoch_utilization(i, self.config.epoch);
-        let rate = desired_rate(
-            self.config.policy,
-            self.channels.rate[i],
-            util,
-            self.config.target_utilization,
-            self.config.min_rate,
-            self.config.max_rate,
-        );
-        Some((util, rate))
-    }
-
-    /// Applies one controller decision and, when tracing, records it
-    /// with the measured utilization and the outcome-derived reason.
-    fn decide_rate(&mut self, ch: ChannelId, util: f64, rate: LinkRate) {
-        self.stats.controller_decisions += 1;
-        let old = self.channels.rate[ch.index()];
-        let outcome = self.apply_rate(ch, rate);
-        if self.inst.on(TraceCategory::Controller) {
-            let reason = match outcome {
-                RateOutcome::Unchanged => "hold",
-                RateOutcome::Applied if rate > old => "upshift",
-                RateOutcome::Applied => "downshift",
-                RateOutcome::DrainDeferred => "drain_deferred",
-                RateOutcome::DrainCancelled => "drain_cancelled",
-            };
-            let at = self.now.as_ps();
-            let (old, new) = (old.to_string(), rate.to_string());
-            self.inst
-                .tracer()
-                .controller(at, ch.raw(), util, &old, &new, reason);
-        }
-    }
-
-    /// Applies a rate decision; a change costs the reactivation latency
-    /// (§3.1). Under [`ReactivationStrategy::DrainFirst`] a busy channel
-    /// is first removed from the legal routes and drained (§3.2's first
-    /// option).
-    ///
-    /// [`ReactivationStrategy::DrainFirst`]: crate::config::ReactivationStrategy::DrainFirst
-    fn apply_rate(&mut self, ch: ChannelId, rate: LinkRate) -> RateOutcome {
-        let i = ch.index();
-        let strategy = self.config.reactivation_strategy;
-        // The F_DRAINING mirror gates the pending-rate take: the common
-        // hold/no-drain decision — the bulk of every epoch sweep —
-        // never touches `pending_rate` at all.
-        if self.channels.has_flag(i, F_DRAINING)
-            && self.channels.take_pending_rate(i).is_some()
-            && self.channels.rate[i] == rate
-        {
-            // The controller changed its mind back before the drain
-            // finished; cancel the pending change.
-            return RateOutcome::DrainCancelled;
-        }
-        let old = self.channels.rate[i];
-        if old == rate {
-            return RateOutcome::Unchanged;
-        }
-        // Drain-first only defers *downshifts*: an upshift is what a
-        // congested queue needs, and deferring it until the queue
-        // empties could wait forever.
-        if strategy == crate::config::ReactivationStrategy::DrainFirst
-            && rate < self.channels.rate[i]
-            && !self.channels.queue_is_idle(i)
-        {
-            self.channels.set_pending_rate(i, Some(rate));
-            return RateOutcome::DrainDeferred;
-        }
-        self.channels.reprice_fluid(i, old, rate);
-        self.commit_rate(ch, rate);
-        // If traffic is waiting, make sure it resumes once the channel
-        // relocks (the serializing packet, if any, completes at the old
-        // timing — the change takes effect for subsequent packets). An
-        // empty queue has nothing to resume, and `try_tx` would return
-        // without acting.
-        if self.channels.queued_at(i) != 0 {
-            self.try_tx(ch);
-        }
-        RateOutcome::Applied
-    }
-
-    /// Completes a drain-first rate change once the queue has emptied.
-    fn finish_pending_rate(&mut self, ch: ChannelId) {
-        let i = ch.index();
-        let Some(rate) = self.channels.take_pending_rate(i) else {
-            return;
-        };
-        if !self.channels.queue_is_idle(i) {
-            // New traffic slipped in before the drain completed (only
-            // possible when this channel was the sole route); keep
-            // waiting.
-            self.channels.set_pending_rate(i, Some(rate));
-            return;
-        }
-        self.commit_rate(ch, rate);
-    }
-
-    /// Switches `ch` to `rate` now: the channel is unavailable for the
-    /// reactivation latency, and the change is counted, recorded on the
-    /// timeline and traced.
-    fn commit_rate(&mut self, ch: ChannelId, rate: LinkRate) {
-        let i = ch.index();
-        let now = self.now;
-        let model = self.config.reactivation;
-        let latency = model.latency(self.channels.rate[i], rate);
-        self.channels.set_rate(i, now, rate);
-        let until = now + latency;
-        self.channels.available_at[i] = until;
-        self.stats.reconfigurations += 1;
-        self.stats.record_rate(now, ch.raw(), Some(rate));
-        if self.inst.on(TraceCategory::Reactivation) {
-            let rate = rate.to_string();
-            self.inst.tracer().reactivation(
-                now.as_ps(),
-                ch.raw(),
-                "start",
-                &rate,
-                Some(until.as_ps()),
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Reporting
     // ------------------------------------------------------------------
 
@@ -1657,45 +1068,6 @@ mod tests {
     use crate::traffic::ReplaySource;
     use epnet_topology::FlattenedButterfly;
 
-    /// A link with exactly one exempt channel (here: powered off out
-    /// from under the controller) must still tune the surviving channel
-    /// by its own load. The historical `retune_paired` skipped such
-    /// links entirely, freezing the tunable channel at whatever rate it
-    /// last held — forever. No current topology produces a half-exempt
-    /// link (host exemption and dyntopo power-off both cover whole
-    /// links), so the fixed arm is pinned here rather than by the
-    /// golden report.
-    #[test]
-    fn paired_link_with_one_exempt_channel_tunes_the_survivor() {
-        let fabric = FlattenedButterfly::new(2, 4, 2).unwrap().build_fabric();
-        let config = SimConfig::builder()
-            .control(ControlMode::PairedLink)
-            .build();
-        let epoch = config.epoch;
-        let min = config.min_rate;
-        let mut sim = Simulator::new(fabric, config, ReplaySource::new(Vec::new()));
-        sim.prime(SimTime::from_ms(1));
-        let (a, b) = sim
-            .core
-            .fabric
-            .link_channels(epnet_topology::LinkId::new(0));
-        sim.core.channels.set_off(b.index(), SimTime::ZERO, true);
-        assert_eq!(sim.core.channels.asymmetric_links(), 1);
-        assert_eq!(sim.core.channels.rate[a.index()], LinkRate::R40);
-        // First tick: the idle survivor halves under HalveDouble even
-        // though its peer yields no decision.
-        sim.advance_until(epoch + SimTime::from_ns(1));
-        assert_eq!(
-            sim.core.channels.rate[a.index()],
-            LinkRate::R20,
-            "the tunable survivor of a half-exempt link must keep tuning"
-        );
-        // Later ticks walk it all the way down to the floor.
-        sim.advance_until(SimTime::from_us(500));
-        assert_eq!(sim.core.channels.rate[a.index()], min);
-        assert_eq!(sim.core.channels.asymmetric_links(), 1);
-    }
-
     /// A run whose event queue renumbers its sequence numbers every few
     /// hundred events, with wire arrivals reserved in packet records
     /// each time, pops exactly the order of a run that never does.
@@ -1770,36 +1142,5 @@ mod tests {
         // Both messages land (only the second counts as measured: the
         // first is offered inside the warmup).
         assert_eq!(sim.finalize().delivered_bytes, 4096);
-    }
-
-    /// Epoch ticks with no traffic must do O(active) controller work:
-    /// after the first tick retires every idle channel, subsequent ticks
-    /// evaluate zero rate decisions while the sweep reference evaluates
-    /// every channel every tick.
-    #[test]
-    fn quiescent_network_makes_no_decisions_after_the_first_ticks() {
-        let fabric = FlattenedButterfly::new(2, 4, 2).unwrap().build_fabric();
-        let config = SimConfig::builder()
-            .control(ControlMode::IndependentChannel)
-            .build();
-        let epoch = config.epoch;
-        let mut sim = Simulator::with_options(
-            fabric,
-            config,
-            ReplaySource::new(Vec::new()),
-            RunOptions::default(),
-        );
-        sim.prime(SimTime::from_ms(1));
-        // Every channel starts active and takes a handful of ticks to
-        // descend R40 → R2.5; give them ten epochs to settle.
-        sim.advance_until(epoch.scaled(10) + SimTime::from_ns(1));
-        let settled = sim.core.stats.controller_decisions;
-        let ticks = sim.core.stats.epoch_ticks;
-        sim.advance_until(epoch.scaled(20) + SimTime::from_ns(1));
-        assert_eq!(
-            sim.core.stats.controller_decisions, settled,
-            "a quiescent network must decide nothing per tick"
-        );
-        assert_eq!(sim.core.stats.epoch_ticks, ticks + 10, "ticks still fire");
     }
 }

@@ -259,7 +259,7 @@ impl Core {
         if !routable {
             return None;
         }
-        path[len] = self.eject_channel[m.dst.index()].raw();
+        path[len] = self.fabric.ejection_channel(m.dst).raw();
         Some((path, (len + 1) as u8))
     }
 
@@ -615,7 +615,7 @@ mod tests {
         sim.advance_until(SimTime::from_us(15));
         assert_eq!(full_of_a(&sim), alone);
         // A path channel halves its rate: the next pass recomputes.
-        let eject = sim.core.eject_channel[7].index();
+        let eject = sim.core.fabric.ejection_channel(HostId::new(7)).index();
         sim.core
             .channels
             .set_rate(eject, sim.core.now, LinkRate::R20);

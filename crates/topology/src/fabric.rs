@@ -371,6 +371,17 @@ impl FabricGraph {
         ChannelId::new(host.raw())
     }
 
+    /// The ejection channel delivering to a host: one read of the
+    /// channel-target table at its injection channel, whose target is
+    /// the host's switch port, then that port's output channel.
+    #[inline]
+    pub fn ejection_channel(&self, host: HostId) -> ChannelId {
+        match self.channel_target(self.injection_channel(host)) {
+            PortTarget::Switch { switch, port } => self.output_channel(switch, port),
+            PortTarget::Host(_) => unreachable!("an injection channel delivers to a switch"),
+        }
+    }
+
     /// The output channel of `(switch, port)`.
     #[inline]
     pub fn output_channel(&self, switch: SwitchId, port: PortIndex) -> ChannelId {
@@ -765,6 +776,21 @@ mod tests {
                         assert_eq!(g.input_feeder(switch, port), ch, "{ch} feeds its target");
                     }
                 }
+            }
+        }
+    }
+
+    /// A host's ejection channel, read from the channel-target table,
+    /// is its switch port's output channel on every fabric family.
+    #[test]
+    fn ejection_channel_is_the_host_ports_output() {
+        let grouped = FlattenedButterfly::grouped(3, 4, 2).unwrap().build_fabric();
+        let clos = crate::TwoTierClos::multi_pod(4, 2).unwrap().build_fabric();
+        for g in [small(), grouped, clos] {
+            for h in 0..g.num_hosts() {
+                let host = HostId::new(h as u32);
+                let eject = g.output_channel(g.host_switch(host), g.host_port(host));
+                assert_eq!(g.ejection_channel(host), eject, "{host}");
             }
         }
     }

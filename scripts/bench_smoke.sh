@@ -5,7 +5,9 @@
 # schema, a Perfetto export and every trace-analysis command over that
 # capture, the reduced run of every benchmark axis (its scale axis runs
 # the 2^20-host flat, so this takes minutes), a rustdoc build with
-# warnings denied, and the reference benchmark package's tests.
+# warnings denied, and the reference benchmark package's tests. It ends
+# by printing the workspace Rust line count (scripts/loc.sh), the
+# figure a change's "net lines" is measured in.
 #
 # Every check lives in Rust: `tracesmoke` validates its traces and
 # exports, and `benchrun` validates its document with
@@ -71,3 +73,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 # so the workspace's `cargo test` never compiles it: build and test it
 # here so a library API change cannot silently break the measuring tool.
 cargo test --offline --manifest-path "$BENCHMARK_MANIFEST"
+
+# The workspace Rust line count and the five largest files, by the
+# ROADMAP's definition.
+scripts/loc.sh

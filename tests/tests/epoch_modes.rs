@@ -35,15 +35,15 @@ const STRATEGIES: [ReactivationStrategy; 2] = [
 
 /// One run on a small FBFLY with the dynamic-topology extension on
 /// (its power-off/reactivate transitions exercise the incremental
-/// asymmetry counter and the F_OFF resting exemption), serialized.
-fn run_serialized(
+/// asymmetry counter and the F_OFF resting exemption).
+fn run_packet(
     control: ControlMode,
     policy: RatePolicy,
     strategy: ReactivationStrategy,
     load: f64,
     seed: u64,
     epoch: EpochMode,
-) -> String {
+) -> SimReport {
     let fabric = FlattenedButterfly::new(2, 8, 2)
         .expect("valid shape")
         .build_fabric();
@@ -67,7 +67,19 @@ fn run_serialized(
         &fabric,
         DynamicTopologyConfig::default(),
     ));
-    let report = sim.run_until(horizon);
+    sim.run_until(horizon)
+}
+
+/// [`run_packet`], serialized.
+fn run_serialized(
+    control: ControlMode,
+    policy: RatePolicy,
+    strategy: ReactivationStrategy,
+    load: f64,
+    seed: u64,
+    epoch: EpochMode,
+) -> String {
+    let report = run_packet(control, policy, strategy, load, seed, epoch);
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
@@ -250,4 +262,46 @@ fn hybrid_steady_flows_are_byte_identical_across_epoch_modes() {
             }
         }
     }
+}
+
+/// The controller's decision counts, which the serialized report
+/// leaves out because they depend on the epoch mode: the sweep counts
+/// every decision it visits, the active-set tick adds one hold per
+/// channel resting after a hold (`epoch_steady_holds`) without a visit.
+/// Pinned per control mode and epoch mode, on the steady hybrid run
+/// (HalveDouble, RouteAround, host links tuned) and on one packet run,
+/// so a walker that counts holds differently fails here.
+#[test]
+fn decision_counts_are_pinned() {
+    let steady = |control, epoch| {
+        let r = run_steady_hybrid(
+            control,
+            RatePolicy::HalveDouble,
+            ReactivationStrategy::RouteAround,
+            true,
+            epoch,
+        );
+        (r.controller_decisions, r.diagnostics["epoch_steady_holds"])
+    };
+    let packet = |control, epoch| {
+        let r = run_packet(
+            control,
+            RatePolicy::HalveDouble,
+            ReactivationStrategy::RouteAround,
+            0.08,
+            11,
+            epoch,
+        );
+        (r.controller_decisions, r.diagnostics["epoch_steady_holds"])
+    };
+    use ControlMode::{IndependentChannel, PairedLink};
+    use EpochMode::{ActiveSet, Sweep};
+    assert_eq!(steady(IndependentChannel, Sweep), (24_000, 0));
+    assert_eq!(steady(IndependentChannel, ActiveSet), (7_147, 4_774));
+    assert_eq!(steady(PairedLink, Sweep), (24_000, 0));
+    assert_eq!(steady(PairedLink, ActiveSet), (11_756, 8_560));
+    assert_eq!(packet(IndependentChannel, Sweep), (5_574, 0));
+    assert_eq!(packet(IndependentChannel, ActiveSet), (1_473, 0));
+    assert_eq!(packet(PairedLink, Sweep), (5_298, 0));
+    assert_eq!(packet(PairedLink, ActiveSet), (2_264, 0));
 }
